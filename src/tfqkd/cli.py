@@ -30,14 +30,18 @@ def _resolve_config(args) -> ExperimentConfig:
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
     updates = {}
-    if getattr(args, "windows", None):
-        updates["n_windows"] = float(args.windows)
+    if getattr(args, "windows", None) is not None:
+        try:
+            updates["n_windows"] = float(args.windows)
+        except ValueError as exc:
+            raise ConfigError(f"--windows: {exc}") from exc
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
-    if getattr(args, "chunks", None):
-        updates["chunk_count"] = args.chunks
     if updates:
-        cfg = with_run(cfg, **updates)
+        try:
+            cfg = with_run(cfg, **updates)
+        except ValueError as exc:
+            raise ConfigError(f"run: {exc}") from exc
     if getattr(args, "mode", None):
         import dataclasses
         cfg = dataclasses.replace(
@@ -89,22 +93,25 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _emit_run_report(cfg: ExperimentConfig, table: CountsTable,
+                     out_path: str | None) -> int:
+    run = process(table, cfg.party_a, cfg.party_b, cfg.security)
+    skr = key_rate(run.inputs, cfg.security)
+    _emit(format_run_report(cfg, table, run, skr), out_path)
+    return 0
+
+
 def _cmd_keyrate(args) -> int:
     cfg = _resolve_config(args)
-    skr, run = bench.analytic_keyrate(cfg)
     table = expected_counts(bench.engine_settings(cfg), cfg.run.n_windows)
-    _emit(format_run_report(cfg, table, run, skr), args.out)
-    return 0
+    return _emit_run_report(cfg, table, args.out)
 
 
 def _cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     table = simulate(bench.engine_settings(cfg), int(cfg.run.n_windows),
-                     seed=cfg.run.seed, chunk_count=cfg.run.chunk_count)
-    run = process(table, cfg.party_a, cfg.party_b, cfg.security)
-    skr = key_rate(run.inputs, cfg.security)
-    _emit(format_run_report(cfg, table, run, skr), args.out)
-    return 0
+                     seed=cfg.run.seed)
+    return _emit_run_report(cfg, table, args.out)
 
 
 def _cmd_stabilize(args) -> int:
@@ -173,7 +180,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", help="built-in preset name")
     p.add_argument("--windows", help="window count override")
     p.add_argument("--seed", type=int, help="RNG seed override")
-    p.add_argument("--chunks", type=int, help="chunk count override")
     p.add_argument("--mode", choices=("asymptotic", "finite"),
                    help="security accounting mode")
     p.add_argument("--out", help="write the report to this path")

@@ -33,7 +33,7 @@ def _build(cls, section: str, raw: dict, defaults, prefix: str = ""):
             try:
                 if f.type in ("bool", bool):
                     val = text.strip().lower() in ("1", "true", "yes", "on")
-                elif f.name in ("seed", "chunk_count"):
+                elif f.name == "seed":
                     val = int(text)
                 elif f.name in ("output_path", "mode"):
                     val = text.strip()

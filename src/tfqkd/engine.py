@@ -1,11 +1,17 @@
-"""Monte Carlo window engine for the two-user interference link.
+"""Session counts of the two-user interference link, sampled or expected.
 
-Windows are generated in fixed blocks of 2**21, each block seeded as
-``default_rng([seed, block_index])``, so results depend only on
-``(seed, n_windows)`` and not on how the run is chunked.  The draw
-order inside a block is fixed: A basis+intensity (one uniform), A
-slice, B basis+intensity, B slice, residual phase, detector outcome
-(one uniform against the joint click distribution).
+Window outcomes are independent and identically distributed, so a
+session's counts over the cells (category x slice difference x detector
+outcome) are exactly multinomial.  :func:`cell_probabilities` gives the
+cell probabilities as a ``(25, 16, 4)`` tensor: axis 0 is the category
+in :data:`CATEGORIES` order, axis 1 the slice difference
+``(sA - sB) mod 16``, axis 2 the outcome (none, only D0, only D1,
+both).  The Gaussian residual phase is averaged out by Gauss-Hermite
+quadrature.  :func:`simulate` draws one multinomial sample over the
+flattened tensor, seeded with ``default_rng(seed)``, so a session of any
+size costs the same; :func:`expected_counts` scales the tensor by the
+window count.  Both project the cells onto a :class:`CountsTable` the
+same way.
 """
 from __future__ import annotations
 
@@ -21,8 +27,17 @@ from .ratecore import PartySettings
 #: Number of discrete phase-slice values per window.
 N_SLICES = 16
 
-#: Windows per deterministic RNG block.
-BLOCK = 1 << 21
+#: Gauss-Hermite nodes and normalized weights of the residual-phase
+#: average (17 nodes; computed once, as the eigen-solve costs more than
+#: the rest of :func:`cell_probabilities`).
+_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(17)
+_GH_WEIGHTS = _GH_WEIGHTS / _GH_WEIGHTS.sum()
+
+#: Intensity index of each category's user A and user B window, and the
+#: category index of the phase-matched decoy windows XX11 and XX22.
+_IA = np.array([int(c[2]) for c in CATEGORIES])
+_IB = np.array([int(c[3]) for c in CATEGORIES])
+_XX = {level: CATEGORIES.index(f"XX{level}{level}") for level in (1, 2)}
 
 
 @dataclass(frozen=True)
@@ -41,173 +56,80 @@ class EngineSettings:
             raise ValueError("residual phase std must be nonnegative")
 
 
-def _draw_window(u: np.ndarray, p: PartySettings) -> tuple[np.ndarray, np.ndarray]:
-    """Map one uniform draw to (is_signal_window, intensity_index).
-
-    Signal windows send (index 3) with probability epsilon, else stay
-    at the vacuum index; decoy windows split over the three decoy
-    intensities.
-    """
-    pz = p.p_signal_window
-    is_z = u < pz
-    idx = np.full(u.shape, 2, dtype=np.int8)
-    # Signal-window sub-split on the same uniform.
-    idx[u < pz * p.epsilon_send] = 3
-    idx[(u >= pz * p.epsilon_send) & is_z] = 0
-    ux_base = pz
-    px = 1.0 - pz
-    idx[(u >= ux_base) & (u < ux_base + px * p.p_mu0)] = 0
-    idx[(u >= ux_base + px * p.p_mu0)
-        & (u < ux_base + px * (p.p_mu0 + p.p_mu1))] = 1
-    return is_z, idx
+def _class_prob(basis: str, i: int, p: PartySettings) -> float:
+    """Probability that one user emits a ``basis`` window at intensity ``i``."""
+    if basis == "Z":
+        pz = p.p_signal_window
+        return pz * (p.epsilon_send if i == 3 else 1.0 - p.epsilon_send)
+    return (1.0 - p.p_signal_window) * (p.p_mu0, p.p_mu1, p.p_mu2)[i]
 
 
-# 25 valid (basisA, basisB, iA, iB) combinations packed into a flat code:
-# code = (((zA*4 + iA)*2 + zB)*4 + iB), zA/zB = 1 for a Z window.
-_CODE_TO_CAT = {}
-for _cat in CATEGORIES:
-    _za = 1 if _cat[0] == "Z" else 0
-    _zb = 1 if _cat[1] == "Z" else 0
-    _code = ((_za * 4 + int(_cat[2])) * 2 + _zb) * 4 + int(_cat[3])
-    _CODE_TO_CAT[_code] = _cat
+def cell_probabilities(settings: EngineSettings) -> np.ndarray:
+    """Probability of every (category, slice difference, outcome) cell.
 
-
-def run_block(settings: EngineSettings, seed: int, block_index: int,
-              n: int) -> CountsTable:
-    """Simulate one block of ``n`` windows and return its counts."""
-    pa, pb = settings.party_a, settings.party_b
-    rng = np.random.default_rng([seed, block_index])
-
-    za, ia = _draw_window(rng.random(n), pa)
-    sa = (rng.random(n) * N_SLICES).astype(np.int8)
-    zb, ib = _draw_window(rng.random(n), pb)
-    sb = (rng.random(n) * N_SLICES).astype(np.int8)
-
-    resid = rng.standard_normal(n) * settings.residual_phase_std_rad
-    dtheta = (sa.astype(np.int16) - sb) % N_SLICES
-    delta = 2.0 * math.pi * dtheta / N_SLICES + resid
-
-    mu_a = np.asarray(pa.intensities)[ia]
-    mu_b = np.asarray(pb.intensities)[ib]
-    p0, p1 = click_probability_arrays(mu_a, mu_b, delta, settings.link,
-                                      settings.detectors, settings.noise)
-    # One uniform decides the joint detector outcome.
-    u = rng.random(n)
-    none_p = (1.0 - p0) * (1.0 - p1)
-    only0_p = none_p + p0 * (1.0 - p1)
-    only1_p = only0_p + (1.0 - p0) * p1
-    c0 = (u >= none_p) & (u < only0_p)
-    c1 = (u >= only0_p) & (u < only1_p)
-    herald = c0 | c1
-
-    code = ((za * 4 + ia) * 2 + zb) * 4 + ib
-    n_codes = 128
-    win_counts = np.bincount(code, minlength=n_codes)
-    her_counts = np.bincount(code[herald], minlength=n_codes)
-
-    table = CountsTable(n_windows=n)
-    for c, cat in _CODE_TO_CAT.items():
-        table.windows[cat] = int(win_counts[c])
-        table.heralds[cat] = int(her_counts[c])
-
-    matched = (~za) & (~zb) & (ia == ib) & ((dtheta == 0) | (dtheta == 8)) & herald
-    # The wrong detector fired: slice difference 0 targets detector 0,
-    # difference 8 targets detector 1.
-    wrong = np.where(dtheta == 0, c1, c0)
-    for level, tot_attr, err_attr in ((1, "x11_total", "x11_errors"),
-                                      (2, "x22_total", "x22_errors")):
-        m = matched & (ia == level)
-        setattr(table, tot_attr, int(m.sum()))
-        setattr(table, err_attr, int((m & wrong).sum()))
-    return table
-
-
-def simulate(settings: EngineSettings, n_windows: int, seed: int = 0,
-             chunk_count: int = 1) -> CountsTable:
-    """Simulate ``n_windows`` windows and return merged counts.
-
-    ``chunk_count`` only groups the underlying fixed-size blocks into
-    batches (e.g. to bound memory or report progress); the merged
-    result is identical for any chunking of the same run.
-    """
-    if n_windows < 0:
-        raise ValueError("n_windows must be nonnegative")
-    if chunk_count < 1:
-        raise ValueError("chunk_count must be >= 1")
-    n_blocks = (n_windows + BLOCK - 1) // BLOCK
-    total = CountsTable()
-    for b in range(n_blocks):
-        n = min(BLOCK, n_windows - b * BLOCK)
-        total.merge(run_block(settings, seed, b, n))
-    return total
-
-
-def _herald_prob_given_delta(mu_a: float, mu_b: float, delta: np.ndarray,
-                             settings: EngineSettings) -> np.ndarray:
-    p0, p1 = click_probability_arrays(
-        np.full(delta.shape, mu_a), np.full(delta.shape, mu_b), delta,
-        settings.link, settings.detectors, settings.noise)
-    return p0 * (1.0 - p1) + p1 * (1.0 - p0)
-
-
-def expected_counts(settings: EngineSettings, n_windows: int,
-                    gh_nodes: int = 17) -> CountsTable:
-    """Analytic expectation of every :class:`CountsTable` entry.
-
-    Herald probabilities are averaged over the 16 slice differences and,
-    when a residual phase std is set, over the Gaussian residual via
-    Gauss-Hermite quadrature.  Entries are expected values (floats cast
-    into the integer-count table only at the caller's peril: the table
-    returned here keeps them as floats).
+    Returns a ``(25, 16, 4)`` array laid out as described in the module
+    docstring.  The two slice indices are independent and uniform, so
+    every slice difference has probability 1/16.
     """
     pa, pb = settings.party_a, settings.party_b
     sigma = settings.residual_phase_std_rad
     if sigma > 0:
-        nodes, weights = np.polynomial.hermite_e.hermegauss(gh_nodes)
-        weights = weights / weights.sum()
-        offsets = nodes * sigma
+        offsets, weights = _GH_NODES * sigma, _GH_WEIGHTS
     else:
         offsets = np.zeros(1)
         weights = np.ones(1)
-
-    dtheta = np.arange(N_SLICES)
-    base = 2.0 * math.pi * dtheta / N_SLICES
     # delta grid: (slice difference, quadrature node)
-    delta = base[:, None] + offsets[None, :]
+    delta = (2.0 * math.pi * np.arange(N_SLICES) / N_SLICES)[:, None] + offsets
 
-    def class_prob(basis: str, i: int, p: PartySettings) -> float:
-        if basis == "Z":
-            pz = p.p_signal_window
-            return pz * (p.epsilon_send if i == 3 else 1.0 - p.epsilon_send)
-        px = 1.0 - p.p_signal_window
-        return px * (p.p_mu0, p.p_mu1, p.p_mu2)[i]
+    mu_a = np.asarray(pa.intensities)[_IA][:, None, None]
+    mu_b = np.asarray(pb.intensities)[_IB][:, None, None]
+    cat_prob = np.array([_class_prob(c[0], int(c[2]), pa)
+                         * _class_prob(c[1], int(c[3]), pb) for c in CATEGORIES])
+    p0, p1 = click_probability_arrays(mu_a, mu_b, delta, settings.link,
+                                      settings.detectors, settings.noise)
+    q0, q1 = 1.0 - p0, 1.0 - p1
+    outcomes = np.stack([q0 * q1, p0 * q1, q0 * p1, p0 * p1], axis=2)
+    return (outcomes @ weights) * (cat_prob / N_SLICES)[:, None, None]
 
-    table = CountsTable(n_windows=n_windows)
-    herald_given = {}
-    for cat in CATEGORIES:
-        ia, ib = int(cat[2]), int(cat[3])
-        mu_a, mu_b = pa.intensities[ia], pb.intensities[ib]
-        h = _herald_prob_given_delta(mu_a, mu_b, delta, settings)
-        h_avg = float((h @ weights).mean())
-        herald_given[cat] = h
-        prob = class_prob(cat[0], ia, pa) * class_prob(cat[1], ib, pb)
-        table.windows[cat] = prob * n_windows
-        table.heralds[cat] = prob * n_windows * h_avg
 
+def _project(cells: np.ndarray, n_windows) -> CountsTable:
+    """Collapse a cell array (counts or expectations) into a CountsTable.
+
+    Heralds are the only-D0 and only-D1 cells.  Phase-matched decoy
+    windows have slice difference 0 (targets D0) or 8 (targets D1); an
+    error is a herald on the other detector.
+    """
+    heralds = cells[:, :, 1] + cells[:, :, 2]
+    table = CountsTable(
+        n_windows=n_windows,
+        windows=dict(zip(CATEGORIES, cells.sum(axis=(1, 2)).tolist())),
+        heralds=dict(zip(CATEGORIES, heralds.sum(axis=1).tolist())))
     for level, tot_attr, err_attr in ((1, "x11_total", "x11_errors"),
                                       (2, "x22_total", "x22_errors")):
-        cat = f"XX{level}{level}"
-        mu_a, mu_b = pa.intensities[level], pb.intensities[level]
-        prob = class_prob("X", level, pa) * class_prob("X", level, pb) / N_SLICES
-        p0, p1 = click_probability_arrays(
-            np.full(delta.shape, mu_a), np.full(delta.shape, mu_b), delta,
-            settings.link, settings.detectors, settings.noise)
-        excl0 = p0 * (1.0 - p1)   # only detector 0 fired
-        excl1 = p1 * (1.0 - p0)
-        tot = err = 0.0
-        for d, wrong in ((0, excl1), (8, excl0)):
-            tot += float(herald_given[cat][d] @ weights)
-            err += float(wrong[d] @ weights)
-        setattr(table, tot_attr, prob * n_windows * tot)
-        setattr(table, err_attr, prob * n_windows * err)
+        k = _XX[level]
+        setattr(table, tot_attr, (heralds[k, 0] + heralds[k, 8]).item())
+        setattr(table, err_attr, (cells[k, 0, 2] + cells[k, 8, 1]).item())
     return table
+
+
+def simulate(settings: EngineSettings, n_windows: int,
+             seed: int = 0) -> CountsTable:
+    """Draw the counts of an ``n_windows``-window session.
+
+    Results depend only on ``(settings, n_windows, seed)``.
+    """
+    if n_windows < 0:
+        raise ValueError("n_windows must be nonnegative")
+    p = cell_probabilities(settings)
+    counts = np.random.default_rng(seed).multinomial(n_windows,
+                                                     p.ravel() / p.sum())
+    return _project(counts.reshape(p.shape), int(n_windows))
+
+
+def expected_counts(settings: EngineSettings, n_windows: float) -> CountsTable:
+    """Analytic expectation of every :class:`CountsTable` entry.
+
+    Entries are expected values and stay floats, although the table's
+    fields are annotated as integer counts.
+    """
+    return _project(n_windows * cell_probabilities(settings), n_windows)

@@ -25,14 +25,17 @@ class RunSettings:
 
     n_windows: float = 1e8
     seed: int = 0
-    chunk_count: int = 1
     output_path: str = ""
 
     def __post_init__(self) -> None:
-        if self.n_windows <= 0:
-            raise ValueError("n_windows must be positive")
-        if self.chunk_count < 1:
-            raise ValueError("chunk_count must be >= 1")
+        # A float so that 2.772e13-style counts parse; it must still be a
+        # whole number of windows below numpy's multinomial limit of 2**63.
+        n = self.n_windows
+        if not (math.isfinite(n) and float(n).is_integer() and 0 < n < 2**63):
+            raise ValueError(f"n_windows must be a whole number in "
+                             f"[1, 2**63), got {n!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

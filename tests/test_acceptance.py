@@ -120,7 +120,7 @@ def test_criterion_08_monte_carlo_matches_expectation():
     cfg = get_preset("sym546")
     settings = bench.engine_settings(cfg)
     n = 10**8
-    mc = simulate(settings, n, seed=0, chunk_count=8)
+    mc = simulate(settings, n, seed=0)
     exp = expected_counts(settings, n)
     # Exact two-sided Poisson interval at the 4-sigma quantile; several
     # categories have single-digit expectations where a normal z-score
@@ -176,7 +176,7 @@ def test_criterion_09_end_to_end_rates():
 def test_criterion_10_aopp_suppression_monte_carlo():
     cfg = get_preset("sym546")
     settings = bench.engine_settings(cfg)
-    table = simulate(settings, 10**9, seed=0, chunk_count=8)
+    table = simulate(settings, 10**9, seed=0)
     run = process(table, cfg.party_a, cfg.party_b, cfg.security)
     pre = run.z_stats.qber
     post = run.pairing.e_bit_prime
@@ -192,7 +192,7 @@ def test_criterion_10_aopp_suppression_monte_carlo():
 def test_criterion_11_byte_identical_reports(tmp_path):
     from tfqkd.cli import main
     sim_args = ["simulate", "--preset", "sym546", "--windows", "1e6",
-                "--seed", "3", "--chunks", "2"]
+                "--seed", "3"]
     stab_args = ["stabilize", "--preset", "sym546", "--duration", "0.2",
                  "--seed", "3"]
     paths = {k: tmp_path / f"{k}.txt"

@@ -172,6 +172,28 @@ def test_cli_bad_config_exit(tmp_path):
     assert main(["keyrate", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("windows", ["nan", "inf", "-5", "abc", "1.5", "0",
+                                     "9.3e18"])
+def test_cli_bad_window_count_exit(windows, capsys):
+    # 9.3e18 is above 2**63, the largest multinomial draw numpy accepts.
+    assert main(["simulate", "--preset", "sym546", "--windows", windows]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_negative_seed_exit(capsys):
+    assert main(["simulate", "--preset", "sym546", "--windows", "1e3",
+                 "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("windows", ["nan", "inf", "-5", "abc", "1.5",
+                                     "9.3e18"])
+def test_cli_bad_config_window_count_exit(tmp_path, windows):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[run]\nn_windows = {windows}\n")
+    assert main(["simulate", "--config", str(path)]) == 2
+
+
 def test_cli_simulate_byte_identical(tmp_path):
     args = ["simulate", "--preset", "sym546", "--windows", "2e5",
             "--seed", "5"]

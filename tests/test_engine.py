@@ -1,14 +1,19 @@
-"""Monte Carlo window engine: determinism, chunking, and analytic checks."""
+"""Session-count engine: determinism, cell probabilities, a per-window
+oracle, and analytic checks."""
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm, poisson
 
 from tfqkd import bench
 from tfqkd.counts import CATEGORIES, CountsTable, category_names
-from tfqkd.engine import EngineSettings, expected_counts, simulate
+from tfqkd.engine import (N_SLICES, EngineSettings, cell_probabilities,
+                          expected_counts, simulate)
+from tfqkd.optics import click_probability_arrays
 from tfqkd.presets import get_preset
+from tfqkd.ratecore import PartySettings
 
 
 @pytest.fixture(scope="module")
@@ -62,13 +67,6 @@ def test_seed_determinism(settings546):
     assert t1 == t2
     t3 = simulate(settings546, 500_000, seed=10)
     assert t3 != t1
-
-
-def test_chunk_invariance(settings546):
-    n = 3_000_000
-    whole = simulate(settings546, n, seed=1, chunk_count=1)
-    split = simulate(settings546, n, seed=1, chunk_count=4)
-    assert whole == split
 
 
 def test_window_partition(settings546):
@@ -132,3 +130,117 @@ def test_simulation_matches_expectation_totals(settings546):
     total_mc = sum(mc.heralds.values())
     total_exp = sum(exp.heralds.values())
     assert abs(total_mc - total_exp) <= 4.0 * math.sqrt(total_exp)
+
+
+# ------------------------------------------------- per-window oracle
+
+def _draw_window(u: np.ndarray, p: PartySettings):
+    """Map one uniform per window to (is_signal_window, intensity_index).
+
+    Signal windows send (index 3) with probability epsilon, else stay
+    at the vacuum index; decoy windows split over the three decoy
+    intensities.
+    """
+    pz = p.p_signal_window
+    is_z = u < pz
+    idx = np.full(u.shape, 2, dtype=np.int8)
+    idx[u < pz * p.epsilon_send] = 3
+    idx[(u >= pz * p.epsilon_send) & is_z] = 0
+    px = 1.0 - pz
+    idx[(u >= pz) & (u < pz + px * p.p_mu0)] = 0
+    idx[(u >= pz + px * p.p_mu0) & (u < pz + px * (p.p_mu0 + p.p_mu1))] = 1
+    return is_z, idx
+
+
+def _per_window_counts(settings: EngineSettings, n: int, seed: int) -> CountsTable:
+    """Simulate ``n`` windows one by one, each with its own random draws.
+
+    Every window draws both users' basis, intensity and phase slice, a
+    Gaussian residual phase and a detector outcome, so this checks the
+    aggregate cell probabilities against window-level physics.
+    """
+    pa, pb = settings.party_a, settings.party_b
+    rng = np.random.default_rng(seed)
+    za, ia = _draw_window(rng.random(n), pa)
+    sa = (rng.random(n) * N_SLICES).astype(np.int16)
+    zb, ib = _draw_window(rng.random(n), pb)
+    sb = (rng.random(n) * N_SLICES).astype(np.int16)
+    resid = rng.standard_normal(n) * settings.residual_phase_std_rad
+    dtheta = (sa - sb) % N_SLICES
+    delta = 2.0 * math.pi * dtheta / N_SLICES + resid
+    p0, p1 = click_probability_arrays(
+        np.asarray(pa.intensities)[ia], np.asarray(pb.intensities)[ib], delta,
+        settings.link, settings.detectors, settings.noise)
+    u = rng.random(n)
+    none_p = (1.0 - p0) * (1.0 - p1)
+    only0_p = none_p + p0 * (1.0 - p1)
+    only1_p = only0_p + (1.0 - p0) * p1
+    c0 = (u >= none_p) & (u < only0_p)
+    c1 = (u >= only0_p) & (u < only1_p)
+    herald = c0 | c1
+
+    code = ((za * 4 + ia) * 2 + zb) * 4 + ib
+    win_counts = np.bincount(code, minlength=128)
+    her_counts = np.bincount(code[herald], minlength=128)
+    table = CountsTable(n_windows=n)
+    for cat in CATEGORIES:
+        c = (((cat[0] == "Z") * 4 + int(cat[2])) * 2 + (cat[1] == "Z")) * 4 \
+            + int(cat[3])
+        table.windows[cat] = int(win_counts[c])
+        table.heralds[cat] = int(her_counts[c])
+    matched = ~za & ~zb & (ia == ib) & ((dtheta == 0) | (dtheta == 8)) & herald
+    # Slice difference 0 targets detector 0 and difference 8 detector 1.
+    wrong = np.where(dtheta == 0, c1, c0)
+    for level, tot_attr, err_attr in ((1, "x11_total", "x11_errors"),
+                                      (2, "x22_total", "x22_errors")):
+        m = matched & (ia == level)
+        setattr(table, tot_attr, int(m.sum()))
+        setattr(table, err_attr, int((m & wrong).sum()))
+    return table
+
+
+def _table_entries(t: CountsTable) -> dict:
+    entries = {f"windows[{c}]": t.windows[c] for c in CATEGORIES}
+    entries.update({f"heralds[{c}]": t.heralds[c] for c in CATEGORIES})
+    for key in ("x11_total", "x11_errors", "x22_total", "x22_errors"):
+        entries[key] = getattr(t, key)
+    return entries
+
+
+@pytest.mark.parametrize("preset", ["sym546", "asym452"])
+def test_cell_probabilities_normalized(preset):
+    p = cell_probabilities(bench.engine_settings(get_preset(preset)))
+    assert p.shape == (len(CATEGORIES), N_SLICES, 4)
+    assert (p >= 0).all()
+    assert abs(p.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("preset", ["sym546", "asym452"])
+def test_per_window_oracle_matches_expectation(preset):
+    """A window-by-window sampler lands inside exact 4-sigma Poisson
+    intervals around ``expected_counts`` on all 54 table entries.
+
+    The arms are shortened to 10/12 dB so that the herald and x11/x22
+    cells are populated at 2e6 windows.  Each entry fails with
+    probability at most 2 * norm.sf(4) = 6.3e-5 (the counts are binomial,
+    which is less dispersed than Poisson), so by the union bound the
+    two presets' 108 checks raise a false alarm with probability below
+    7e-3.
+    """
+    settings = bench.engine_settings(get_preset(preset))
+    link = dataclasses.replace(settings.link, measured_loss_a_db=10.0,
+                               measured_loss_b_db=12.0)
+    settings = dataclasses.replace(settings, link=link)
+    n = 2_000_000
+    observed = _table_entries(_per_window_counts(settings, n, seed=0))
+    expected = _table_entries(expected_counts(settings, n))
+    alpha = 2.0 * norm.sf(4.0)
+    failures = []
+    for key, mu in expected.items():
+        lo, hi = poisson.ppf(alpha / 2.0, mu), poisson.ppf(1.0 - alpha / 2.0, mu)
+        if not lo <= observed[key] <= hi:
+            failures.append(f"{key}: {observed[key]} outside [{lo:.0f}, "
+                            f"{hi:.0f}] for mean {mu:.1f}")
+    assert len(expected) == 54
+    assert expected["x11_errors"] > 1.0 and expected["x22_errors"] > 1.0
+    assert not failures, "; ".join(failures)
