@@ -2,8 +2,7 @@
 
 from .counts import CATEGORIES, CountsTable
 from .engine import EngineSettings, expected_counts, simulate
-from .optics import (ChannelPhaseState, DetectorModel, LinkConfig, NoiseModel,
-                     click_probabilities, phase_step)
+from .optics import DetectorModel, LinkConfig, NoiseModel
 from .postproc import (DecoyBounds, PairingResult, ProcessedRun, ZBasisStats,
                        aopp_pair, aopp_phase_error, chernoff_lower,
                        chernoff_upper,

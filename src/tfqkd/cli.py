@@ -8,6 +8,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import bench
@@ -16,7 +17,7 @@ from .counts import CATEGORIES, CountsTable
 from .engine import expected_counts, simulate
 from .postproc import ProcessedRun, process
 from .presets import ExperimentConfig, get_preset, preset_names, with_run
-from .ratecore import key_rate, plob_bound, rate_per_second
+from .ratecore import key_rate, rate_per_second
 from .servo import LoopConfig, run_stabilization
 
 
@@ -116,9 +117,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_stabilize(args) -> int:
     cfg = _resolve_config(args)
-    summary, series = run_stabilization(args.duration, cfg.noise,
-                                        LoopConfig(), stages=args.stages,
-                                        seed=cfg.run.seed)
+    try:
+        summary, series = run_stabilization(args.duration, cfg.noise,
+                                            LoopConfig(), stages=args.stages,
+                                            seed=cfg.run.seed)
+    except ValueError as exc:  # the config is checked; --duration is not
+        raise ConfigError(f"--duration: {exc}") from exc
     lines = [
         f"stages\t{args.stages}",
         f"duration_s\t{args.duration}",
@@ -144,14 +148,22 @@ def _cmd_stabilize(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
-    distances = [float(x) for x in args.distances.split(",") if x.strip()]
-    rows = bench.sweep(cfg, distances)
+    try:
+        distances = [float(x) for x in args.distances.split(",") if x.strip()]
+        if not distances or not all(map(math.isfinite, distances)):
+            raise ValueError("need one or more finite distances, "
+                             f"got {args.distances!r}")
+        rows = bench.sweep(cfg, distances)
+    except ValueError as exc:  # the config is checked; --distances is not
+        raise ConfigError(f"--distances: {exc}") from exc
     _emit(bench.format_sweep(rows), args.out)
     return 0
 
 
 def _cmd_optimize(args) -> int:
     cfg = _resolve_config(args)
+    if args.budget < 0:
+        raise ConfigError(f"--budget must be nonnegative, got {args.budget}")
     result = bench.optimize(cfg, budget=args.budget)
     text = (f"skr_bit_per_signal\t{result.skr:.6e}\n"
             f"evaluations\t{result.evaluations}\n"
@@ -175,13 +187,20 @@ def _cmd_preset(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+_RUN_FLAGS = {
+    "windows": {"help": "window count override"},
+    "seed": {"type": int, "help": "RNG seed override"},
+    "mode": {"choices": ("asymptotic", "finite"),
+             "help": "security accounting mode"},
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *run_flags: str) -> None:
+    """Config source and output flags, plus the ``_RUN_FLAGS`` named."""
     p.add_argument("--config", help="INI config file path")
     p.add_argument("--preset", help="built-in preset name")
-    p.add_argument("--windows", help="window count override")
-    p.add_argument("--seed", type=int, help="RNG seed override")
-    p.add_argument("--mode", choices=("asymptotic", "finite"),
-                   help="security accounting mode")
+    for name in run_flags:
+        p.add_argument(f"--{name}", **_RUN_FLAGS[name])
     p.add_argument("--out", help="write the report to this path")
 
 
@@ -196,15 +215,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("keyrate", help="analytic key rate (no Monte Carlo)")
-    _add_common(p)
+    _add_common(p, "windows", "mode")
     p.set_defaults(func=_cmd_keyrate)
 
     p = sub.add_parser("simulate", help="Monte Carlo session")
-    _add_common(p)
+    _add_common(p, "windows", "seed", "mode")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("stabilize", help="servo-loop simulation")
-    _add_common(p)
+    _add_common(p, "seed")
     p.add_argument("--duration", type=float, default=2.0,
                    help="simulated seconds")
     p.add_argument("--stages", choices=("none", "fastOnly", "full"),
@@ -213,13 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stabilize)
 
     p = sub.add_parser("sweep", help="key rate vs distance table")
-    _add_common(p)
+    _add_common(p, "windows", "mode")
     p.add_argument("--distances", required=True,
                    help="comma-separated distances in km")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("optimize", help="source-parameter search")
-    _add_common(p)
+    _add_common(p, "windows", "mode")
     p.add_argument("--budget", type=int, default=200,
                    help="evaluation budget")
     p.set_defaults(func=_cmd_optimize)

@@ -4,17 +4,19 @@ Sections: ``[link]``, ``[detectors]``, ``[protocol]``, ``[noise]``,
 ``[security]``, ``[run]``.  Keys are the snake_case field names of the
 corresponding types; ``[protocol]`` keys carry an ``a_``/``b_`` prefix
 per party.  Missing keys fall back to the 546-km preset defaults; an
-empty file therefore yields that default configuration.
+empty file therefore yields that default configuration.  Each value is
+parsed by its field's type: numbers must be finite, and ``none`` is
+accepted only where a field may be None.  Unknown keys are rejected.
 """
 from __future__ import annotations
 
 import configparser
 import dataclasses
 import io
+import math
+import typing
 
-from .optics import DetectorModel, LinkConfig, NoiseModel
-from .presets import ExperimentConfig, RunSettings, get_preset
-from .ratecore import PartySettings, SecuritySettings
+from .presets import ExperimentConfig, get_preset
 
 
 class ConfigError(ValueError):
@@ -24,30 +26,33 @@ class ConfigError(ValueError):
 _SECTIONS = ("link", "detectors", "protocol", "noise", "security", "run")
 
 
-def _build(cls, section: str, raw: dict, defaults, prefix: str = ""):
+def _parse(text: str, typ):
+    """Convert one INI value to a field's resolved type."""
+    text = text.strip()
+    if typ is str:
+        return text
+    if text.lower() == "none":
+        if type(None) not in typing.get_args(typ):
+            raise ValueError("none is not allowed for this key")
+        return None
+    val = int(text) if typ is int else float(text)
+    if not math.isfinite(val):
+        raise ValueError(f"{text!r} is not a finite number")
+    return val
+
+
+def _build(section: str, raw: dict, defaults, prefix: str = ""):
+    """Override ``defaults`` with the keys of ``raw`` it knows (popped)."""
     kwargs = {}
-    for f in dataclasses.fields(cls):
-        key = prefix + f.name
+    for name, typ in typing.get_type_hints(type(defaults)).items():
+        key = prefix + name
         if key in raw:
-            text = raw[key]
             try:
-                if f.type in ("bool", bool):
-                    val = text.strip().lower() in ("1", "true", "yes", "on")
-                elif f.name == "seed":
-                    val = int(text)
-                elif f.name in ("output_path", "mode"):
-                    val = text.strip()
-                elif text.strip().lower() == "none":
-                    val = None
-                else:
-                    val = float(text)
+                kwargs[name] = _parse(raw.pop(key), typ)
             except ValueError as exc:
                 raise ConfigError(f"{section}.{key}: {exc}") from exc
-        else:
-            val = getattr(defaults, f.name)
-        kwargs[f.name] = val
     try:
-        return cls(**kwargs)
+        return dataclasses.replace(defaults, **kwargs)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
@@ -71,33 +76,33 @@ def config_from_parser(parser: configparser.ConfigParser,
         if sec not in _SECTIONS:
             raise ConfigError(f"unknown section [{sec}]")
     d = get_preset(defaults_preset)
-
-    def raw(sec: str) -> dict:
-        return dict(parser[sec]) if parser.has_section(sec) else {}
-
-    link = _build(LinkConfig, "link", raw("link"), d.link)
-    det = _build(DetectorModel, "detectors", raw("detectors"), d.detectors)
-    proto = raw("protocol")
-    pa = _build(PartySettings, "protocol", proto, d.party_a, prefix="a_")
-    pb = _build(PartySettings, "protocol", proto, d.party_b, prefix="b_")
-    noise_raw = raw("noise")
+    raw = {sec: dict(parser[sec]) if parser.has_section(sec) else {}
+           for sec in _SECTIONS}
+    link = _build("link", raw["link"], d.link)
+    det = _build("detectors", raw["detectors"], d.detectors)
+    pa = _build("protocol", raw["protocol"], d.party_a, prefix="a_")
+    pb = _build("protocol", raw["protocol"], d.party_b, prefix="b_")
+    noise = _build("noise", raw["noise"], d.noise)
+    security = _build("security", raw["security"], d.security)
+    run = _build("run", raw["run"], d.run)
     resid = d.residual_phase_std_rad
-    if "residual_phase_std_rad" in noise_raw:
+    if "residual_phase_std_rad" in raw["noise"]:
         try:
-            resid = float(noise_raw.pop("residual_phase_std_rad"))
+            resid = _parse(raw["noise"].pop("residual_phase_std_rad"), float)
         except ValueError as exc:
             raise ConfigError(f"noise.residual_phase_std_rad: {exc}") from exc
-    noise = _build(NoiseModel, "noise", noise_raw, d.noise)
-    sec_raw = raw("security")
-    allow = sec_raw.pop("allow_unbalanced", "false").strip().lower() in (
-        "1", "true", "yes", "on")
-    security = _build(SecuritySettings, "security", sec_raw, d.security)
-    run = _build(RunSettings, "run", raw("run"), d.run)
+    allow = raw["security"].pop("allow_unbalanced", "false").strip().lower()
+    if allow not in parser.BOOLEAN_STATES:
+        raise ConfigError(f"security.allow_unbalanced: {allow!r} is not a boolean")
+    unknown = [f"{sec}.{key}" for sec in _SECTIONS for key in raw[sec]]
+    if unknown:
+        raise ConfigError(f"unknown key(s): {', '.join(unknown)}")
     try:
         return ExperimentConfig(link=link, detectors=det, party_a=pa,
                                 party_b=pb, noise=noise, security=security,
                                 run=run, residual_phase_std_rad=resid,
-                                allow_unbalanced=allow or d.allow_unbalanced)
+                                allow_unbalanced=(parser.BOOLEAN_STATES[allow]
+                                                  or d.allow_unbalanced))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -30,7 +30,7 @@ CATEGORIES = tuple(category_names())
 
 @dataclass
 class CountsTable:
-    """Accumulated window and herald counts of one run (or run fragment).
+    """Window and herald counts of one run.
 
     ``windows[cat]`` counts emitted windows of each category and
     ``heralds[cat]`` those where exactly one detector fired.  The
@@ -48,42 +48,7 @@ class CountsTable:
     x22_total: int = 0
     x22_errors: int = 0
 
-    def merge(self, other: "CountsTable") -> "CountsTable":
-        """Add another fragment's counts into this table (returns self)."""
-        self.n_windows += other.n_windows
-        for c in CATEGORIES:
-            self.windows[c] += other.windows[c]
-            self.heralds[c] += other.heralds[c]
-        self.x11_total += other.x11_total
-        self.x11_errors += other.x11_errors
-        self.x22_total += other.x22_total
-        self.x22_errors += other.x22_errors
-        return self
-
     def yield_of(self, cat: str) -> float:
         """Heralds per emitted window of a category (0 if never emitted)."""
         w = self.windows[cat]
         return self.heralds[cat] / w if w else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "n_windows": self.n_windows,
-            "windows": dict(self.windows),
-            "heralds": dict(self.heralds),
-            "x11_total": self.x11_total,
-            "x11_errors": self.x11_errors,
-            "x22_total": self.x22_total,
-            "x22_errors": self.x22_errors,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CountsTable":
-        t = cls(n_windows=int(d["n_windows"]))
-        for c in CATEGORIES:
-            t.windows[c] = int(d["windows"].get(c, 0))
-            t.heralds[c] = int(d["heralds"].get(c, 0))
-        t.x11_total = int(d["x11_total"])
-        t.x11_errors = int(d["x11_errors"])
-        t.x22_total = int(d["x22_total"])
-        t.x22_errors = int(d["x22_errors"])
-        return t

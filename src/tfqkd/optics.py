@@ -8,7 +8,7 @@ wander are both reproduced by one parameter set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,26 +59,6 @@ class LinkConfig:
     def arm_transmittance(self, arm: str) -> float:
         """Linear transmittance of one arm (detector efficiency excluded)."""
         return 10.0 ** (-self.arm_loss_db(arm) / 10.0)
-
-    @property
-    def total_length_km(self) -> float:
-        return self.length_a_km + self.length_b_km
-
-
-def arm_transmittance(link: LinkConfig, arm: str, det: "DetectorModel",
-                      detector: str) -> float:
-    """End-to-end transmittance of one arm into one detector.
-
-    Fiber plus measurement-node insertion loss, times the detection
-    efficiency of the chosen output detector (``"d0"`` or ``"d1"``).
-    """
-    if detector == "d0":
-        eff = det.efficiency_d0
-    elif detector == "d1":
-        eff = det.efficiency_d1
-    else:
-        raise ValueError("detector must be 'd0' or 'd1'")
-    return link.arm_transmittance(arm) * eff
 
 
 @dataclass(frozen=True)
@@ -132,7 +112,6 @@ class NoiseModel:
     lambda_c_nm: float = 1549.694
     visibility: float = 0.9795
     timing_jitter_ps: float = 8.4
-    diurnal_delay_ns: float = 20.0
 
     def __post_init__(self) -> None:
         if self.free_drift_rate_std < 0:
@@ -163,10 +142,6 @@ class NoiseModel:
         """Irreducible phase drift rate (rad/s) from the two clock offsets."""
         return 2.0 * math.pi * math.sqrt(2.0) * self.clock_accuracy * self.comb_span_hz
 
-    def timing_overlap_visibility(self, pulse_width_ps: float) -> float:
-        """Overlap factor for this model's arrival-time jitter."""
-        return timing_overlap_visibility(self.timing_jitter_ps, pulse_width_ps)
-
 
 def timing_overlap_visibility(offset_ps: float, pulse_width_ps: float) -> float:
     """Gaussian-pulse overlap factor exp(-offset^2 / (2 width^2)).
@@ -178,24 +153,6 @@ def timing_overlap_visibility(offset_ps: float, pulse_width_ps: float) -> float:
         raise ValueError("pulse width must be positive")
     r = offset_ps / pulse_width_ps
     return math.exp(-0.5 * r * r)
-
-
-@dataclass
-class ChannelPhaseState:
-    """Evolving differential phase of both bands plus laser frequency offset.
-
-    ``phi_c``: reference-band differential phase (rad); ``phi_q``:
-    signal-band phase; ``velocity``: common fiber drift velocity
-    (rad/s, reference band); ``freq_offset_hz``: slowly ramping
-    frequency difference between the two users' lasers.
-    """
-
-    phi_c: float = 0.0
-    phi_q: float = 0.0
-    velocity: float = 0.0
-    freq_offset_hz: float = 0.0
-    elapsed_s: float = 0.0
-    time_offsets_ps: tuple[float, float] = (0.0, 0.0)
 
 
 def velocity_step_coeffs(noise: NoiseModel, dt: float) -> tuple[float, float]:
@@ -221,56 +178,49 @@ def velocity_step_coeffs(noise: NoiseModel, dt: float) -> tuple[float, float]:
     return a, s
 
 
-def phase_step(state: ChannelPhaseState, dt: float, noise: NoiseModel,
-               rng: np.random.Generator) -> ChannelPhaseState:
-    """Advance the channel phase state by ``dt`` seconds (in place).
+def free_running_phase(noise: NoiseModel, dt: float, n: int,
+                       rng: np.random.Generator
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Open-loop differential phases at t = dt, 2 dt, ..., n dt.
 
-    The fiber drift velocity applies to the reference band directly and
-    to the signal band scaled by the frequency ratio.  The laser
-    frequency offset (ramping at the specified drift rate) enters both
-    bands; the clock-accuracy floor affects only the signal band, whose
-    phase is reconstructed from a reference measured against an
-    imperfect timebase.
+    Returns ``(t, phi_c, phi_q, laser_phase)``.  The fiber drift
+    velocity is the AR(1) process of :func:`velocity_step_coeffs`,
+    starting at rest and driven by ``n`` standard normals from ``rng``;
+    its integral applies to the reference band ``phi_c`` directly and to
+    the signal band ``phi_q`` scaled by the frequency ratio.  The laser
+    frequency offset ramps from zero at the specified drift rate and
+    adds ``laser_phase`` to both bands.  The clock-accuracy floor
+    affects only the signal band, whose phase is reconstructed from a
+    reference measured against an imperfect timebase.
     """
+    # Deferred: scipy.signal is about half of the CLI's import time.
+    from scipy.signal import lfilter
+
     a, s = velocity_step_coeffs(noise, dt)
-    state.velocity = a * state.velocity + s * rng.standard_normal()
-    two_pi_f = 2.0 * math.pi * state.freq_offset_hz
-    state.phi_c += state.velocity * dt + two_pi_f * dt
-    state.phi_q += (noise.band_ratio * state.velocity * dt
-                    + two_pi_f * dt
-                    + noise.clock_drift_floor() * dt)
-    state.freq_offset_hz += noise.laser_drift_hz_per_hour / 3600.0 * dt
-    state.elapsed_s += dt
-    return state
-
-
-def click_probabilities(mu_a: float, mu_b: float, delta: float,
-                        visibility: float, pd0: float, pd1: float
-                        ) -> tuple[float, float]:
-    """Per-window click probabilities (p_d0, p_d1) for one pulse pair.
-
-    ``mu_a``/``mu_b`` are arriving mean photon numbers at the
-    interference node.  Output-port means follow the two-mode
-    beamsplitter expression n = (mu_a+mu_b)/2 +- V sqrt(mu_a mu_b)
-    cos(delta); threshold detectors with dark probability pd click with
-    1 - (1-pd) exp(-n).
-    """
-    if mu_a < 0 or mu_b < 0:
-        raise ValueError("mean photon numbers must be nonnegative")
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError("visibility must lie in [0, 1]")
-    cross = visibility * math.sqrt(mu_a * mu_b) * math.cos(delta)
-    mean = 0.5 * (mu_a + mu_b)
-    p0 = 1.0 - (1.0 - pd0) * math.exp(-(mean + cross))
-    p1 = 1.0 - (1.0 - pd1) * math.exp(-(mean - cross))
-    return p0, p1
+    velocity = lfilter([s], [1.0, -a], rng.standard_normal(n))
+    fiber_phase = np.cumsum(velocity) * dt
+    t = np.arange(1, n + 1) * dt
+    f0 = noise.laser_drift_hz_per_hour / 3600.0
+    laser_phase = 2.0 * math.pi * (0.5 * f0 * t * t)
+    phi_c = fiber_phase + laser_phase
+    phi_q = (noise.band_ratio * fiber_phase + laser_phase
+             + noise.clock_drift_floor() * t)
+    return t, phi_c, phi_q, laser_phase
 
 
 def click_probability_arrays(mu_a: np.ndarray, mu_b: np.ndarray,
                              delta_phi: np.ndarray, link: LinkConfig,
                              det: DetectorModel, noise: NoiseModel
                              ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized form of :func:`click_probabilities`."""
+    """Per-window click probabilities ``(p_d0, p_d1)`` of pulse pairs.
+
+    ``mu_a``/``mu_b`` are the users' mean photon numbers at the source
+    and ``delta_phi`` their phase difference (broadcast together).  Each
+    arm's transmittance scales its pulse; the output-port means follow
+    the two-mode beamsplitter expression n = (ma+mb)/2 +- V sqrt(ma mb)
+    cos(delta), scaled by the port's detection efficiency.  Threshold
+    detectors with dark probability pd click with 1 - (1-pd) exp(-n).
+    """
     ma = np.asarray(mu_a, dtype=float) * link.arm_transmittance("a")
     mb = np.asarray(mu_b, dtype=float) * link.arm_transmittance("b")
     cross = noise.visibility * np.sqrt(ma * mb) * np.cos(delta_phi)

@@ -11,7 +11,7 @@ measured decoy-basis error rates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .optics import DetectorModel, LinkConfig, NoiseModel
 from .ratecore import PartySettings, SecuritySettings
@@ -21,11 +21,10 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Monte Carlo session size and bookkeeping."""
+    """Monte Carlo session size and seed."""
 
     n_windows: float = 1e8
     seed: int = 0
-    output_path: str = ""
 
     def __post_init__(self) -> None:
         # A float so that 2.772e13-style counts parse; it must still be a

@@ -10,12 +10,11 @@ common arrival grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
-from .optics import NoiseModel, velocity_step_coeffs
+from .optics import NoiseModel, free_running_phase
 
 TWO_PI = 2.0 * math.pi
 
@@ -230,22 +229,13 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
     if stages not in STAGES:
         raise ValueError(f"stages must be one of {STAGES}")
     dt = loop.fast_dt_s
-    n = int(round(duration_s / dt))
-    if n < 10_000:
-        raise ValueError("duration must cover at least 1e4 fast-loop cycles")
+    steps = duration_s / dt
+    if not (math.isfinite(steps) and round(steps) >= 10_000):
+        raise ValueError("duration must be finite and cover at least 1e4 "
+                         f"fast-loop cycles, got {duration_s!r} s")
+    n = round(steps)
     rng = np.random.default_rng(seed)
-
-    # Fiber drift velocity: AR(1) recursion, vectorized.
-    a, s = velocity_step_coeffs(noise, dt)
-    v = lfilter([s], [1.0, -a], rng.standard_normal(n))
-    fiber_phase = np.cumsum(v) * dt                       # reference band
-    t = np.arange(1, n + 1) * dt
-    f0 = noise.laser_drift_hz_per_hour / 3600.0
-    laser_phase = TWO_PI * (0.5 * f0 * t * t)             # ramping offset
-    phi_c = fiber_phase + laser_phase
-    ratio = noise.band_ratio
-    floor = noise.clock_drift_floor()
-    phi_q_free = ratio * fiber_phase + laser_phase + floor * t
+    t, phi_c, phi_q_free, laser_phase = free_running_phase(noise, dt, n, rng)
 
     pm = np.zeros(n)
     dc_counts = np.zeros(n)
@@ -255,7 +245,8 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
     if stages != "none":
         fast = PIDState()
         slow = PIDState()
-        delta = 1.0 - ratio
+        delta = 1.0 - noise.band_ratio
+        floor = noise.clock_drift_floor()
         setpoint = loop.dc_setpoint_counts
         vis = noise.visibility
         slow_every = max(1, int(round(loop.fast_rate_hz / loop.slow_rate_hz)))

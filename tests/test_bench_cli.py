@@ -1,7 +1,13 @@
 """Configuration ingestion, presets, sweeps, optimizer, and the CLI."""
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import tfqkd
 
 from tfqkd import bench
 from tfqkd.cli import main
@@ -61,6 +67,47 @@ def test_config_bad_probabilities(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(str(path))
     assert "p_mu" in str(err.value) or "prob" in str(err.value).lower()
+
+
+@pytest.mark.parametrize("section, key", [("link", "lenght_a_km"),
+                                          ("protocol", "c_mu_z"),
+                                          ("run", "n_window")])
+def test_config_unknown_key(tmp_path, section, key):
+    path = tmp_path / "typo.ini"
+    path.write_text(f"[{section}]\n{key} = 0.4\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("protocol", "a_mu_z", "nan"),
+    ("link", "length_b_km", "inf"),
+    ("noise", "residual_phase_std_rad", "nan"),
+])
+def test_config_non_finite_number(tmp_path, section, key, value):
+    path = tmp_path / "nan.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(str(path))
+
+
+def test_config_none_only_where_optional(tmp_path):
+    path = tmp_path / "none.ini"
+    path.write_text("[link]\nmeasured_loss_a_db = none\n")
+    assert load_config(str(path)).link.measured_loss_a_db is None
+    for body in ("[link]\nattenuation_db_per_km = none\n",
+                 "[run]\nseed = none\n"):
+        path.write_text(body)
+        with pytest.raises(ConfigError, match="none"):
+            load_config(str(path))
+        assert main(["keyrate", "--config", str(path)]) == 2
+
+
+def test_config_non_boolean(tmp_path):
+    path = tmp_path / "bool.ini"
+    path.write_text("[security]\nallow_unbalanced = maybe\n")
+    with pytest.raises(ConfigError, match="allow_unbalanced"):
+        load_config(str(path))
 
 
 # ----------------------------------------------------------------- sweep
@@ -208,3 +255,51 @@ def test_cli_sweep(tmp_path, capsys):
                  "--distances", "500,546.61"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 3  # header + two rows
+
+
+def test_cli_optimize_output_loads(tmp_path):
+    out = tmp_path / "opt.txt"
+    assert main(["optimize", "--preset", "asym452", "--budget", "3",
+                 "--out", str(out)]) == 0
+    # Three report lines, then the optimized config as INI.
+    ini = tmp_path / "opt.ini"
+    text = "".join(out.read_text().splitlines(True)[3:])
+    ini.write_text(text)
+    assert serialize_config(load_config(str(ini))) == text
+
+
+@pytest.mark.parametrize("argv", [
+    ["stabilize", "--windows", "7"],
+    ["stabilize", "--mode", "finite"],
+    ["keyrate", "--seed", "3"],
+    ["sweep", "--distances", "500", "--seed", "3"],
+    ["optimize", "--seed", "3"],
+])
+def test_cli_flag_not_read_is_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["stabilize", "--duration", "0.05"],
+    ["stabilize", "--duration", "nan"],
+    ["sweep", "--distances", "abc"],
+    ["sweep", "--distances", "500,400"],
+    ["sweep", "--distances", ""],
+    ["optimize", "--budget", "-3"],
+])
+def test_cli_bad_argument_exit(argv, capsys):
+    assert main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # scipy.signal is needed only by the servo's phase generator, and
+    # importing it up front would cost every command its load time.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(tfqkd.__file__).resolve().parents[1]))
+    code = "import sys, tfqkd.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"

@@ -32,27 +32,6 @@ def test_category_set():
     assert "ZZ13" not in names and "XX33" not in names
 
 
-def test_counts_roundtrip_and_merge():
-    a = CountsTable(n_windows=10)
-    a.windows["ZZ33"] = 4
-    a.heralds["ZZ33"] = 2
-    a.x11_total, a.x11_errors = 3, 1
-    b = CountsTable.from_dict(a.as_dict())
-    assert b == a
-    merged = CountsTable().merge(a).merge(b)
-    assert merged.n_windows == 20
-    assert merged.heralds["ZZ33"] == 4
-    assert merged.x11_errors == 2
-
-
-def test_merge_commutes(settings546):
-    t1 = simulate(settings546, 100_000, seed=3)
-    t2 = simulate(settings546, 100_000, seed=4)
-    ab = CountsTable().merge(t1).merge(t2)
-    ba = CountsTable().merge(t2).merge(t1)
-    assert ab == ba
-
-
 # ----------------------------------------------------------- simulation
 
 def test_empty_session(settings546):

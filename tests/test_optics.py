@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.signal import lfilter
 
-from tfqkd.optics import (ChannelPhaseState, DetectorModel, LinkConfig,
-                          NoiseModel, arm_transmittance, click_probabilities,
-                          click_probability_arrays, phase_step,
+from tfqkd.optics import (DetectorModel, LinkConfig, NoiseModel,
+                          click_probability_arrays, free_running_phase,
                           timing_overlap_visibility, velocity_step_coeffs)
 
 
@@ -17,21 +16,23 @@ from tfqkd.optics import (ChannelPhaseState, DetectorModel, LinkConfig,
 def test_transmittance_unit_link():
     link = LinkConfig(length_a_km=0.0, length_b_km=0.0)
     det = DetectorModel(1.0, 1.0, 0.0, 0.0)
-    assert arm_transmittance(link, "a", det, "d0") == 1.0
+    assert link.arm_transmittance("a") * det.efficiency_d0 == 1.0
 
 
 def test_transmittance_fiber_only():
     link = LinkConfig(length_a_km=100.0, length_b_km=0.0,
                       attenuation_db_per_km=0.183)
     det = DetectorModel(1.0, 1.0, 0.0, 0.0)
-    assert arm_transmittance(link, "a", det, "d0") == pytest.approx(0.01479, rel=1e-3)
+    assert link.arm_transmittance("a") * det.efficiency_d0 == pytest.approx(
+        0.01479, rel=1e-3)
 
 
 def test_transmittance_measured_loss_override():
     link = LinkConfig(length_a_km=273.48, length_b_km=0.0,
                       measured_loss_a_db=50.50)
     det = DetectorModel(0.66, 0.66, 0.0, 0.0)
-    assert arm_transmittance(link, "a", det, "d1") == pytest.approx(5.88e-6, rel=2e-3)
+    assert link.arm_transmittance("a") * det.efficiency_d1 == pytest.approx(
+        5.88e-6, rel=2e-3)
 
 
 @given(st.floats(min_value=0.0, max_value=500.0),
@@ -42,9 +43,9 @@ def test_transmittance_decreases_with_length_and_extra(length, extra):
     longer = LinkConfig(length_a_km=length + 1.0, length_b_km=0.0)
     lossy = LinkConfig(length_a_km=length, length_b_km=0.0,
                        extra_loss_a_db=extra)
-    t = arm_transmittance(base, "a", det, "d0")
-    assert arm_transmittance(longer, "a", det, "d0") < t
-    assert arm_transmittance(lossy, "a", det, "d0") < t
+    t = base.arm_transmittance("a") * det.efficiency_d0
+    assert longer.arm_transmittance("a") * det.efficiency_d0 < t
+    assert lossy.arm_transmittance("a") * det.efficiency_d0 < t
 
 
 # ------------------------------------------------------------- detectors
@@ -107,12 +108,23 @@ def _fock_click_probs(mu_a, mu_b, delta, visibility, pd0, pd1, nmax=20):
     return (1.0 - (1.0 - pd0) * p0_dark, 1.0 - (1.0 - pd1) * p1_dark)
 
 
+#: No loss, unit efficiencies: the source means arrive at the ports.
+_LOSSLESS = LinkConfig(length_a_km=0.0, length_b_km=0.0)
+
+
+def _clicks(mu_a, mu_b, delta, visibility, det=DetectorModel(1.0, 1.0, 0.0, 0.0)):
+    p0, p1 = click_probability_arrays(np.asarray(mu_a), np.asarray(mu_b),
+                                      np.asarray(delta), _LOSSLESS, det,
+                                      NoiseModel(visibility=visibility))
+    return float(p0), float(p1)
+
+
 def test_click_vacuum():
-    assert click_probabilities(0.0, 0.0, 0.0, 1.0, 0.0, 0.0) == (0.0, 0.0)
+    assert _clicks(0.0, 0.0, 0.0, 1.0) == (0.0, 0.0)
 
 
 def test_click_destructive_port():
-    p0, p1 = click_probabilities(0.05, 0.05, math.pi, 1.0, 0.0, 0.0)
+    p0, p1 = _clicks(0.05, 0.05, math.pi, 1.0)
     assert p0 == pytest.approx(0.0, abs=1e-15)
     assert p1 > 0.0
 
@@ -123,15 +135,19 @@ def test_click_matches_fock_oracle():
     for mu in grid_mu:
         for delta in grid_delta:
             for vis in (1.0, 0.98):
-                got = click_probabilities(mu, mu, delta, vis, 0.0, 0.0)
+                got = _clicks(mu, mu, delta, vis)
                 want = _fock_click_probs(mu, mu, delta, vis, 0.0, 0.0)
                 assert got[0] == pytest.approx(want[0], abs=1e-10)
                 assert got[1] == pytest.approx(want[1], abs=1e-10)
 
 
 def test_click_matches_fock_oracle_asymmetric_with_dark():
-    got = click_probabilities(0.01, 0.04, 0.7, 0.98, 1e-8, 3e-8)
-    want = _fock_click_probs(0.01, 0.04, 0.7, 0.98, 1e-8, 3e-8)
+    # Dark rates giving per-window dark probabilities near 1e-8 and 3e-8.
+    det = DetectorModel(1.0, 1.0, dark_rate_d0_hz=5.0, dark_rate_d1_hz=15.0,
+                        window_s=2e-9)
+    got = _clicks(0.01, 0.04, 0.7, 0.98, det)
+    want = _fock_click_probs(0.01, 0.04, 0.7, 0.98,
+                             det.dark_prob_d0, det.dark_prob_d1)
     assert got[0] == pytest.approx(want[0], abs=1e-10)
     assert got[1] == pytest.approx(want[1], abs=1e-10)
 
@@ -141,12 +157,15 @@ def test_click_matches_fock_oracle_asymmetric_with_dark():
        st.floats(min_value=-math.pi, max_value=math.pi),
        st.floats(min_value=0.0, max_value=1.0))
 def test_click_energy_conservation(mu_a, mu_b, delta, vis):
-    p0, p1 = click_probabilities(mu_a, mu_b, delta, vis, 0.0, 0.0)
+    p0, p1 = _clicks(mu_a, mu_b, delta, vis)
     n_total = -math.log(max(1e-300, (1.0 - p0) * (1.0 - p1)))
     assert n_total == pytest.approx(mu_a + mu_b, abs=1e-9)
 
 
 def test_click_arrays_match_scalar():
+    # Lossy arms and unequal detectors, element by element against the
+    # Fock oracle: each port sees the arriving means mu * t_arm scaled by
+    # its own detection efficiency.
     link = LinkConfig(length_a_km=100.0, length_b_km=120.0,
                       extra_loss_a_db=2.0, extra_loss_b_db=3.0)
     det = DetectorModel(0.83, 0.49, 7.8, 1.77, window_s=2e-9)
@@ -158,18 +177,12 @@ def test_click_arrays_match_scalar():
     ta = link.arm_transmittance("a")
     tb = link.arm_transmittance("b")
     for i in range(3):
-        # Scalar path: arriving photons already include the arm losses,
-        # detector efficiency scales the port mean photon number.
-        ref0, _ = click_probabilities(mu_a[i] * ta * det.efficiency_d0,
-                                      mu_b[i] * tb * det.efficiency_d0,
-                                      delta[i], noise.visibility,
-                                      det.dark_prob_d0, det.dark_prob_d1)
-        _, ref1 = click_probabilities(mu_a[i] * ta * det.efficiency_d1,
-                                      mu_b[i] * tb * det.efficiency_d1,
-                                      delta[i], noise.visibility,
-                                      det.dark_prob_d0, det.dark_prob_d1)
-        assert p0[i] == pytest.approx(ref0, rel=1e-12)
-        assert p1[i] == pytest.approx(ref1, rel=1e-12)
+        for eff, got, port in ((det.efficiency_d0, p0[i], 0),
+                               (det.efficiency_d1, p1[i], 1)):
+            want = _fock_click_probs(mu_a[i] * ta * eff, mu_b[i] * tb * eff,
+                                     delta[i], noise.visibility,
+                                     det.dark_prob_d0, det.dark_prob_d1)[port]
+            assert got == pytest.approx(want, rel=1e-9)
 
 
 # -------------------------------------------------------- noise model
@@ -198,41 +211,39 @@ def test_timing_overlap():
         timing_overlap_visibility(1.0, 0.0)
 
 
-# -------------------------------------------------------- phase stepping
+# ------------------------------------------------------ phase process
 
-def test_phase_step_quiet_channel():
+def test_free_running_phase_quiet_channel():
     noise = NoiseModel(free_drift_rate_std=0.0, laser_drift_hz_per_hour=0.0,
                        clock_accuracy=0.0)
-    state = ChannelPhaseState()
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        phase_step(state, 1e-5, noise, rng)
-    assert state.phi_c == 0.0
-    assert state.phi_q == 0.0
+    t, phi_c, phi_q, _ = free_running_phase(noise, 1e-5, 100,
+                                            np.random.default_rng(0))
+    assert np.array_equal(t, np.arange(1, 101) * 1e-5)
+    assert not phi_c.any()
+    assert not phi_q.any()
 
 
-def test_phase_step_clock_floor_only():
+def test_free_running_phase_clock_floor_only():
     noise = NoiseModel(free_drift_rate_std=0.0, laser_drift_hz_per_hour=0.0)
-    state = ChannelPhaseState()
-    rng = np.random.default_rng(0)
-    for _ in range(1000):
-        phase_step(state, 1e-5, noise, rng)
-    assert state.phi_c == 0.0
-    assert state.phi_q / state.elapsed_s == pytest.approx(44.43, abs=0.05)
+    t, phi_c, phi_q, _ = free_running_phase(noise, 1e-5, 1000,
+                                            np.random.default_rng(0))
+    assert not phi_c.any()
+    # The floor is a constant drift rate in the signal band only.
+    assert np.array_equal(phi_q, noise.clock_drift_floor() * t)
+    assert phi_q[-1] / t[-1] == pytest.approx(44.43, abs=0.05)
 
 
-def test_phase_step_laser_ramp():
+def test_free_running_phase_laser_ramp():
     noise = NoiseModel(free_drift_rate_std=0.0, clock_accuracy=0.0)
-    state = ChannelPhaseState()
-    rng = np.random.default_rng(0)
-    dt = 1e-3
-    for _ in range(1000):
-        phase_step(state, dt, noise, rng)
-    assert state.freq_offset_hz == pytest.approx(1777.0 / 3600.0, rel=1e-9)
-    # Quadratic phase ramp in both bands: phi ~ 2 pi (f_drift/2) t^2.
-    expect = 2 * math.pi * 0.5 * (1777.0 / 3600.0)
-    assert state.phi_c == pytest.approx(expect, rel=2e-3)
-    assert state.phi_q == pytest.approx(expect, rel=2e-3)
+    t, phi_c, phi_q, laser = free_running_phase(noise, 1e-3, 1000,
+                                                np.random.default_rng(0))
+    # Frequency offset ramping from 0 at f_drift: phi = 2 pi (f_drift/2) t^2
+    # in both bands, reaching pi * 1777/3600 rad after 1 s.
+    expect = 2 * math.pi * 0.5 * (1777.0 / 3600.0) * t ** 2
+    np.testing.assert_allclose(laser, expect, rtol=1e-12)
+    assert np.array_equal(phi_c, laser)
+    assert np.array_equal(phi_q, laser)
+    assert phi_c[-1] == pytest.approx(math.pi * 1777.0 / 3600.0, rel=1e-12)
 
 
 def test_drift_rate_calibration_closed_form():
@@ -265,20 +276,14 @@ def test_drift_rate_calibration_step_size_invariant():
     assert sig[1] == pytest.approx(sig[2], rel=0.01)
 
 
-def test_phase_step_empirical_drift_rate():
+def test_free_running_phase_empirical_drift_rate():
     # 1e5 steps at 0.1 ms = 10 s of free drift; fixed seed keeps the
     # finite-sample scatter (velocity decorrelates only every 30 ms)
     # inside the calibration band.
     noise = NoiseModel(laser_drift_hz_per_hour=0.0, clock_accuracy=0.0)
-    rng = np.random.default_rng(1)
     dt = 1e-4
-    a, s = velocity_step_coeffs(noise, dt)
-    sig_v = s / math.sqrt(1.0 - a * a)
-    state = ChannelPhaseState(velocity=sig_v * rng.standard_normal())
-    phases = np.empty(100_000)
-    for i in range(phases.size):
-        phase_step(state, dt, noise, rng)
-        phases[i] = state.phi_c
+    _, phases, _, _ = free_running_phase(noise, dt, 100_000,
+                                         np.random.default_rng(1))
     m = round(1e-3 / dt)
     rates = np.diff(phases[::m]) / 1e-3
     rms = float(np.sqrt(np.mean(rates * rates)))
