@@ -78,7 +78,7 @@ def format_run_report(cfg: ExperimentConfig, table: CountsTable,
         f"e1_upper\t{run.decoy.e1_upper:.6e}",
         f"z_qber\t{run.z_stats.qber:.6e}",
         f"pairs\t{run.pairing.pairs:.6e}",
-        f"nt_prime\t{run.pairing.nt_prime:.6e}",
+        f"nt_prime\t{run.pairing.surviving_pairs:.6e}",
         f"n1_prime\t{run.pairing.n1_prime:.6e}",
         f"e_bit_prime\t{run.pairing.e_bit_prime:.6e}",
         f"e1_ph_prime\t{run.e1_ph_prime:.6e}",

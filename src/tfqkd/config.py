@@ -57,8 +57,8 @@ def _build(section: str, raw: dict, defaults, prefix: str = ""):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-def load_config(path: str, defaults_preset: str = "sym546") -> ExperimentConfig:
-    """Read an INI config file, filling gaps from a preset's defaults."""
+def load_config(path: str) -> ExperimentConfig:
+    """Read an INI config file, filling gaps from the sym546 preset."""
     parser = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -67,15 +67,10 @@ def load_config(path: str, defaults_preset: str = "sym546") -> ExperimentConfig:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"parse error in {path}: {exc}") from exc
-    return config_from_parser(parser, defaults_preset)
-
-
-def config_from_parser(parser: configparser.ConfigParser,
-                       defaults_preset: str = "sym546") -> ExperimentConfig:
     for sec in parser.sections():
         if sec not in _SECTIONS:
             raise ConfigError(f"unknown section [{sec}]")
-    d = get_preset(defaults_preset)
+    d = get_preset("sym546")
     raw = {sec: dict(parser[sec]) if parser.has_section(sec) else {}
            for sec in _SECTIONS}
     link = _build("link", raw["link"], d.link)
@@ -101,8 +96,7 @@ def config_from_parser(parser: configparser.ConfigParser,
         return ExperimentConfig(link=link, detectors=det, party_a=pa,
                                 party_b=pb, noise=noise, security=security,
                                 run=run, residual_phase_std_rad=resid,
-                                allow_unbalanced=(parser.BOOLEAN_STATES[allow]
-                                                  or d.allow_unbalanced))
+                                allow_unbalanced=parser.BOOLEAN_STATES[allow])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

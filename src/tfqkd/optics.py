@@ -111,7 +111,6 @@ class NoiseModel:
     lambda_q_nm: float = 1550.495
     lambda_c_nm: float = 1549.694
     visibility: float = 0.9795
-    timing_jitter_ps: float = 8.4
 
     def __post_init__(self) -> None:
         if self.free_drift_rate_std < 0:
@@ -130,29 +129,9 @@ class NoiseModel:
         """Frequency ratio nu_q / nu_c = lambda_c / lambda_q."""
         return self.lambda_c_nm / self.lambda_q_nm
 
-    def dual_band_reduction_factor(self) -> float:
-        """Residual-noise suppression from locking at a nearby wavelength.
-
-        lambda_c / |lambda_c - lambda_q|: the factor by which signal-band
-        phase noise is reduced when the reference band is held.
-        """
-        return self.lambda_c_nm / abs(self.lambda_c_nm - self.lambda_q_nm)
-
     def clock_drift_floor(self) -> float:
         """Irreducible phase drift rate (rad/s) from the two clock offsets."""
         return 2.0 * math.pi * math.sqrt(2.0) * self.clock_accuracy * self.comb_span_hz
-
-
-def timing_overlap_visibility(offset_ps: float, pulse_width_ps: float) -> float:
-    """Gaussian-pulse overlap factor exp(-offset^2 / (2 width^2)).
-
-    Multiplies the interference visibility when the two users' pulses
-    arrive ``offset_ps`` apart.
-    """
-    if pulse_width_ps <= 0:
-        raise ValueError("pulse width must be positive")
-    r = offset_ps / pulse_width_ps
-    return math.exp(-0.5 * r * r)
 
 
 def velocity_step_coeffs(noise: NoiseModel, dt: float) -> tuple[float, float]:

@@ -208,47 +208,6 @@ class PairingResult:
     e_bit_prime: float
     n1_prime: float
 
-    @property
-    def nt_prime(self) -> float:
-        return self.surviving_pairs
-
-
-def aopp_pair(alice_bits, bob_bits, rng) -> PairingResult:
-    """Odd-parity pairing of explicit sifted bit strings.
-
-    Bob pairs each of his 0-bits with a distinct, randomly chosen 1-bit
-    (pair count = min of the group sizes).  A pair survives when Alice's
-    two bits have odd parity; each surviving pair emits the bit at the
-    pair's first position.  The strings are compared under the
-    anti-correlated key convention: a position is correct when the two
-    bits differ, so an emitted bit is wrong exactly when both members
-    of the pair were wrong.
-    """
-    alice = list(alice_bits)
-    bob = list(bob_bits)
-    if len(alice) != len(bob):
-        raise ValueError("bit strings must have equal length")
-    zeros = [i for i, b in enumerate(bob) if b == 0]
-    ones = [i for i, b in enumerate(bob) if b == 1]
-    n_pairs = min(len(zeros), len(ones))
-    if n_pairs == 0:
-        return PairingResult(0, 0.0, 0.0, 0.0, 0.0)
-    zeros = [zeros[k] for k in rng.permutation(len(zeros))[:n_pairs]]
-    ones = [ones[k] for k in rng.permutation(len(ones))[:n_pairs]]
-    surviving = 0
-    errors = 0
-    for i, j in zip(zeros, ones):
-        if alice[i] == alice[j]:
-            continue
-        surviving += 1
-        first = min(i, j)
-        if alice[first] == bob[first]:
-            errors += 1
-    e_prime = errors / surviving if surviving else 0.0
-    return PairingResult(pairs=n_pairs, survival=surviving / n_pairs,
-                         surviving_pairs=float(surviving),
-                         e_bit_prime=e_prime, n1_prime=0.0)
-
 
 def odd_parity_pairing(z: ZBasisStats, n1a: float, n1b: float) -> PairingResult:
     """Expected pairing outcome from group-level sifting statistics.
@@ -301,7 +260,7 @@ def process(table: CountsTable, pa: PartySettings, pb: PartySettings,
         n_windows=table.n_windows,
         n1_prime=pairing.n1_prime,
         e1_ph_prime=e1_ph_prime,
-        nt_prime=max(pairing.nt_prime, pairing.n1_prime),
+        nt_prime=max(pairing.surviving_pairs, pairing.n1_prime),
         e_bit_prime=pairing.e_bit_prime,
     )
     return ProcessedRun(decoy=decoy, z_stats=z, pairing=pairing,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .optics import DetectorModel, LinkConfig, NoiseModel
-from .ratecore import PartySettings, SecuritySettings
+from .ratecore import PartySettings, SecuritySettings, check_sns_constraint
 
 TWO_PI = 2.0 * math.pi
 
@@ -52,7 +52,6 @@ class ExperimentConfig:
     allow_unbalanced: bool = False
 
     def __post_init__(self) -> None:
-        from .ratecore import check_sns_constraint
         if self.residual_phase_std_rad < 0:
             raise ValueError("residual phase std must be nonnegative")
         if not self.allow_unbalanced:
@@ -102,57 +101,50 @@ _DARK_WINDOW_S = {"sym546": 5.023e-10, "sym603": 7.570e-10,
                   "asym452": 3.162e-11}
 _RESIDUAL_STD = {"sym546": 0.5676, "sym603": 0.5221, "asym452": 0.4595}
 
-PRESETS: dict[str, ExperimentConfig] = {}
-
-
-def _register(name: str, cfg: ExperimentConfig) -> None:
-    PRESETS[name] = cfg
-
-
-_register("sym546", ExperimentConfig(
-    link=LinkConfig(length_a_km=273.48, length_b_km=273.13,
-                    attenuation_db_per_km=0.18318,
-                    measured_loss_a_db=50.50, measured_loss_b_db=49.63,
-                    extra_loss_a_db=_EXTRA_LOSS_DB["sym546"][0],
-                    extra_loss_b_db=_EXTRA_LOSS_DB["sym546"][1]),
-    detectors=DetectorModel(efficiency_d0=0.83, efficiency_d1=0.49,
-                            dark_rate_d0_hz=7.80, dark_rate_d1_hz=1.77,
-                            window_s=_DARK_WINDOW_S["sym546"]),
-    party_a=_SYM546_PARTY, party_b=_SYM546_PARTY,
-    noise=_noise(2.63),
-    run=RunSettings(n_windows=2.772e13),
-    residual_phase_std_rad=_RESIDUAL_STD["sym546"],
-))
-
-_register("sym603", ExperimentConfig(
-    link=LinkConfig(length_a_km=298.71, length_b_km=305.16,
-                    attenuation_db_per_km=0.17982,
-                    measured_loss_a_db=54.74, measured_loss_b_db=53.85,
-                    extra_loss_a_db=_EXTRA_LOSS_DB["sym603"][0],
-                    extra_loss_b_db=_EXTRA_LOSS_DB["sym603"][1]),
-    detectors=DetectorModel(efficiency_d0=0.70, efficiency_d1=0.47,
-                            dark_rate_d0_hz=4.15, dark_rate_d1_hz=1.18,
-                            window_s=_DARK_WINDOW_S["sym603"]),
-    party_a=_SYM603_PARTY, party_b=_SYM603_PARTY,
-    noise=_noise(2.11),
-    run=RunSettings(n_windows=4.05e12),
-    residual_phase_std_rad=_RESIDUAL_STD["sym603"],
-))
-
-_register("asym452", ExperimentConfig(
-    link=LinkConfig(length_a_km=248.24, length_b_km=204.22,
-                    attenuation_db_per_km=0.18702,
-                    measured_loss_a_db=46.85, measured_loss_b_db=37.77,
-                    extra_loss_a_db=_EXTRA_LOSS_DB["asym452"][0],
-                    extra_loss_b_db=_EXTRA_LOSS_DB["asym452"][1]),
-    detectors=DetectorModel(efficiency_d0=0.83, efficiency_d1=0.49,
-                            dark_rate_d0_hz=7.80, dark_rate_d1_hz=1.77,
-                            window_s=_DARK_WINDOW_S["asym452"]),
-    party_a=_ASYM452_A, party_b=_ASYM452_B,
-    noise=_noise(2.14),
-    run=RunSettings(n_windows=4.28e12),
-    residual_phase_std_rad=_RESIDUAL_STD["asym452"],
-))
+PRESETS: dict[str, ExperimentConfig] = {
+    "sym546": ExperimentConfig(
+        link=LinkConfig(length_a_km=273.48, length_b_km=273.13,
+                        attenuation_db_per_km=0.18318,
+                        measured_loss_a_db=50.50, measured_loss_b_db=49.63,
+                        extra_loss_a_db=_EXTRA_LOSS_DB["sym546"][0],
+                        extra_loss_b_db=_EXTRA_LOSS_DB["sym546"][1]),
+        detectors=DetectorModel(efficiency_d0=0.83, efficiency_d1=0.49,
+                                dark_rate_d0_hz=7.80, dark_rate_d1_hz=1.77,
+                                window_s=_DARK_WINDOW_S["sym546"]),
+        party_a=_SYM546_PARTY, party_b=_SYM546_PARTY,
+        noise=_noise(2.63),
+        run=RunSettings(n_windows=2.772e13),
+        residual_phase_std_rad=_RESIDUAL_STD["sym546"],
+    ),
+    "sym603": ExperimentConfig(
+        link=LinkConfig(length_a_km=298.71, length_b_km=305.16,
+                        attenuation_db_per_km=0.17982,
+                        measured_loss_a_db=54.74, measured_loss_b_db=53.85,
+                        extra_loss_a_db=_EXTRA_LOSS_DB["sym603"][0],
+                        extra_loss_b_db=_EXTRA_LOSS_DB["sym603"][1]),
+        detectors=DetectorModel(efficiency_d0=0.70, efficiency_d1=0.47,
+                                dark_rate_d0_hz=4.15, dark_rate_d1_hz=1.18,
+                                window_s=_DARK_WINDOW_S["sym603"]),
+        party_a=_SYM603_PARTY, party_b=_SYM603_PARTY,
+        noise=_noise(2.11),
+        run=RunSettings(n_windows=4.05e12),
+        residual_phase_std_rad=_RESIDUAL_STD["sym603"],
+    ),
+    "asym452": ExperimentConfig(
+        link=LinkConfig(length_a_km=248.24, length_b_km=204.22,
+                        attenuation_db_per_km=0.18702,
+                        measured_loss_a_db=46.85, measured_loss_b_db=37.77,
+                        extra_loss_a_db=_EXTRA_LOSS_DB["asym452"][0],
+                        extra_loss_b_db=_EXTRA_LOSS_DB["asym452"][1]),
+        detectors=DetectorModel(efficiency_d0=0.83, efficiency_d1=0.49,
+                                dark_rate_d0_hz=7.80, dark_rate_d1_hz=1.77,
+                                window_s=_DARK_WINDOW_S["asym452"]),
+        party_a=_ASYM452_A, party_b=_ASYM452_B,
+        noise=_noise(2.14),
+        run=RunSettings(n_windows=4.28e12),
+        residual_phase_std_rad=_RESIDUAL_STD["asym452"],
+    ),
+}
 
 
 def preset_names() -> list[str]:

@@ -3,9 +3,7 @@
 A fast loop (100 kHz) locks the reference-band interference at
 mid-fringe through a phase modulator; the residual signal-band drift,
 already suppressed by the band ratio, is removed by a slow loop (1 kHz)
-driving a fiber stretcher.  Laser frequency drift is pre-compensated
-feed-forward, and a 1 Hz timing loop keeps the two users' pulses on a
-common arrival grid.
+driving a fiber stretcher.
 """
 from __future__ import annotations
 
@@ -29,28 +27,29 @@ class LoopConfig:
     """Timing and gains of the stabilization loops.
 
     ``dc_target_counts_hz`` is the mid-fringe set-point rate on the
-    reference detector (half the fringe maximum).  Gains are (kp, ki,
-    kd) triples.  The phase modulator wraps modulo ``pm_range_rad``;
+    reference detector (half the fringe maximum).  Gains are (kp, ki)
+    pairs.  The phase modulator wraps modulo ``pm_range_rad``;
     the fiber stretcher resets toward center by whole fringes when
     exceeding ``fs_range_rad``, blanking 1 ms of data.
     """
 
     fast_interval_us: float = 10.0
-    fast_rate_hz: float = 1e5
     slow_rate_hz: float = 1e3
     dc_target_counts_hz: float = 6e6
-    fast_gains: tuple[float, float, float] = (0.8, 0.05, 0.0)
-    slow_gains: tuple[float, float, float] = (0.8, 0.3, 0.0)
+    fast_gains: tuple[float, float] = (0.8, 0.05)
+    slow_gains: tuple[float, float] = (0.8, 0.3)
     pm_range_rad: float = TWO_PI
     fs_range_rad: float = 60.0
     d0_reference_rate_hz: float = 1e5
 
     def __post_init__(self) -> None:
-        if self.fast_interval_us <= 0 or self.fast_rate_hz <= 0 or self.slow_rate_hz <= 0:
+        if self.fast_interval_us <= 0 or self.slow_rate_hz <= 0:
             raise ValueError("loop intervals must be positive")
-        for g in (*self.fast_gains, *self.slow_gains):
-            if not math.isfinite(g):
-                raise ValueError("gains must be finite")
+        if self.dc_target_counts_hz <= 0 or self.d0_reference_rate_hz <= 0:
+            raise ValueError("set-point rates must be positive")
+        for gains in (self.fast_gains, self.slow_gains):
+            if len(gains) != 2 or not all(map(math.isfinite, gains)):
+                raise ValueError("gains must be finite (kp, ki) pairs")
         if self.pm_range_rad <= 0 or self.fs_range_rad <= 0:
             raise ValueError("actuator ranges must be positive")
 
@@ -71,7 +70,7 @@ class LoopConfig:
 
 @dataclass
 class PIDState:
-    """Mutable controller state: actuator value plus PID memory.
+    """Mutable controller state: actuator value plus PI memory.
 
     ``unwrapped`` accumulates the correction without actuator wrapping
     (the quantity used for frequency readout); ``output`` is the
@@ -81,23 +80,18 @@ class PIDState:
     output: float = 0.0
     unwrapped: float = 0.0
     integral: float = 0.0
-    last_error: float = 0.0
     saturated: bool = False
 
 
-def _pid_update(error: float, gains: tuple[float, float, float],
+def _pid_update(error: float, gains: tuple[float, float],
                 state: PIDState) -> float:
-    kp, ki, kd = gains
+    kp, ki = gains
     state.integral += error
-    derivative = error - state.last_error
-    state.last_error = error
-    return -(kp * error + ki * state.integral + kd * derivative)
+    return -(kp * error + ki * state.integral)
 
 
 def _fringe_error(counts: float, setpoint: float) -> float:
     """Invert the mid-fringe count model to a phase-error estimate."""
-    if setpoint <= 0:
-        raise ValueError("set point must be positive")
     return math.asin(max(-1.0, min(1.0, counts / setpoint - 1.0)))
 
 
@@ -106,7 +100,7 @@ def fast_loop_step(dc_counts_in_bin: float, loop: LoopConfig,
     """One fast-loop iteration; returns the new phase-modulator value.
 
     The bin count is compared to the mid-fringe set point, converted to
-    a phase error, and fed to the PI(D) controller.  The physical
+    a phase error, and fed to the PI controller.  The physical
     output wraps modulo the actuator range; the unwrapped value keeps
     accumulating for frequency readout.
     """
@@ -154,28 +148,6 @@ def frequency_readout(pm_history_rad: np.ndarray, window_s: float) -> float:
     t = np.linspace(0.0, window_s, pm.size)
     slope = np.polyfit(t, pm, 1)[0]
     return slope / TWO_PI
-
-
-def aom_precompensation(t_s: float, noise: NoiseModel) -> float:
-    """Feed-forward frequency shift (Hz) cancelling the linear laser drift."""
-    return -noise.laser_drift_hz_per_hour * t_s / 3600.0
-
-
-def timing_loop_step(arrivals_a_ps: np.ndarray, arrivals_b_ps: np.ndarray,
-                     delay_a_ps: float, delay_b_ps: float
-                     ) -> tuple[float, float, bool]:
-    """Recenter both users' pulse arrivals on the common grid.
-
-    Each user's delay absorbs the centroid of that user's measured
-    arrival offsets.  An empty arrival list leaves both delays
-    unchanged and raises the gap flag.
-    """
-    arrivals_a = np.asarray(arrivals_a_ps, dtype=float)
-    arrivals_b = np.asarray(arrivals_b_ps, dtype=float)
-    if arrivals_a.size == 0 or arrivals_b.size == 0:
-        return delay_a_ps, delay_b_ps, True
-    return (delay_a_ps - float(arrivals_a.mean()),
-            delay_b_ps - float(arrivals_b.mean()), False)
 
 
 @dataclass(frozen=True)
@@ -249,7 +221,7 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
         floor = noise.clock_drift_floor()
         setpoint = loop.dc_setpoint_counts
         vis = noise.visibility
-        slow_every = max(1, int(round(loop.fast_rate_hz / loop.slow_rate_hz)))
+        slow_every = max(1, int(round(1.0 / (dt * loop.slow_rate_hz))))
         blank_steps = max(1, int(round(1e-3 / dt)))
         blank_until = -1
         blanked = np.zeros(n, dtype=bool)

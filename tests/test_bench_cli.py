@@ -71,7 +71,8 @@ def test_config_bad_probabilities(tmp_path):
 
 @pytest.mark.parametrize("section, key", [("link", "lenght_a_km"),
                                           ("protocol", "c_mu_z"),
-                                          ("run", "n_window")])
+                                          ("run", "n_window"),
+                                          ("noise", "timing_jitter_ps")])
 def test_config_unknown_key(tmp_path, section, key):
     path = tmp_path / "typo.ini"
     path.write_text(f"[{section}]\n{key} = 0.4\n")

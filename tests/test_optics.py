@@ -8,7 +8,7 @@ from scipy.signal import lfilter
 
 from tfqkd.optics import (DetectorModel, LinkConfig, NoiseModel,
                           click_probability_arrays, free_running_phase,
-                          timing_overlap_visibility, velocity_step_coeffs)
+                          velocity_step_coeffs)
 
 
 # --------------------------------------------------------- transmittance
@@ -187,13 +187,6 @@ def test_click_arrays_match_scalar():
 
 # -------------------------------------------------------- noise model
 
-def test_dual_band_reduction_factor():
-    noise = NoiseModel()
-    assert noise.dual_band_reduction_factor() == pytest.approx(1934.7, abs=0.1)
-    scale = NoiseModel(lambda_c_nm=775.0, lambda_q_nm=1550.0)
-    assert scale.dual_band_reduction_factor() == pytest.approx(1.0)
-
-
 def test_equal_wavelengths_rejected():
     with pytest.raises(ValueError):
         NoiseModel(lambda_c_nm=1550.0, lambda_q_nm=1550.0)
@@ -201,14 +194,6 @@ def test_equal_wavelengths_rejected():
 
 def test_clock_drift_floor():
     assert NoiseModel().clock_drift_floor() == pytest.approx(44.43, abs=0.05)
-
-
-def test_timing_overlap():
-    assert timing_overlap_visibility(0.0, 300.0) == 1.0
-    assert timing_overlap_visibility(8.4, 300.0) == pytest.approx(0.9996, abs=1e-4)
-    assert timing_overlap_visibility(300.0, 300.0) == pytest.approx(math.exp(-0.5))
-    with pytest.raises(ValueError):
-        timing_overlap_visibility(1.0, 0.0)
 
 
 # ------------------------------------------------------ phase process
@@ -277,14 +262,19 @@ def test_drift_rate_calibration_step_size_invariant():
 
 
 def test_free_running_phase_empirical_drift_rate():
-    # 1e5 steps at 0.1 ms = 10 s of free drift; fixed seed keeps the
-    # finite-sample scatter (velocity decorrelates only every 30 ms)
-    # inside the calibration band.
+    # 40 independent records of 1e5 steps at 0.1 ms (10 s each) from one
+    # generator; the 1 ms mean-square drift rate is pooled over all of
+    # them.  The pooled RMS scatters by 0.5% between seeds, so each edge
+    # of the band is more than 5 sigma from the 1.65e4 mean: the false
+    # alarm probability is below 1e-6.
     noise = NoiseModel(laser_drift_hz_per_hour=0.0, clock_accuracy=0.0)
     dt = 1e-4
-    _, phases, _, _ = free_running_phase(noise, dt, 100_000,
-                                         np.random.default_rng(1))
     m = round(1e-3 / dt)
-    rates = np.diff(phases[::m]) / 1e-3
-    rms = float(np.sqrt(np.mean(rates * rates)))
+    rng = np.random.default_rng(1)
+    mean_squares = []
+    for _ in range(40):
+        _, phases, _, _ = free_running_phase(noise, dt, 100_000, rng)
+        rates = np.diff(phases[::m]) / 1e-3
+        mean_squares.append(np.mean(rates * rates))
+    rms = float(np.sqrt(np.mean(mean_squares)))
     assert 1.60e4 <= rms <= 1.70e4

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from tfqkd.counts import CountsTable
-from tfqkd.postproc import (aopp_pair, aopp_phase_error, chernoff_lower,
-                            chernoff_upper, decoy_bounds, odd_parity_pairing,
-                            process, z_basis_stats)
+from tfqkd.postproc import (PairingResult, ZBasisStats, aopp_phase_error,
+                            chernoff_lower, chernoff_upper, decoy_bounds,
+                            odd_parity_pairing, process, z_basis_stats)
 from tfqkd.ratecore import PartySettings, SecuritySettings
 
 
@@ -75,6 +75,44 @@ def test_chernoff_tightens_with_eps():
 
 # --------------------------------------------------------------- pairing
 
+def aopp_pair(alice_bits, bob_bits, rng) -> PairingResult:
+    """Odd-parity pairing of explicit sifted bit strings.
+
+    Bob pairs each of his 0-bits with a distinct, randomly chosen 1-bit
+    (pair count = min of the group sizes).  A pair survives when Alice's
+    two bits have odd parity; each surviving pair emits the bit at the
+    pair's first position.  The strings are compared under the
+    anti-correlated key convention: a position is correct when the two
+    bits differ, so an emitted bit is wrong exactly when both members
+    of the pair were wrong.  This bit-level oracle checks the aggregate
+    ``odd_parity_pairing``.
+    """
+    alice = list(alice_bits)
+    bob = list(bob_bits)
+    if len(alice) != len(bob):
+        raise ValueError("bit strings must have equal length")
+    zeros = [i for i, b in enumerate(bob) if b == 0]
+    ones = [i for i, b in enumerate(bob) if b == 1]
+    n_pairs = min(len(zeros), len(ones))
+    if n_pairs == 0:
+        return PairingResult(0, 0.0, 0.0, 0.0, 0.0)
+    zeros = [zeros[k] for k in rng.permutation(len(zeros))[:n_pairs]]
+    ones = [ones[k] for k in rng.permutation(len(ones))[:n_pairs]]
+    surviving = 0
+    errors = 0
+    for i, j in zip(zeros, ones):
+        if alice[i] == alice[j]:
+            continue
+        surviving += 1
+        first = min(i, j)
+        if alice[first] == bob[first]:
+            errors += 1
+    e_prime = errors / surviving if surviving else 0.0
+    return PairingResult(pairs=n_pairs, survival=surviving / n_pairs,
+                         surviving_pairs=float(surviving),
+                         e_bit_prime=e_prime, n1_prime=0.0)
+
+
 def test_aopp_pair_complementary_strings():
     rng = np.random.default_rng(0)
     r = aopp_pair([1, 0, 1, 0], [0, 1, 0, 1], rng)
@@ -131,6 +169,34 @@ def test_aopp_pair_matches_exhaustive_oracle():
     for got, want in ((got_s, want_s), (got_e, want_e)):
         sem = got.std(ddof=1) / math.sqrt(n_trials)
         assert abs(got.mean() - want) <= 4.0 * max(sem, 1e-12)
+
+
+def test_odd_parity_pairing_matches_bit_level_oracle():
+    """The aggregate pairing equals the bit-level pairing's mean.
+
+    4000 sifted bits with error fractions 0.3 planted in Bob's 0-group
+    and 0.1 in his 1-group, paired under 200 seeds.  Each of the two
+    checks uses a 4-sigma band on the seed mean; together they raise a
+    false alarm with probability about 1.3e-4.
+    """
+    rng = np.random.default_rng(0)
+    bob = rng.integers(0, 2, 4000)
+    alice = 1 - bob
+    groups = []
+    for bit, e in ((0, 0.3), (1, 0.1)):
+        idx = np.flatnonzero(bob == bit)
+        alice[rng.choice(idx, round(e * idx.size), replace=False)] = bit
+        groups.append((idx.size, float(np.mean(alice[idx] == bit))))
+    (g0, e0), (g1, e1) = groups
+    z = ZBasisStats(nt=g0 + g1, errors=round(e0 * g0 + e1 * g1),
+                    group0=g0, group1=g1, e0=e0, e1=e1)
+    want = odd_parity_pairing(z, 0.0, 0.0)
+    runs = [aopp_pair(alice, bob, np.random.default_rng(k)) for k in range(200)]
+    assert all(r.pairs == want.pairs for r in runs)
+    for attr in ("surviving_pairs", "e_bit_prime"):
+        got = np.array([getattr(r, attr) for r in runs])
+        sem = got.std(ddof=1) / math.sqrt(got.size)
+        assert abs(got.mean() - getattr(want, attr)) <= 4.0 * sem
 
 
 # ------------------------------------------------------ sifting statistics

@@ -1,15 +1,24 @@
-"""Stabilization loops: fast/slow phase locks, readouts, timing alignment."""
+"""Stabilization loops: fast/slow phase locks, readouts, closed-loop runs."""
 import math
 
 import numpy as np
 import pytest
 
 from tfqkd.optics import NoiseModel
-from tfqkd.servo import (LoopConfig, PIDState, aom_precompensation,
-                         drift_rate_rms, fast_loop_step, frequency_readout,
-                         run_stabilization, slow_loop_step, timing_loop_step)
+from tfqkd.servo import (LoopConfig, PIDState, drift_rate_rms, fast_loop_step,
+                         frequency_readout, run_stabilization, slow_loop_step)
 
 TWO_PI = 2.0 * math.pi
+
+
+# ----------------------------------------------------------- loop config
+
+@pytest.mark.parametrize("kwargs", [{"dc_target_counts_hz": 0.0},
+                                    {"d0_reference_rate_hz": 0.0},
+                                    {"fast_gains": (0.8, 0.05, 0.0)}])
+def test_loop_config_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        LoopConfig(**kwargs)
 
 
 # ------------------------------------------------------------- fast loop
@@ -108,62 +117,6 @@ def test_frequency_readout_needs_samples():
         frequency_readout(np.array([1.0]), 1.0)
 
 
-def test_aom_precompensation():
-    noise = NoiseModel()
-    assert aom_precompensation(0.0, noise) == 0.0
-    assert aom_precompensation(3600.0, noise) == pytest.approx(-1777.0)
-
-
-def test_aom_precompensation_20h_wander():
-    # Linear drift at 1777 Hz/h plus a 200 Hz sinusoidal wander: the
-    # feed-forward cancels the linear part, leaving only the wander.
-    noise = NoiseModel()
-    t = np.linspace(0.0, 20 * 3600.0, 2000)
-    true_offset = 1777.0 * t / 3600.0 + 200.0 * np.sin(TWO_PI * t / 86400.0)
-    residual = true_offset + np.array([aom_precompensation(x, noise) for x in t])
-    assert np.max(np.abs(residual)) <= 300.0
-
-
-# ----------------------------------------------------------- timing loop
-
-def test_timing_loop_zero_drift():
-    da, db, gap = timing_loop_step(np.zeros(10), np.zeros(10), 1.5, -2.0)
-    assert (da, db, gap) == (1.5, -2.0, False)
-
-
-def test_timing_loop_gap_flag():
-    da, db, gap = timing_loop_step(np.array([]), np.array([1.0]), 3.0, 4.0)
-    assert (da, db, gap) == (3.0, 4.0, True)
-
-
-def test_timing_loop_step_response():
-    # 100 ps step offset corrected within two iterations.
-    da = db = 0.0
-    offset = 100.0
-    for _ in range(2):
-        da, db, _ = timing_loop_step(np.full(5, offset + da),
-                                     np.full(5, offset + db), da, db)
-    assert offset + da == pytest.approx(0.0, abs=1e-9)
-    assert offset + db == pytest.approx(0.0, abs=1e-9)
-
-
-def test_timing_loop_diurnal_drift():
-    # 20 ns peak-to-peak daily wander sampled at 1 s cadence: the loop
-    # holds the residual far below the 10 ps budget.
-    da = db = 0.0
-    rng = np.random.default_rng(2)
-    residuals = []
-    for k in range(3600):
-        t = float(k)
-        true_a = 20e3 * math.sin(TWO_PI * t / 86400.0)
-        true_b = 20e3 * math.sin(TWO_PI * t / 86400.0 + 1.0)
-        meas_a = true_a + da + rng.normal(0.0, 0.5, 20)
-        meas_b = true_b + db + rng.normal(0.0, 0.5, 20)
-        residuals.append(meas_a.mean())
-        da, db, _ = timing_loop_step(meas_a, meas_b, da, db)
-    assert float(np.std(residuals[10:])) <= 10.0
-
-
 # ----------------------------------------------------------- rate stats
 
 def test_drift_rate_rms_linear_ramp():
@@ -215,3 +168,14 @@ def test_run_stabilization_series_shapes():
     assert n == 15_000
     for key in ("phiC_rad", "phiQ_rad", "pm_rad", "fs_rad", "dc_counts"):
         assert series[key].size == n
+
+
+def test_run_stabilization_slow_rate_follows_fast_interval():
+    # 20 us fast steps: the slow loop still runs at slow_rate_hz = 1 kHz,
+    # so 0.4 s gives 400 stretcher updates.  Each moves the stretcher
+    # unless its error and integral are both zero.
+    _, series = run_stabilization(0.4, NoiseModel(),
+                                  LoopConfig(fast_interval_us=20.0),
+                                  stages="full", seed=0)
+    changes = np.count_nonzero(np.diff(series["fs_rad"]))
+    assert 395 <= changes <= 400
