@@ -137,11 +137,10 @@ def _cmd_stabilize(args) -> int:
     text = "\n".join(lines) + "\n"
     if args.series_out:
         cols = ("t_s", "phiC_rad", "phiQ_rad", "pm_rad", "fs_rad", "dc_counts")
+        row = "\t".join(["%.9e"] * len(cols)) + "\n"
+        rows = zip(*(series[c].tolist() for c in cols))
         with open(args.series_out, "w") as fh:
-            fh.write("\t".join(cols) + "\n")
-            n = len(series["t_s"])
-            for i in range(n):
-                fh.write("\t".join(f"{series[c][i]:.9e}" for c in cols) + "\n")
+            fh.write("\t".join(cols) + "\n" + "".join(row % r for r in rows))
     _emit(text, args.out)
     return 0
 

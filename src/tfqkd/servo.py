@@ -95,21 +95,42 @@ def _fringe_error(counts: float, setpoint: float) -> float:
     return math.asin(max(-1.0, min(1.0, counts / setpoint - 1.0)))
 
 
-def fast_loop_step(dc_counts_in_bin: float, loop: LoopConfig,
-                   state: PIDState) -> float:
-    """One fast-loop iteration; returns the new phase-modulator value.
+def fast_loop_span(start: int, stop: int, phi_c: np.ndarray,
+                   pm: np.ndarray, dc_counts: np.ndarray, loop: LoopConfig,
+                   visibility: float, state: PIDState, draw) -> None:
+    """Run the fast loop over steps ``[start, stop)``.
 
-    The bin count is compared to the mid-fringe set point, converted to
-    a phase error, and fed to the PI controller.  The physical
-    output wraps modulo the actuator range; the unwrapped value keeps
-    accumulating for frequency readout.
+    Step ``i`` draws the reference-detector bin count as
+    ``draw(mean)``, with the mean on the fringe at ``phi_c[i]`` plus the
+    current modulator value, and writes it to ``dc_counts[i]``.  The
+    count is inverted to a phase error against the mid-fringe set point
+    and fed to the PI controller.  The unwrapped correction goes to
+    ``pm[i]`` and keeps accumulating for frequency readout; the physical
+    output wraps modulo the actuator range.  ``state`` holds the
+    controller between spans.  ``run_stabilization`` passes
+    ``rng.poisson`` as ``draw``.
+
+    The loop body runs 1e5 times per simulated second, so the fringe
+    inversion and the PI update are written inline and the float64
+    arrays are read and written through memoryviews.
     """
-    if dc_counts_in_bin < 0:
-        raise ValueError("bin counts must be nonnegative")
-    err = _fringe_error(dc_counts_in_bin, loop.dc_setpoint_counts)
-    state.unwrapped += _pid_update(err, loop.fast_gains, state)
-    state.output = math.remainder(state.unwrapped, loop.pm_range_rad)
-    return state.output
+    phi_mv = memoryview(phi_c)
+    pm_mv, dc_mv = memoryview(pm), memoryview(dc_counts)
+    setpoint = loop.dc_setpoint_counts
+    kp, ki = loop.fast_gains
+    pm_range = loop.pm_range_rad
+    sin, asin, remainder = math.sin, math.asin, math.remainder
+    output, unwrapped, integral = state.output, state.unwrapped, state.integral
+    for i in range(start, stop):
+        counts = draw(setpoint * (1.0 + visibility * sin(phi_mv[i] + output)))
+        dc_mv[i] = counts
+        err = counts / setpoint - 1.0  # >= -1, as counts are nonnegative
+        err = asin(err if err < 1.0 else 1.0)
+        integral += err
+        unwrapped -= kp * err + ki * integral
+        output = remainder(unwrapped, pm_range)
+        pm_mv[i] = unwrapped
+    state.output, state.unwrapped, state.integral = output, unwrapped, integral
 
 
 def slow_loop_step(d0_reference_rate_hz: float, loop: LoopConfig,
@@ -180,6 +201,22 @@ def drift_rate_rms(phase_rad: np.ndarray, dt_s: float,
     return float(np.sqrt(np.mean(rates * rates)))
 
 
+def _wrap_fringe(phase_rad: np.ndarray) -> np.ndarray:
+    """Elementwise ``math.remainder(phase, TWO_PI)``, bit for bit.
+
+    Interference only sees the phase modulo one fringe.  ``fmod`` is
+    exact, and moving a remainder beyond half a fringe by one fringe is
+    exact by Sterbenz's lemma.  At exactly half a fringe the tie goes to
+    the even quotient, as in ``math.remainder``; the quotient's parity
+    comes from ``fmod`` by two fringes.
+    """
+    r = np.fmod(phase_rad, TWO_PI)
+    half = np.abs(r)
+    odd = np.abs(np.fmod(phase_rad, 2.0 * TWO_PI)) >= TWO_PI
+    shift = (half > math.pi) | ((half == math.pi) & odd)
+    return np.where(shift, r - np.copysign(TWO_PI, r), r)
+
+
 def run_stabilization(duration_s: float, noise: NoiseModel,
                       loop: LoopConfig, stages: str = "full",
                       seed: int = 0
@@ -212,42 +249,38 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
     pm = np.zeros(n)
     dc_counts = np.zeros(n)
     fs = np.zeros(n)
-    resid_q = phi_q_free.copy()
+    blanked = np.zeros(n, dtype=bool)
 
     if stages != "none":
         fast = PIDState()
         slow = PIDState()
         delta = 1.0 - noise.band_ratio
         floor = noise.clock_drift_floor()
-        setpoint = loop.dc_setpoint_counts
         vis = noise.visibility
+        draw = rng.poisson
         slow_every = max(1, int(round(1.0 / (dt * loop.slow_rate_hz))))
+        span = slow_every if stages == "full" else n
         blank_steps = max(1, int(round(1e-3 / dt)))
-        blank_until = -1
-        blanked = np.zeros(n, dtype=bool)
         d0_set = loop.d0_setpoint_counts
         fs_val = 0.0
-        for i in range(n):
-            err_c = phi_c[i] + fast.output
-            counts = rng.poisson(setpoint * (1.0 + vis * math.sin(err_c)))
-            dc_counts[i] = counts
-            fast_loop_step(counts, loop, fast)
-            pm[i] = fast.unwrapped
-            fringe = round(fast.unwrapped / TWO_PI)
-            resid_q[i] = (floor * t[i] + delta * laser_phase[i]
-                          - delta * TWO_PI * fringe)
-            if stages == "full" and (i + 1) % slow_every == 0:
-                d0_rate = rng.poisson(
-                    d0_set * (1.0 + vis * math.sin(resid_q[i] + fs_val))
+        for start in range(0, n, span):
+            stop = min(start + span, n)
+            fast_loop_span(start, stop, phi_c, pm, dc_counts, loop, vis, fast,
+                           draw)
+            fs[start:stop] = fs_val
+            if stages == "full" and stop % slow_every == 0:
+                i = stop - 1
+                fringe = round(fast.unwrapped / TWO_PI)
+                resid = (floor * t[i] + delta * laser_phase[i]
+                         - delta * TWO_PI * fringe)
+                d0_rate = draw(
+                    d0_set * (1.0 + vis * math.sin(resid + fs_val))
                 ) * loop.slow_rate_hz
-                fs_val = slow_loop_step(d0_rate, loop, slow)
+                fs_val = fs[i] = slow_loop_step(d0_rate, loop, slow)
                 if slow.saturated:
-                    blank_until = i + blank_steps
-            fs[i] = fs_val
-            if i <= blank_until:
-                blanked[i] = True
-    else:
-        blanked = np.zeros(n, dtype=bool)
+                    blanked[i:i + blank_steps + 1] = True
+        resid_q = (floor * t + delta * laser_phase
+                   - delta * TWO_PI * np.round(pm / TWO_PI))
 
     warm = min(n // 5, int(round(0.2 / dt)))
     valid = ~blanked
@@ -265,13 +298,12 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
         resid_total = resid_q + fs
         freq = -frequency_readout(pm[warm:], (n - warm) * dt)
 
-    # Interference only sees the phase modulo one fringe.
-    wrap = np.vectorize(math.remainder)
     summary = StabilizationSummary(
         free_drift_std_rad_per_s=free_rate,
         fast_locked_drift_std_rad_per_s=locked_rate,
-        residual_phase_std_c_rad=float(np.std(wrap(resid_c[valid], TWO_PI))),
-        residual_phase_std_q_rad=float(np.std(wrap(resid_total[valid], TWO_PI))),
+        residual_phase_std_c_rad=float(np.std(_wrap_fringe(resid_c[valid]))),
+        residual_phase_std_q_rad=float(
+            np.std(_wrap_fringe(resid_total[valid]))),
         reduction_factor=free_rate / locked_rate if locked_rate > 0 else math.inf,
         freq_readout_hz=freq,
     )

@@ -251,6 +251,21 @@ def test_cli_simulate_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_cli_series_out_matches_per_row_format(tmp_path):
+    from tfqkd.servo import LoopConfig, run_stabilization
+    path = tmp_path / "series.tsv"
+    assert main(["stabilize", "--preset", "sym546", "--duration", "0.2",
+                 "--seed", "3", "--out", str(tmp_path / "report.txt"),
+                 "--series-out", str(path)]) == 0
+    _, series = run_stabilization(0.2, get_preset("sym546").noise,
+                                  LoopConfig(), stages="full", seed=3)
+    cols = ("t_s", "phiC_rad", "phiQ_rad", "pm_rad", "fs_rad", "dc_counts")
+    want = "\t".join(cols) + "\n" + "".join(
+        "\t".join(f"{series[c][i]:.9e}" for c in cols) + "\n"
+        for i in range(series["t_s"].size))
+    assert path.read_text() == want
+
+
 def test_cli_sweep(tmp_path, capsys):
     assert main(["sweep", "--preset", "sym546",
                  "--distances", "500,546.61"]) == 0

@@ -1,11 +1,14 @@
 """Stabilization loops: fast/slow phase locks, readouts, closed-loop runs."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from tfqkd.optics import NoiseModel
-from tfqkd.servo import (LoopConfig, PIDState, drift_rate_rms, fast_loop_step,
+from tfqkd.optics import NoiseModel, free_running_phase
+from tfqkd.presets import PRESETS
+from tfqkd.servo import (STAGES, LoopConfig, PIDState, StabilizationSummary,
+                         _wrap_fringe, drift_rate_rms, fast_loop_span,
                          frequency_readout, run_stabilization, slow_loop_step)
 
 TWO_PI = 2.0 * math.pi
@@ -23,41 +26,49 @@ def test_loop_config_rejects_bad_values(kwargs):
 
 # ------------------------------------------------------------- fast loop
 
+def _noiseless(lam):
+    return lam
+
+
+def _run_span(phi_c, loop, state, draw=_noiseless):
+    n = phi_c.size
+    pm, dc_counts = np.zeros(n), np.zeros(n)
+    fast_loop_span(0, n, phi_c, pm, dc_counts, loop, 1.0, state, draw)
+    return pm, dc_counts
+
+
 def test_fast_loop_zero_error():
     loop = LoopConfig()
     state = PIDState()
-    for _ in range(20):
-        fast_loop_step(loop.dc_setpoint_counts, loop, state)
+    pm, dc_counts = _run_span(np.zeros(20), loop, state)
     assert state.output == 0.0
     assert state.unwrapped == 0.0
+    assert np.all(pm == 0.0)
+    assert np.all(dc_counts == loop.dc_setpoint_counts)
 
 
 def test_fast_loop_locks_static_offset():
     # Noiseless closed loop: counts follow the fringe model for a fixed
     # +0.5 rad plant offset; the correction must converge to -0.5 rad.
-    loop = LoopConfig()
     state = PIDState()
-    offset = 0.5
-    for _ in range(50):
-        counts = loop.dc_setpoint_counts * (1.0 + math.sin(offset + state.output))
-        fast_loop_step(counts, loop, state)
+    pm, _ = _run_span(np.full(50, 0.5), LoopConfig(), state)
     assert state.output == pytest.approx(-0.5, abs=5e-3)
-
-
-def test_fast_loop_rejects_negative_counts():
-    with pytest.raises(ValueError):
-        fast_loop_step(-1.0, LoopConfig(), PIDState())
+    assert pm[-1] == state.unwrapped
 
 
 def test_fast_loop_output_wraps():
     loop = LoopConfig()
-    state = PIDState(unwrapped=0.0)
-    # Saturated error signal every step walks the unwrapped value far
-    # past one fringe; the physical output stays within (-pi, pi].
-    for _ in range(200):
-        fast_loop_step(2.0 * loop.dc_setpoint_counts, loop, state)
+    state = PIDState()
+    # A pegged count (three times the set point, so the error clips at
+    # pi/2) every step walks the unwrapped value far past one fringe; the
+    # physical output stays within (-pi, pi].
+    pm, _ = _run_span(np.zeros(200), loop, state,
+                      draw=lambda lam: 3.0 * loop.dc_setpoint_counts)
+    kp, ki = loop.fast_gains
+    assert pm[0] == pytest.approx(-(kp + ki) * math.pi / 2, rel=1e-12)
     assert abs(state.output) <= math.pi + 1e-12
     assert abs(state.unwrapped) > TWO_PI
+    assert pm[-1] == state.unwrapped
 
 
 # ------------------------------------------------------------- slow loop
@@ -115,6 +126,21 @@ def test_frequency_readout_noisy_offset():
 def test_frequency_readout_needs_samples():
     with pytest.raises(ValueError):
         frequency_readout(np.array([1.0]), 1.0)
+
+
+# ----------------------------------------------------------- fringe wrap
+
+def test_wrap_fringe_matches_math_remainder():
+    rng = np.random.default_rng(0)
+    raw = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
+    # Exact half-fringe ties: 1, 3, ..., 9 times pi are representable, and
+    # their quotients by a fringe alternate between even and odd.
+    ties = np.arange(1, 10, 2) * math.pi
+    x = np.concatenate([raw[np.isfinite(raw)],
+                        rng.uniform(-1e3, 1e3, 100_000),
+                        ties, -ties, [0.0, -0.0, 1e6]])
+    want = np.array([math.remainder(v, TWO_PI) for v in x])
+    assert _wrap_fringe(x).tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------- rate stats
@@ -179,3 +205,105 @@ def test_run_stabilization_slow_rate_follows_fast_interval():
                                   stages="full", seed=0)
     changes = np.count_nonzero(np.diff(series["fs_rad"]))
     assert 395 <= changes <= 400
+
+
+def _reference_stabilization(duration_s, noise, loop, stages, seed):
+    """The per-step loop that ``fast_loop_span`` replaced, as its oracle.
+
+    Returns the summary, the series and the number of stretcher resets.
+    """
+    dt = loop.fast_dt_s
+    n = round(duration_s / dt)
+    rng = np.random.default_rng(seed)
+    t, phi_c, phi_q_free, laser_phase = free_running_phase(noise, dt, n, rng)
+    pm = np.zeros(n)
+    dc_counts = np.zeros(n)
+    fs = np.zeros(n)
+    resid_q = phi_q_free.copy()
+    blanked = np.zeros(n, dtype=bool)
+    resets = 0
+    if stages != "none":
+        fast = PIDState()
+        slow = PIDState()
+        kp, ki = loop.fast_gains
+        delta = 1.0 - noise.band_ratio
+        floor = noise.clock_drift_floor()
+        setpoint = loop.dc_setpoint_counts
+        vis = noise.visibility
+        slow_every = max(1, int(round(1.0 / (dt * loop.slow_rate_hz))))
+        blank_steps = max(1, int(round(1e-3 / dt)))
+        blank_until = -1
+        d0_set = loop.d0_setpoint_counts
+        fs_val = 0.0
+        for i in range(n):
+            err_c = phi_c[i] + fast.output
+            counts = rng.poisson(setpoint * (1.0 + vis * math.sin(err_c)))
+            dc_counts[i] = counts
+            err = math.asin(max(-1.0, min(1.0, counts / setpoint - 1.0)))
+            fast.integral += err
+            fast.unwrapped += -(kp * err + ki * fast.integral)
+            fast.output = math.remainder(fast.unwrapped, loop.pm_range_rad)
+            pm[i] = fast.unwrapped
+            fringe = round(fast.unwrapped / TWO_PI)
+            resid_q[i] = (floor * t[i] + delta * laser_phase[i]
+                          - delta * TWO_PI * fringe)
+            if stages == "full" and (i + 1) % slow_every == 0:
+                d0_rate = rng.poisson(
+                    d0_set * (1.0 + vis * math.sin(resid_q[i] + fs_val))
+                ) * loop.slow_rate_hz
+                fs_val = slow_loop_step(d0_rate, loop, slow)
+                if slow.saturated:
+                    resets += 1
+                    blank_until = i + blank_steps
+            fs[i] = fs_val
+            if i <= blank_until:
+                blanked[i] = True
+
+    warm = min(n // 5, int(round(0.2 / dt)))
+    valid = ~blanked
+    valid[:warm] = False
+    free_rate = drift_rate_rms(phi_q_free, dt)
+    if stages == "none":
+        locked_rate = free_rate
+        resid_c = phi_c
+        resid_total = phi_q_free
+        freq = -frequency_readout(phi_c, duration_s)
+    else:
+        locked_rate = drift_rate_rms(resid_q[warm:], dt)
+        resid_c = phi_c + pm
+        resid_total = resid_q + fs
+        freq = -frequency_readout(pm[warm:], (n - warm) * dt)
+    wrap = np.vectorize(math.remainder)
+    summary = StabilizationSummary(
+        free_drift_std_rad_per_s=free_rate,
+        fast_locked_drift_std_rad_per_s=locked_rate,
+        residual_phase_std_c_rad=float(np.std(wrap(resid_c[valid], TWO_PI))),
+        residual_phase_std_q_rad=float(np.std(wrap(resid_total[valid], TWO_PI))),
+        reduction_factor=free_rate / locked_rate if locked_rate > 0 else math.inf,
+        freq_readout_hz=freq,
+    )
+    series = {"t_s": t, "phiC_rad": phi_c, "phiQ_rad": phi_q_free,
+              "pm_rad": pm, "fs_rad": fs, "dc_counts": dc_counts}
+    return summary, series, resets
+
+
+@pytest.mark.parametrize("loop", [
+    LoopConfig(),
+    LoopConfig(fs_range_rad=3.0),      # stretcher resets and blanking
+    LoopConfig(fast_interval_us=7.0),  # the last slow-loop span is partial
+], ids=["default", "fs_range_3", "fast_7us"])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("stages", STAGES)
+def test_run_stabilization_matches_per_step_oracle(stages, preset, loop):
+    noise = PRESETS[preset].noise
+    summary, series = run_stabilization(0.2, noise, loop, stages=stages,
+                                        seed=3)
+    want, want_series, resets = _reference_stabilization(0.2, noise, loop,
+                                                         stages, seed=3)
+    if stages == "full" and loop.fs_range_rad == 3.0:
+        assert resets > 0
+    assert (np.array(dataclasses.astuple(summary)).tobytes()
+            == np.array(dataclasses.astuple(want)).tobytes())
+    assert series.keys() == want_series.keys()
+    for key, values in want_series.items():
+        assert series[key].tobytes() == values.tobytes(), key
