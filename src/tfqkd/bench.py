@@ -3,32 +3,29 @@ and the built-in identity verification suite.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, replace
 
-from .engine import EngineSettings, expected_counts
+from .engine import expected_counts
 from .optics import LinkConfig, NoiseModel
 from .postproc import ProcessedRun, aopp_phase_error, process
 from .presets import ExperimentConfig, get_preset
-from .ratecore import (PartySettings, check_sns_constraint, key_rate,
-                       phase_misalignment_qber, plob_bound, rate_per_second,
-                       sns_balance_rhs)
+from .ratecore import (check_sns_constraint, key_rate, phase_misalignment_qber,
+                       plob_bound, rate_per_second, sns_balance_rhs)
 
 SWEEP_COLUMNS = ("distance_km", "total_loss_db", "skr_bit_per_signal",
                  "skr_bit_per_s", "skc0_bit_per_signal", "ratio")
 
 
-def engine_settings(cfg: ExperimentConfig) -> EngineSettings:
-    return EngineSettings(party_a=cfg.party_a, party_b=cfg.party_b,
-                          link=cfg.link, detectors=cfg.detectors,
-                          noise=cfg.noise,
-                          residual_phase_std_rad=cfg.residual_phase_std_rad)
+def engine_settings(cfg: ExperimentConfig) -> ExperimentConfig:
+    # The engine takes the config itself; this identity remains only
+    # because perfbench/workloads.py still calls it.
+    return cfg
 
 
 def analytic_keyrate(cfg: ExperimentConfig) -> tuple[float, ProcessedRun]:
     """Key rate (bit/signal) from the expected-counts pipeline."""
-    table = expected_counts(engine_settings(cfg), cfg.run.n_windows)
+    table = expected_counts(cfg, cfg.run.n_windows)
     run = process(table, cfg.party_a, cfg.party_b, cfg.security)
     return key_rate(run.inputs, cfg.security), run
 
@@ -107,12 +104,7 @@ def _apply(cfg: ExperimentConfig, name: str, value: float,
                         p_mu2=1.0 - value - cfg.party_a.p_mu0)
         else:
             a = replace(cfg.party_a, **{name: value})
-        if symmetric:
-            b = dataclasses.replace(cfg.party_b, **{
-                f.name: getattr(a, f.name)
-                for f in dataclasses.fields(PartySettings)})
-        else:
-            b = cfg.party_b
+        b = a if symmetric else cfg.party_b
         # Enforce the intensity-balance condition by deriving b.mu1.
         b = replace(b, mu1=a.mu1 / sns_balance_rhs(a, b))
         return replace(cfg, party_a=a, party_b=b)

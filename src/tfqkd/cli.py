@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 from . import bench
 from .config import ConfigError, load_config, serialize_config
@@ -44,9 +45,7 @@ def _resolve_config(args) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"run: {exc}") from exc
     if getattr(args, "mode", None):
-        import dataclasses
-        cfg = dataclasses.replace(
-            cfg, security=dataclasses.replace(cfg.security, mode=args.mode))
+        cfg = replace(cfg, security=replace(cfg.security, mode=args.mode))
     return cfg
 
 
@@ -104,14 +103,13 @@ def _emit_run_report(cfg: ExperimentConfig, table: CountsTable,
 
 def _cmd_keyrate(args) -> int:
     cfg = _resolve_config(args)
-    table = expected_counts(bench.engine_settings(cfg), cfg.run.n_windows)
+    table = expected_counts(cfg, cfg.run.n_windows)
     return _emit_run_report(cfg, table, args.out)
 
 
 def _cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
-    table = simulate(bench.engine_settings(cfg), int(cfg.run.n_windows),
-                     seed=cfg.run.seed)
+    table = simulate(cfg, int(cfg.run.n_windows), seed=cfg.run.seed)
     return _emit_run_report(cfg, table, args.out)
 
 

@@ -5,7 +5,8 @@ Sections: ``[link]``, ``[detectors]``, ``[protocol]``, ``[noise]``,
 corresponding types; ``[protocol]`` keys carry an ``a_``/``b_`` prefix
 per party.  Missing keys fall back to the 546-km preset defaults; an
 empty file therefore yields that default configuration.  Each value is
-parsed by its field's type: numbers must be finite, and ``none`` is
+parsed by its field's type: numbers must be finite, booleans take
+configparser's words (true/false, yes/no, on/off, 1/0), and ``none`` is
 accepted only where a field may be None.  Unknown keys are rejected.
 """
 from __future__ import annotations
@@ -23,7 +24,13 @@ class ConfigError(ValueError):
     """Invalid or unparsable configuration; carries the field path."""
 
 
-_SECTIONS = ("link", "detectors", "protocol", "noise", "security", "run")
+#: INI layout (section, ExperimentConfig attribute, key prefix) in file order.
+_LAYOUT = (("link", "link", ""), ("detectors", "detectors", ""),
+           ("protocol", "party_a", "a_"), ("protocol", "party_b", "b_"),
+           ("noise", "noise", ""), ("security", "security", ""),
+           ("run", "run", ""))
+_SECTIONS = tuple(dict.fromkeys(sec for sec, _, _ in _LAYOUT))
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 
 
 def _parse(text: str, typ):
@@ -31,6 +38,10 @@ def _parse(text: str, typ):
     text = text.strip()
     if typ is str:
         return text
+    if typ is bool:
+        if text.lower() not in _BOOLEANS:
+            raise ValueError(f"{text!r} is not a boolean")
+        return _BOOLEANS[text.lower()]
     if text.lower() == "none":
         if type(None) not in typing.get_args(typ):
             raise ValueError("none is not allowed for this key")
@@ -73,30 +84,13 @@ def load_config(path: str) -> ExperimentConfig:
     d = get_preset("sym546")
     raw = {sec: dict(parser[sec]) if parser.has_section(sec) else {}
            for sec in _SECTIONS}
-    link = _build("link", raw["link"], d.link)
-    det = _build("detectors", raw["detectors"], d.detectors)
-    pa = _build("protocol", raw["protocol"], d.party_a, prefix="a_")
-    pb = _build("protocol", raw["protocol"], d.party_b, prefix="b_")
-    noise = _build("noise", raw["noise"], d.noise)
-    security = _build("security", raw["security"], d.security)
-    run = _build("run", raw["run"], d.run)
-    resid = d.residual_phase_std_rad
-    if "residual_phase_std_rad" in raw["noise"]:
-        try:
-            resid = _parse(raw["noise"].pop("residual_phase_std_rad"), float)
-        except ValueError as exc:
-            raise ConfigError(f"noise.residual_phase_std_rad: {exc}") from exc
-    allow = raw["security"].pop("allow_unbalanced", "false").strip().lower()
-    if allow not in parser.BOOLEAN_STATES:
-        raise ConfigError(f"security.allow_unbalanced: {allow!r} is not a boolean")
+    parts = {attr: _build(sec, raw[sec], getattr(d, attr), prefix)
+             for sec, attr, prefix in _LAYOUT}
     unknown = [f"{sec}.{key}" for sec in _SECTIONS for key in raw[sec]]
     if unknown:
         raise ConfigError(f"unknown key(s): {', '.join(unknown)}")
     try:
-        return ExperimentConfig(link=link, detectors=det, party_a=pa,
-                                party_b=pb, noise=noise, security=security,
-                                run=run, residual_phase_std_rad=resid,
-                                allow_unbalanced=parser.BOOLEAN_STATES[allow])
+        return ExperimentConfig(**parts)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -104,23 +98,15 @@ def load_config(path: str) -> ExperimentConfig:
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Render a config as INI text; load(serialize(x)) round-trips."""
     parser = configparser.ConfigParser()
-
-    def put(sec: str, obj, prefix: str = "") -> None:
+    for sec, attr, prefix in _LAYOUT:
         if sec not in parser:
             parser[sec] = {}
-        for f in dataclasses.fields(obj):
-            v = getattr(obj, f.name)
+        part = getattr(cfg, attr)
+        for f in dataclasses.fields(part):
+            v = getattr(part, f.name)
+            if isinstance(v, bool):
+                v = str(v).lower()
             parser[sec][prefix + f.name] = "none" if v is None else str(v)
-
-    put("link", cfg.link)
-    put("detectors", cfg.detectors)
-    put("protocol", cfg.party_a, prefix="a_")
-    put("protocol", cfg.party_b, prefix="b_")
-    put("noise", cfg.noise)
-    parser["noise"]["residual_phase_std_rad"] = f"{cfg.residual_phase_std_rad}"
-    put("security", cfg.security)
-    parser["security"]["allow_unbalanced"] = str(cfg.allow_unbalanced).lower()
-    put("run", cfg.run)
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()

@@ -16,12 +16,12 @@ same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .counts import CATEGORIES, CountsTable
-from .optics import DetectorModel, LinkConfig, NoiseModel, click_probability_arrays
+from .optics import click_probability_arrays
+from .presets import ExperimentConfig
 from .ratecore import PartySettings
 
 #: Number of discrete phase-slice values per window.
@@ -40,22 +40,6 @@ _IB = np.array([int(c[3]) for c in CATEGORIES])
 _XX = {level: CATEGORIES.index(f"XX{level}{level}") for level in (1, 2)}
 
 
-@dataclass(frozen=True)
-class EngineSettings:
-    """Everything the window engine needs for one run."""
-
-    party_a: PartySettings
-    party_b: PartySettings
-    link: LinkConfig
-    detectors: DetectorModel
-    noise: NoiseModel
-    residual_phase_std_rad: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.residual_phase_std_rad < 0:
-            raise ValueError("residual phase std must be nonnegative")
-
-
 def _class_prob(basis: str, i: int, p: PartySettings) -> float:
     """Probability that one user emits a ``basis`` window at intensity ``i``."""
     if basis == "Z":
@@ -64,15 +48,15 @@ def _class_prob(basis: str, i: int, p: PartySettings) -> float:
     return (1.0 - p.p_signal_window) * (p.p_mu0, p.p_mu1, p.p_mu2)[i]
 
 
-def cell_probabilities(settings: EngineSettings) -> np.ndarray:
+def cell_probabilities(cfg: ExperimentConfig) -> np.ndarray:
     """Probability of every (category, slice difference, outcome) cell.
 
     Returns a ``(25, 16, 4)`` array laid out as described in the module
     docstring.  The two slice indices are independent and uniform, so
     every slice difference has probability 1/16.
     """
-    pa, pb = settings.party_a, settings.party_b
-    sigma = settings.residual_phase_std_rad
+    pa, pb = cfg.party_a, cfg.party_b
+    sigma = cfg.noise.residual_phase_std_rad
     if sigma > 0:
         offsets, weights = _GH_NODES * sigma, _GH_WEIGHTS
     else:
@@ -85,11 +69,14 @@ def cell_probabilities(settings: EngineSettings) -> np.ndarray:
     mu_b = np.asarray(pb.intensities)[_IB][:, None, None]
     cat_prob = np.array([_class_prob(c[0], int(c[2]), pa)
                          * _class_prob(c[1], int(c[3]), pb) for c in CATEGORIES])
-    p0, p1 = click_probability_arrays(mu_a, mu_b, delta, settings.link,
-                                      settings.detectors, settings.noise)
+    p0, p1 = click_probability_arrays(mu_a, mu_b, delta, cfg.link,
+                                      cfg.detectors, cfg.noise)
     q0, q1 = 1.0 - p0, 1.0 - p1
-    outcomes = np.stack([q0 * q1, p0 * q1, q0 * p1, p0 * p1], axis=2)
-    return (outcomes @ weights) * (cat_prob / N_SLICES)[:, None, None]
+    # Average each outcome first: every temporary then stays under glibc's
+    # 128 KiB mmap threshold, so no call maps and unmaps a fresh array.
+    outcomes = np.stack([(a * b) @ weights for a, b in
+                         ((q0, q1), (p0, q1), (q0, p1), (p0, p1))], axis=2)
+    return outcomes * (cat_prob / N_SLICES)[:, None, None]
 
 
 def _project(cells: np.ndarray, n_windows) -> CountsTable:
@@ -112,24 +99,24 @@ def _project(cells: np.ndarray, n_windows) -> CountsTable:
     return table
 
 
-def simulate(settings: EngineSettings, n_windows: int,
+def simulate(cfg: ExperimentConfig, n_windows: int,
              seed: int = 0) -> CountsTable:
     """Draw the counts of an ``n_windows``-window session.
 
-    Results depend only on ``(settings, n_windows, seed)``.
+    Results depend only on ``(cfg, n_windows, seed)``, not on ``cfg.run``.
     """
     if n_windows < 0:
         raise ValueError("n_windows must be nonnegative")
-    p = cell_probabilities(settings)
+    p = cell_probabilities(cfg)
     counts = np.random.default_rng(seed).multinomial(n_windows,
                                                      p.ravel() / p.sum())
     return _project(counts.reshape(p.shape), int(n_windows))
 
 
-def expected_counts(settings: EngineSettings, n_windows: float) -> CountsTable:
+def expected_counts(cfg: ExperimentConfig, n_windows: float) -> CountsTable:
     """Analytic expectation of every :class:`CountsTable` entry.
 
     Entries are expected values and stay floats, although the table's
     fields are annotated as integer counts.
     """
-    return _project(n_windows * cell_probabilities(settings), n_windows)
+    return _project(n_windows * cell_probabilities(cfg), n_windows)

@@ -101,6 +101,7 @@ class NoiseModel:
     drift rate measured over 1 ms intervals with all loops open.
     ``drift_corr_time_s`` sets how long the drift velocity stays
     correlated; together they fix the velocity-process parameters.
+    ``residual_phase_std_rad`` is the closed-loop signal-band residual.
     """
 
     free_drift_rate_std: float = 1.65e4
@@ -111,6 +112,7 @@ class NoiseModel:
     lambda_q_nm: float = 1550.495
     lambda_c_nm: float = 1549.694
     visibility: float = 0.9795
+    residual_phase_std_rad: float = 0.0
 
     def __post_init__(self) -> None:
         if self.free_drift_rate_std < 0:
@@ -123,6 +125,8 @@ class NoiseModel:
             raise ValueError("wavelengths must be positive")
         if self.lambda_q_nm == self.lambda_c_nm:
             raise ValueError("reference and signal wavelengths must differ")
+        if self.residual_phase_std_rad < 0:
+            raise ValueError("residual phase std must be nonnegative")
 
     @property
     def band_ratio(self) -> float:

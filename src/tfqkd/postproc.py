@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .counts import CountsTable
 from .ratecore import KeyRateInputs, PartySettings, SecuritySettings
 
@@ -26,6 +24,21 @@ def aopp_phase_error(e1_ph: float) -> float:
     return 2.0 * e1_ph * (1.0 - e1_ph)
 
 
+def _chernoff_root(m: float, lam: float, x: float) -> float:
+    """Newton root of g(x) = x ln(m/x) + x - m + lam from x, where g(x) < 0.
+
+    g is concave with g' = ln(m/x), so each step moves toward the root
+    without crossing it, and iteration stops once a step does not.
+    """
+    while True:
+        r = math.log(m / x)
+        # lam - m is exact for m near lam, where the lower root is tiny.
+        nxt = x - (x * r + (x + (lam - m))) / r
+        if (nxt - x) * (m - x) <= 0:
+            return x
+        x = nxt
+
+
 def chernoff_upper(observed: float, eps: float) -> float:
     """Upper bound on the true mean given an observed count.
 
@@ -37,40 +50,34 @@ def chernoff_upper(observed: float, eps: float) -> float:
         raise ValueError("observed count must be nonnegative")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    target = math.log(eps)
+    lam = -math.log(eps)
     if observed == 0:
-        return -target
+        return lam
     m = observed
-
-    def g(x: float) -> float:
-        return x * math.log(m / x) + x - m - target
-
-    hi = m + 2.0 * math.sqrt(-target * m) - 2.0 * target + 1.0
-    while g(hi) > 0:
-        hi *= 2.0
-    return brentq(g, m, hi, xtol=1e-9 * max(1.0, m))
+    # Start right of the root: with x = m (1 + y), ln(1+y) >= 2y/(2+y)
+    # gives -g(x)/m >= y^2/(2+y) - lam/m, which is positive at
+    # y = 2 sqrt(lam/m) + 2 lam/m.
+    return _chernoff_root(m, lam, m + 2.0 * (math.sqrt(lam * m) + lam) + 1.0)
 
 
 def chernoff_lower(observed: float, eps: float) -> float:
-    """Lower bound on the true mean given an observed count (>= 0)."""
+    """Lower bound on the true mean given an observed count (>= 0).
+
+    Solves the same equation for x < m; it has no such root, and the
+    bound is 0, when m <= ln(1/eps).
+    """
     if observed < 0:
         raise ValueError("observed count must be nonnegative")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if observed == 0:
-        return 0.0
-    target = math.log(eps)
+    lam = -math.log(eps)
     m = observed
-
-    def g(x: float) -> float:
-        return x * math.log(m / x) + x - m - target
-
-    lo = max(1e-12, m + 2.0 * target - 2.0 * math.sqrt(-target * m))
-    while g(lo) > 0 and lo > 1e-300:
-        lo /= 2.0
-    if g(lo) > 0:
+    if m <= lam:
         return 0.0
-    return max(0.0, brentq(g, lo, m, xtol=1e-9 * max(1.0, m)))
+    # Start left of the root: with x = m t, g(x)/m = lam/m - h(t), where
+    # h(t) = 1 - t + t ln t >= 0 and h(t) - (1 - sqrt(t))^2 =
+    # 2 sqrt(t) h(sqrt(t)) >= 0, so g < 0 at x = (sqrt(m) - sqrt(lam))^2.
+    return _chernoff_root(m, lam, (math.sqrt(m) - math.sqrt(lam)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -135,8 +142,8 @@ def decoy_bounds(table: CountsTable, pa: PartySettings, pb: PartySettings,
     err_counts = float(table.x11_errors)
     if sec.mode == "finite":
         eps = sec.eps_est / 3.0
-        n1a = n1a * (chernoff_lower(n1a, eps) / n1a if n1a > 0 else 0.0)
-        n1b = n1b * (chernoff_lower(n1b, eps) / n1b if n1b > 0 else 0.0)
+        n1a = chernoff_lower(n1a, eps)
+        n1b = chernoff_lower(n1b, eps)
         if matched_windows > 0:
             t_matched = chernoff_upper(err_counts, eps) / matched_windows
 

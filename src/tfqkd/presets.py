@@ -4,9 +4,9 @@
 arms and per-party source settings.  Link losses are the measured
 values; ``extra_loss_db`` absorbs the insertion loss of the measurement
 node, calibrated so the analytic pipeline reproduces the recorded
-detection statistics.  ``residual_phase_std_rad`` is the closed-loop
-signal-band phase residual of each link, calibrated against the
-measured decoy-basis error rates.
+detection statistics.  Each link's noise model carries its closed-loop
+signal-band phase residual, calibrated against the measured decoy-basis
+error rates.
 """
 from __future__ import annotations
 
@@ -48,22 +48,19 @@ class ExperimentConfig:
     noise: NoiseModel
     security: SecuritySettings = SecuritySettings()
     run: RunSettings = RunSettings()
-    residual_phase_std_rad: float = 0.0
-    allow_unbalanced: bool = False
 
     def __post_init__(self) -> None:
-        if self.residual_phase_std_rad < 0:
-            raise ValueError("residual phase std must be nonnegative")
-        if not self.allow_unbalanced:
+        if not self.security.allow_unbalanced:
             dev = check_sns_constraint(self.party_a, self.party_b)
             if dev > 0.05:
                 raise ValueError(
                     f"party_a/party_b: intensity-balance deviation {dev:.4f} "
-                    "exceeds 0.05 (set allow_unbalanced to override)")
+                    "exceeds 0.05 (set security.allow_unbalanced to override)")
 
 
-def _noise(free_drift_khz: float) -> NoiseModel:
-    return NoiseModel(free_drift_rate_std=TWO_PI * free_drift_khz * 1e3)
+def _noise(free_drift_khz: float, residual_std_rad: float) -> NoiseModel:
+    return NoiseModel(free_drift_rate_std=TWO_PI * free_drift_khz * 1e3,
+                      residual_phase_std_rad=residual_std_rad)
 
 
 _SYM546_PARTY = PartySettings(
@@ -112,9 +109,8 @@ PRESETS: dict[str, ExperimentConfig] = {
                                 dark_rate_d0_hz=7.80, dark_rate_d1_hz=1.77,
                                 window_s=_DARK_WINDOW_S["sym546"]),
         party_a=_SYM546_PARTY, party_b=_SYM546_PARTY,
-        noise=_noise(2.63),
+        noise=_noise(2.63, _RESIDUAL_STD["sym546"]),
         run=RunSettings(n_windows=2.772e13),
-        residual_phase_std_rad=_RESIDUAL_STD["sym546"],
     ),
     "sym603": ExperimentConfig(
         link=LinkConfig(length_a_km=298.71, length_b_km=305.16,
@@ -126,9 +122,8 @@ PRESETS: dict[str, ExperimentConfig] = {
                                 dark_rate_d0_hz=4.15, dark_rate_d1_hz=1.18,
                                 window_s=_DARK_WINDOW_S["sym603"]),
         party_a=_SYM603_PARTY, party_b=_SYM603_PARTY,
-        noise=_noise(2.11),
+        noise=_noise(2.11, _RESIDUAL_STD["sym603"]),
         run=RunSettings(n_windows=4.05e12),
-        residual_phase_std_rad=_RESIDUAL_STD["sym603"],
     ),
     "asym452": ExperimentConfig(
         link=LinkConfig(length_a_km=248.24, length_b_km=204.22,
@@ -140,9 +135,8 @@ PRESETS: dict[str, ExperimentConfig] = {
                                 dark_rate_d0_hz=7.80, dark_rate_d1_hz=1.77,
                                 window_s=_DARK_WINDOW_S["asym452"]),
         party_a=_ASYM452_A, party_b=_ASYM452_B,
-        noise=_noise(2.14),
+        noise=_noise(2.14, _RESIDUAL_STD["asym452"]),
         run=RunSettings(n_windows=4.28e12),
-        residual_phase_std_rad=_RESIDUAL_STD["asym452"],
     ),
 }
 

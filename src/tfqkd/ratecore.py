@@ -71,6 +71,7 @@ class SecuritySettings:
     ``eps_est`` is the total failure probability allotted to the
     statistical (Chernoff) estimation steps in finite mode; it is split
     evenly across the individual bound applications.
+    ``allow_unbalanced`` lifts ExperimentConfig's intensity-balance check.
     """
 
     f: float = 1.1
@@ -79,6 +80,7 @@ class SecuritySettings:
     eps_hat: float = 1e-10
     eps_est: float = 1e-10
     mode: str = "asymptotic"
+    allow_unbalanced: bool = False
 
     def __post_init__(self) -> None:
         if self.f < 1.0:

@@ -118,10 +118,9 @@ def test_criterion_07_full_pipeline_residual():
 
 def test_criterion_08_monte_carlo_matches_expectation():
     cfg = get_preset("sym546")
-    settings = bench.engine_settings(cfg)
     n = 10**8
-    mc = simulate(settings, n, seed=0)
-    exp = expected_counts(settings, n)
+    mc = simulate(cfg, n, seed=0)
+    exp = expected_counts(cfg, n)
     # Exact two-sided Poisson interval at the 4-sigma quantile; several
     # categories have single-digit expectations where a normal z-score
     # would mis-flag.
@@ -183,8 +182,7 @@ def test_criterion_10_aopp_suppression_monte_carlo():
     draw re-rolls the outcome for this seed.
     """
     cfg = get_preset("sym546")
-    settings = bench.engine_settings(cfg)
-    table = simulate(settings, 10**9, seed=0)
+    table = simulate(cfg, 10**9, seed=0)
     run = process(table, cfg.party_a, cfg.party_b, cfg.security)
     pre = run.z_stats.qber
     post = run.pairing.e_bit_prime
@@ -255,9 +253,9 @@ def test_criterion_12_decoy_bound_validity():
         vis = float(rng.uniform(0.90, 0.99))
         noise = NoiseModel(visibility=vis)
         settings = dataclasses.replace(
-            bench.engine_settings(get_preset("sym546")),
+            get_preset("sym546"),
             party_a=party, party_b=party, link=link, detectors=det,
-            noise=noise, residual_phase_std_rad=sigma)
+            noise=dataclasses.replace(noise, residual_phase_std_rad=sigma))
         n = 1e12
         table = expected_counts(settings, n)
         bounds = decoy_bounds(table, party, party, sec)

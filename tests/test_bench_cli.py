@@ -111,6 +111,21 @@ def test_config_non_boolean(tmp_path):
         load_config(str(path))
 
 
+def test_config_residual_and_allow_unbalanced_fields(tmp_path):
+    path = tmp_path / "unbalanced.ini"
+    path.write_text("[protocol]\na_mu1 = 0.2\n")
+    with pytest.raises(ConfigError, match="security.allow_unbalanced"):
+        load_config(str(path))
+    path.write_text("[protocol]\na_mu1 = 0.2\n"
+                    "[security]\nallow_unbalanced = Yes\n")
+    cfg = load_config(str(path))
+    assert cfg.security.allow_unbalanced is True
+    assert "\nallow_unbalanced = true\n" in serialize_config(cfg)
+    path.write_text("[noise]\nresidual_phase_std_rad = -0.1\n")
+    with pytest.raises(ConfigError, match="noise: residual phase std"):
+        load_config(str(path))
+
+
 # ----------------------------------------------------------------- sweep
 
 def test_sweep_empty():
@@ -266,6 +281,28 @@ def test_cli_series_out_matches_per_row_format(tmp_path):
     assert path.read_text() == want
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("preset", ["sym546", "sym603", "asym452"])
+def test_cli_reports_match_golden_files(preset, capsys):
+    """``preset show`` and the formatted ``keyrate`` rates are pinned.
+
+    The golden files fix the INI schema (section and key order included)
+    and the ``%.6e`` rate lines in both modes.  The raw expected counts
+    are left out: they print with ``repr``, whose last digit can move
+    between numpy builds.
+    """
+    assert main(["preset", "show", preset]) == 0
+    assert capsys.readouterr().out == (
+        GOLDEN / f"preset_{preset}.ini").read_text()
+    for mode in ("asymptotic", "finite"):
+        assert main(["keyrate", "--preset", preset, "--mode", mode]) == 0
+        out = capsys.readouterr().out
+        rates = out[out.index("y1a_lower\t"):]
+        assert rates == (GOLDEN / f"keyrate_{preset}_{mode}.tsv").read_text()
+
+
 def test_cli_sweep(tmp_path, capsys):
     assert main(["sweep", "--preset", "sym546",
                  "--distances", "500,546.61"]) == 0
@@ -310,12 +347,14 @@ def test_cli_bad_argument_exit(argv, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_scipy_signal():
-    # scipy.signal is needed only by the servo's phase generator, and
-    # importing it up front would cost every command its load time.
+def test_cli_import_leaves_out_scipy():
+    # scipy is needed at runtime only by the servo's phase generator
+    # (scipy.signal), and importing it up front would cost every command
+    # its load time.
     env = dict(os.environ,
                PYTHONPATH=str(Path(tfqkd.__file__).resolve().parents[1]))
-    code = "import sys, tfqkd.cli; print('scipy.signal' in sys.modules)"
+    code = ("import sys, tfqkd.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

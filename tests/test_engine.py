@@ -7,18 +7,17 @@ import numpy as np
 import pytest
 from scipy.stats import norm, poisson
 
-from tfqkd import bench
 from tfqkd.counts import CATEGORIES, CountsTable, category_names
-from tfqkd.engine import (N_SLICES, EngineSettings, cell_probabilities,
-                          expected_counts, simulate)
+from tfqkd.engine import (N_SLICES, cell_probabilities, expected_counts,
+                          simulate)
 from tfqkd.optics import click_probability_arrays
-from tfqkd.presets import get_preset
+from tfqkd.presets import ExperimentConfig, get_preset
 from tfqkd.ratecore import PartySettings
 
 
 @pytest.fixture(scope="module")
-def settings546():
-    return bench.engine_settings(get_preset("sym546"))
+def cfg546():
+    return get_preset("sym546")
 
 
 # ------------------------------------------------------------ counts table
@@ -34,22 +33,22 @@ def test_category_set():
 
 # ----------------------------------------------------------- simulation
 
-def test_empty_session(settings546):
-    table = simulate(settings546, 0, seed=0)
+def test_empty_session(cfg546):
+    table = simulate(cfg546, 0, seed=0)
     assert table.n_windows == 0
     assert sum(table.windows.values()) == 0
 
 
-def test_seed_determinism(settings546):
-    t1 = simulate(settings546, 500_000, seed=9)
-    t2 = simulate(settings546, 500_000, seed=9)
+def test_seed_determinism(cfg546):
+    t1 = simulate(cfg546, 500_000, seed=9)
+    t2 = simulate(cfg546, 500_000, seed=9)
     assert t1 == t2
-    t3 = simulate(settings546, 500_000, seed=10)
+    t3 = simulate(cfg546, 500_000, seed=10)
     assert t3 != t1
 
 
-def test_window_partition(settings546):
-    table = simulate(settings546, 1_000_000, seed=2)
+def test_window_partition(cfg546):
+    table = simulate(cfg546, 1_000_000, seed=2)
     assert sum(table.windows.values()) == table.n_windows
     for cat in CATEGORIES:
         assert 0 <= table.heralds[cat] <= table.windows[cat]
@@ -58,11 +57,11 @@ def test_window_partition(settings546):
     assert table.x11_total <= table.heralds["XX11"]
 
 
-def test_choice_frequencies(settings546):
+def test_choice_frequencies(cfg546):
     # Decoy-window mu1 frequency: P(X) * p_mu1 within 3 sigma binomial.
     n = 10_000_000
-    table = simulate(settings546, n, seed=6)
-    pa = settings546.party_a
+    table = simulate(cfg546, n, seed=6)
+    pa = cfg546.party_a
     p = (1.0 - pa.p_signal_window) * pa.p_mu1
     observed = sum(table.windows[c] for c in CATEGORIES
                    if c[0] == "X" and c[2] == "1")
@@ -72,13 +71,13 @@ def test_choice_frequencies(settings546):
 
 # ------------------------------------------------------ analytic expectation
 
-def test_expected_counts_dark_limited(settings546):
+def test_expected_counts_dark_limited(cfg546):
     # Opaque link: every heralded event is a dark count, so each
     # category expectation is N * P(category) * (pd0 + pd1) to first
     # order.
-    link = dataclasses.replace(settings546.link, measured_loss_a_db=300.0,
+    link = dataclasses.replace(cfg546.link, measured_loss_a_db=300.0,
                                measured_loss_b_db=300.0)
-    s = dataclasses.replace(settings546, link=link)
+    s = dataclasses.replace(cfg546, link=link)
     n = 1e9
     table = expected_counts(s, n)
     det = s.detectors
@@ -89,23 +88,23 @@ def test_expected_counts_dark_limited(settings546):
         assert table.heralds[cat] == pytest.approx(n * p_cat * pd, rel=1e-3)
 
 
-def test_expected_counts_zz_ratio(settings546):
+def test_expected_counts_zz_ratio(cfg546):
     # Both-sent vs one-sent signal-window herald ratio on the long link.
-    table = expected_counts(settings546, 1e12)
+    table = expected_counts(cfg546, 1e12)
     ratio = table.heralds["ZZ33"] / table.heralds["ZZ03"]
     assert ratio == pytest.approx(3107361 / 4005761, rel=0.15)
 
 
-def test_expected_counts_deterministic(settings546):
-    t1 = expected_counts(settings546, 1e10)
-    t2 = expected_counts(settings546, 1e10)
+def test_expected_counts_deterministic(cfg546):
+    t1 = expected_counts(cfg546, 1e10)
+    t2 = expected_counts(cfg546, 1e10)
     assert t1 == t2
 
 
-def test_simulation_matches_expectation_totals(settings546):
+def test_simulation_matches_expectation_totals(cfg546):
     n = 2_000_000
-    mc = simulate(settings546, n, seed=8)
-    exp = expected_counts(settings546, n)
+    mc = simulate(cfg546, n, seed=8)
+    exp = expected_counts(cfg546, n)
     total_mc = sum(mc.heralds.values())
     total_exp = sum(exp.heralds.values())
     assert abs(total_mc - total_exp) <= 4.0 * math.sqrt(total_exp)
@@ -131,25 +130,25 @@ def _draw_window(u: np.ndarray, p: PartySettings):
     return is_z, idx
 
 
-def _per_window_counts(settings: EngineSettings, n: int, seed: int) -> CountsTable:
+def _per_window_counts(cfg: ExperimentConfig, n: int, seed: int) -> CountsTable:
     """Simulate ``n`` windows one by one, each with its own random draws.
 
     Every window draws both users' basis, intensity and phase slice, a
     Gaussian residual phase and a detector outcome, so this checks the
     aggregate cell probabilities against window-level physics.
     """
-    pa, pb = settings.party_a, settings.party_b
+    pa, pb = cfg.party_a, cfg.party_b
     rng = np.random.default_rng(seed)
     za, ia = _draw_window(rng.random(n), pa)
     sa = (rng.random(n) * N_SLICES).astype(np.int16)
     zb, ib = _draw_window(rng.random(n), pb)
     sb = (rng.random(n) * N_SLICES).astype(np.int16)
-    resid = rng.standard_normal(n) * settings.residual_phase_std_rad
+    resid = rng.standard_normal(n) * cfg.noise.residual_phase_std_rad
     dtheta = (sa - sb) % N_SLICES
     delta = 2.0 * math.pi * dtheta / N_SLICES + resid
     p0, p1 = click_probability_arrays(
         np.asarray(pa.intensities)[ia], np.asarray(pb.intensities)[ib], delta,
-        settings.link, settings.detectors, settings.noise)
+        cfg.link, cfg.detectors, cfg.noise)
     u = rng.random(n)
     none_p = (1.0 - p0) * (1.0 - p1)
     only0_p = none_p + p0 * (1.0 - p1)
@@ -188,7 +187,7 @@ def _table_entries(t: CountsTable) -> dict:
 
 @pytest.mark.parametrize("preset", ["sym546", "asym452"])
 def test_cell_probabilities_normalized(preset):
-    p = cell_probabilities(bench.engine_settings(get_preset(preset)))
+    p = cell_probabilities(get_preset(preset))
     assert p.shape == (len(CATEGORIES), N_SLICES, 4)
     assert (p >= 0).all()
     assert abs(p.sum() - 1.0) <= 1e-12
@@ -206,13 +205,13 @@ def test_per_window_oracle_matches_expectation(preset):
     two presets' 108 checks raise a false alarm with probability below
     7e-3.
     """
-    settings = bench.engine_settings(get_preset(preset))
-    link = dataclasses.replace(settings.link, measured_loss_a_db=10.0,
+    cfg = get_preset(preset)
+    link = dataclasses.replace(cfg.link, measured_loss_a_db=10.0,
                                measured_loss_b_db=12.0)
-    settings = dataclasses.replace(settings, link=link)
+    cfg = dataclasses.replace(cfg, link=link)
     n = 2_000_000
-    observed = _table_entries(_per_window_counts(settings, n, seed=0))
-    expected = _table_entries(expected_counts(settings, n))
+    observed = _table_entries(_per_window_counts(cfg, n, seed=0))
+    expected = _table_entries(expected_counts(cfg, n))
     alpha = 2.0 * norm.sf(4.0)
     failures = []
     for key, mu in expected.items():
