@@ -6,12 +6,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .counts import CountsTable
 from .engine import expected_counts
 from .optics import LinkConfig, NoiseModel
 from .postproc import ProcessedRun, aopp_phase_error, process
 from .presets import ExperimentConfig, get_preset
-from .ratecore import (check_sns_constraint, key_rate, phase_misalignment_qber,
-                       plob_bound, rate_per_second, sns_balance_rhs)
+from .ratecore import (PartySettings, check_sns_constraint, key_rate,
+                       phase_misalignment_qber, plob_bound, rate_per_second,
+                       sns_balance_rhs)
 
 SWEEP_COLUMNS = ("distance_km", "total_loss_db", "skr_bit_per_signal",
                  "skr_bit_per_s", "skc0_bit_per_signal", "ratio")
@@ -23,11 +25,16 @@ def engine_settings(cfg: ExperimentConfig) -> ExperimentConfig:
     return cfg
 
 
-def analytic_keyrate(cfg: ExperimentConfig) -> tuple[float, ProcessedRun]:
-    """Key rate (bit/signal) from the expected-counts pipeline."""
-    table = expected_counts(cfg, cfg.run.n_windows)
+def keyrate_from_counts(cfg: ExperimentConfig, table: CountsTable
+                        ) -> tuple[float, ProcessedRun]:
+    """Key rate (bit/signal) and post-processing output of a counts table."""
     run = process(table, cfg.party_a, cfg.party_b, cfg.security)
     return key_rate(run.inputs, cfg.security), run
+
+
+def analytic_keyrate(cfg: ExperimentConfig) -> tuple[float, ProcessedRun]:
+    """Key rate (bit/signal) from the expected-counts pipeline."""
+    return keyrate_from_counts(cfg, expected_counts(cfg, cfg.run.n_windows))
 
 
 def sweep(cfg: ExperimentConfig, distances_km: list[float]
@@ -120,14 +127,27 @@ def optimize(cfg: ExperimentConfig, parameters: tuple[str, ...] = FREE_PARAMETER
     parameter; the step shrinks when a pass makes no progress.  Party
     B's weak decoy intensity is always re-derived from the balance
     condition, so every candidate satisfies it by construction.
-    Deterministic; stops at the evaluation budget with a flag.
+    Deterministic; stops at the evaluation budget with a flag.  A
+    candidate the search revisits is not recomputed: its key rate is
+    read back from the ones scored earlier in this call, but the visit
+    still counts toward the budget, so the search path and evaluation
+    count are those of a search that recomputes it.
     """
     for p in parameters:
         if p not in FREE_PARAMETERS:
             raise ValueError(f"unknown free parameter {p!r}")
+    # Candidates differ only in their parties.
+    scored: dict[tuple[PartySettings, PartySettings], float] = {}
+
+    def score(c: ExperimentConfig) -> float:
+        key = (c.party_a, c.party_b)
+        if key not in scored:
+            scored[key], _ = analytic_keyrate(c)
+        return scored[key]
+
     symmetric = cfg.party_a == cfg.party_b
     best_cfg = _apply(cfg, "mu_z", cfg.party_a.mu_z, symmetric) or cfg
-    best_skr, _ = analytic_keyrate(best_cfg)
+    best_skr = score(best_cfg)
     evals = 1
     step = 1.3
     exhausted = False
@@ -143,7 +163,7 @@ def optimize(cfg: ExperimentConfig, parameters: tuple[str, ...] = FREE_PARAMETER
                               symmetric)
                 if cand is None:
                     continue
-                skr, _ = analytic_keyrate(cand)
+                skr = score(cand)
                 evals += 1
                 if skr > best_skr:
                     best_cfg, best_skr = cand, skr

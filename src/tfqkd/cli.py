@@ -14,11 +14,11 @@ from dataclasses import replace
 
 from . import bench
 from .config import ConfigError, load_config, serialize_config
-from .counts import CATEGORIES, CountsTable
-from .engine import expected_counts, simulate
-from .postproc import ProcessedRun, process
+from .counts import CATEGORIES
+from .engine import simulate
+from .postproc import ProcessedRun
 from .presets import ExperimentConfig, get_preset, preset_names, with_run
-from .ratecore import key_rate, rate_per_second
+from .ratecore import rate_per_second
 from .servo import LoopConfig, run_stabilization
 
 
@@ -57,8 +57,9 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def format_run_report(cfg: ExperimentConfig, table: CountsTable,
-                      run: ProcessedRun, skr: float) -> str:
+def format_run_report(cfg: ExperimentConfig, run: ProcessedRun,
+                      skr: float) -> str:
+    table = run.table
     lines = [
         f"n_windows\t{table.n_windows}",
         f"mode\t{cfg.security.mode}",
@@ -93,24 +94,19 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _emit_run_report(cfg: ExperimentConfig, table: CountsTable,
-                     out_path: str | None) -> int:
-    run = process(table, cfg.party_a, cfg.party_b, cfg.security)
-    skr = key_rate(run.inputs, cfg.security)
-    _emit(format_run_report(cfg, table, run, skr), out_path)
-    return 0
-
-
 def _cmd_keyrate(args) -> int:
     cfg = _resolve_config(args)
-    table = expected_counts(cfg, cfg.run.n_windows)
-    return _emit_run_report(cfg, table, args.out)
+    skr, run = bench.analytic_keyrate(cfg)
+    _emit(format_run_report(cfg, run, skr), args.out)
+    return 0
 
 
 def _cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     table = simulate(cfg, int(cfg.run.n_windows), seed=cfg.run.seed)
-    return _emit_run_report(cfg, table, args.out)
+    skr, run = bench.keyrate_from_counts(cfg, table)
+    _emit(format_run_report(cfg, run, skr), args.out)
+    return 0
 
 
 def _cmd_stabilize(args) -> int:

@@ -33,19 +33,29 @@ N_SLICES = 16
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(17)
 _GH_WEIGHTS = _GH_WEIGHTS / _GH_WEIGHTS.sum()
 
-#: Intensity index of each category's user A and user B window, and the
-#: category index of the phase-matched decoy windows XX11 and XX22.
-_IA = np.array([int(c[2]) for c in CATEGORIES])
-_IB = np.array([int(c[3]) for c in CATEGORIES])
+#: Intensity index of user A and of user B in each of the 16 distinct
+#: (A intensity, B intensity) pairs; pair ``k`` is ``(k // 4, k % 4)``.
+_PAIR_IA, _PAIR_IB = np.divmod(np.arange(16), 4)
+#: Pair index of each category, and the category index of the
+#: phase-matched decoy windows XX11 and XX22.
+_PAIR = np.array([4 * int(c[2]) + int(c[3]) for c in CATEGORIES])
 _XX = {level: CATEGORIES.index(f"XX{level}{level}") for level in (1, 2)}
+#: Index of each category's user A and user B window class in the
+#: per-party table of :func:`_class_probs` (Z0, Z3, X0, X1, X2).
+_CLASSES = ("Z0", "Z3", "X0", "X1", "X2")
+_CA = np.array([_CLASSES.index(c[0] + c[2]) for c in CATEGORIES])
+_CB = np.array([_CLASSES.index(c[1] + c[3]) for c in CATEGORIES])
 
 
-def _class_prob(basis: str, i: int, p: PartySettings) -> float:
-    """Probability that one user emits a ``basis`` window at intensity ``i``."""
-    if basis == "Z":
-        pz = p.p_signal_window
-        return pz * (p.epsilon_send if i == 3 else 1.0 - p.epsilon_send)
-    return (1.0 - p.p_signal_window) * (p.p_mu0, p.p_mu1, p.p_mu2)[i]
+def _class_probs(p: PartySettings) -> np.ndarray:
+    """Probability that one user emits each window class Z0, Z3, X0, X1, X2.
+
+    A signal (Z) window sends (index 3) with probability epsilon; a decoy
+    (X) window picks one of the three decoy intensities.
+    """
+    pz, px = p.p_signal_window, 1.0 - p.p_signal_window
+    return np.array([pz * (1.0 - p.epsilon_send), pz * p.epsilon_send,
+                     px * p.p_mu0, px * p.p_mu1, px * p.p_mu2])
 
 
 def cell_probabilities(cfg: ExperimentConfig) -> np.ndarray:
@@ -53,7 +63,10 @@ def cell_probabilities(cfg: ExperimentConfig) -> np.ndarray:
 
     Returns a ``(25, 16, 4)`` array laid out as described in the module
     docstring.  The two slice indices are independent and uniform, so
-    every slice difference has probability 1/16.
+    every slice difference has probability 1/16.  The 25 categories use
+    only 16 distinct (A intensity, B intensity) pairs, so the outcome
+    probabilities are computed once per pair, as a ``(16, 16, 4)`` array,
+    and gathered into category order before the category weights apply.
     """
     pa, pb = cfg.party_a, cfg.party_b
     sigma = cfg.noise.residual_phase_std_rad
@@ -65,10 +78,9 @@ def cell_probabilities(cfg: ExperimentConfig) -> np.ndarray:
     # delta grid: (slice difference, quadrature node)
     delta = (2.0 * math.pi * np.arange(N_SLICES) / N_SLICES)[:, None] + offsets
 
-    mu_a = np.asarray(pa.intensities)[_IA][:, None, None]
-    mu_b = np.asarray(pb.intensities)[_IB][:, None, None]
-    cat_prob = np.array([_class_prob(c[0], int(c[2]), pa)
-                         * _class_prob(c[1], int(c[3]), pb) for c in CATEGORIES])
+    mu_a = np.asarray(pa.intensities)[_PAIR_IA][:, None, None]
+    mu_b = np.asarray(pb.intensities)[_PAIR_IB][:, None, None]
+    cat_prob = _class_probs(pa)[_CA] * _class_probs(pb)[_CB]
     p0, p1 = click_probability_arrays(mu_a, mu_b, delta, cfg.link,
                                       cfg.detectors, cfg.noise)
     q0, q1 = 1.0 - p0, 1.0 - p1
@@ -76,7 +88,7 @@ def cell_probabilities(cfg: ExperimentConfig) -> np.ndarray:
     # 128 KiB mmap threshold, so no call maps and unmaps a fresh array.
     outcomes = np.stack([(a * b) @ weights for a, b in
                          ((q0, q1), (p0, q1), (q0, p1), (p0, p1))], axis=2)
-    return outcomes * (cat_prob / N_SLICES)[:, None, None]
+    return outcomes[_PAIR] * (cat_prob / N_SLICES)[:, None, None]
 
 
 def _project(cells: np.ndarray, n_windows) -> CountsTable:

@@ -242,8 +242,9 @@ def odd_parity_pairing(z: ZBasisStats, n1a: float, n1b: float) -> PairingResult:
 
 @dataclass(frozen=True)
 class ProcessedRun:
-    """Complete post-processing output for one counts table."""
+    """A counts table and its complete post-processing output."""
 
+    table: CountsTable
     decoy: DecoyBounds
     z_stats: ZBasisStats
     pairing: PairingResult
@@ -270,5 +271,5 @@ def process(table: CountsTable, pa: PartySettings, pb: PartySettings,
         nt_prime=max(pairing.surviving_pairs, pairing.n1_prime),
         e_bit_prime=pairing.e_bit_prime,
     )
-    return ProcessedRun(decoy=decoy, z_stats=z, pairing=pairing,
+    return ProcessedRun(table=table, decoy=decoy, z_stats=z, pairing=pairing,
                         e1_ph_prime=e1_ph_prime, inputs=inputs)

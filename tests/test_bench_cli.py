@@ -1,5 +1,6 @@
 """Configuration ingestion, presets, sweeps, optimizer, and the CLI."""
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -190,6 +191,72 @@ def test_optimize_recovers_perturbed_mu_z():
     bad = dataclasses.replace(cfg, party_a=bad_party, party_b=bad_party)
     result = bench.optimize(bad, parameters=("mu_z",), budget=60)
     assert result.skr >= 0.95 * base
+
+
+def _reference_optimize(cfg, budget):
+    """The search loop that scores every visit afresh, as the oracle of
+    ``bench.optimize`` over all free parameters."""
+    symmetric = cfg.party_a == cfg.party_b
+    best_cfg = bench._apply(cfg, "mu_z", cfg.party_a.mu_z, symmetric) or cfg
+    best_skr, _ = bench.analytic_keyrate(best_cfg)
+    evals = 1
+    step = 1.3
+    exhausted = False
+    while step > 1.005:
+        improved = False
+        for name in bench.FREE_PARAMETERS:
+            for factor in (step, 1.0 / step):
+                if evals >= budget:
+                    exhausted = True
+                    break
+                cand = bench._apply(best_cfg, name,
+                                    getattr(best_cfg.party_a, name) * factor,
+                                    symmetric)
+                if cand is None:
+                    continue
+                skr, _ = bench.analytic_keyrate(cand)
+                evals += 1
+                if skr > best_skr:
+                    best_cfg, best_skr = cand, skr
+                    improved = True
+            if exhausted:
+                break
+        if exhausted:
+            break
+        if not improved:
+            step = math.sqrt(step)
+    return bench.OptimizeResult(config=best_cfg, skr=best_skr,
+                                evaluations=evals, budget_exhausted=exhausted)
+
+
+def _with_mode(preset, mode):
+    cfg = get_preset(preset)
+    return dataclasses.replace(
+        cfg, security=dataclasses.replace(cfg.security, mode=mode))
+
+
+@pytest.mark.parametrize("budget", [200, 25])
+@pytest.mark.parametrize("preset, mode", [("sym546", "finite"),
+                                          ("sym603", "asymptotic"),
+                                          ("asym452", "asymptotic")])
+def test_optimize_matches_reference_search(preset, mode, budget):
+    cfg = _with_mode(preset, mode)
+    assert bench.optimize(cfg, budget=budget) == _reference_optimize(cfg,
+                                                                     budget)
+
+
+def test_optimize_scores_each_candidate_once(monkeypatch):
+    scored = []
+    original = bench.analytic_keyrate
+
+    def counting(cfg):
+        scored.append((cfg.party_a, cfg.party_b))
+        return original(cfg)
+
+    monkeypatch.setattr(bench, "analytic_keyrate", counting)
+    result = bench.optimize(_with_mode("sym546", "finite"), budget=200)
+    assert result.evaluations == 200 and result.budget_exhausted
+    assert len(set(scored)) == len(scored) < result.evaluations
 
 
 # ------------------------------------------------------------------ verify

@@ -1,5 +1,5 @@
 """Session-count engine: determinism, cell probabilities, a per-window
-oracle, and analytic checks."""
+oracle, a per-category oracle, and analytic checks."""
 import dataclasses
 import math
 
@@ -11,8 +11,8 @@ from tfqkd.counts import CATEGORIES, CountsTable, category_names
 from tfqkd.engine import (N_SLICES, cell_probabilities, expected_counts,
                           simulate)
 from tfqkd.optics import click_probability_arrays
-from tfqkd.presets import ExperimentConfig, get_preset
-from tfqkd.ratecore import PartySettings
+from tfqkd.presets import PRESETS, ExperimentConfig, get_preset
+from tfqkd.ratecore import PartySettings, SecuritySettings
 
 
 @pytest.fixture(scope="module")
@@ -222,3 +222,95 @@ def test_per_window_oracle_matches_expectation(preset):
     assert len(expected) == 54
     assert expected["x11_errors"] > 1.0 and expected["x22_errors"] > 1.0
     assert not failures, "; ".join(failures)
+
+
+# ------------------------------------------------- per-category oracle
+
+_GH = np.polynomial.hermite_e.hermegauss(17)
+
+
+def _reference_class_prob(basis: str, i: int, p: PartySettings) -> float:
+    if basis == "Z":
+        pz = p.p_signal_window
+        return pz * (p.epsilon_send if i == 3 else 1.0 - p.epsilon_send)
+    return (1.0 - p.p_signal_window) * (p.p_mu0, p.p_mu1, p.p_mu2)[i]
+
+
+def _reference_cell_probabilities(cfg: ExperimentConfig) -> np.ndarray:
+    """The per-category evaluation that the intensity-pair gather
+    replaced, as its oracle: the click model runs on all 25 categories."""
+    pa, pb = cfg.party_a, cfg.party_b
+    sigma = cfg.noise.residual_phase_std_rad
+    if sigma > 0:
+        nodes, weights = _GH
+        offsets, weights = nodes * sigma, weights / weights.sum()
+    else:
+        offsets = np.zeros(1)
+        weights = np.ones(1)
+    delta = (2.0 * math.pi * np.arange(N_SLICES) / N_SLICES)[:, None] + offsets
+    ia = np.array([int(c[2]) for c in CATEGORIES])
+    ib = np.array([int(c[3]) for c in CATEGORIES])
+    mu_a = np.asarray(pa.intensities)[ia][:, None, None]
+    mu_b = np.asarray(pb.intensities)[ib][:, None, None]
+    cat_prob = np.array([_reference_class_prob(c[0], int(c[2]), pa)
+                         * _reference_class_prob(c[1], int(c[3]), pb)
+                         for c in CATEGORIES])
+    p0, p1 = click_probability_arrays(mu_a, mu_b, delta, cfg.link,
+                                      cfg.detectors, cfg.noise)
+    q0, q1 = 1.0 - p0, 1.0 - p1
+    outcomes = np.stack([(a * b) @ weights for a, b in
+                         ((q0, q1), (p0, q1), (q0, p1), (p0, p1))], axis=2)
+    return outcomes * (cat_prob / N_SLICES)[:, None, None]
+
+
+def _random_party(rng: np.random.Generator, mu0: float) -> PartySettings:
+    mu1, mu2 = np.sort(rng.uniform(mu0 + 1e-3, 1.0, size=2))
+    p_mu0 = rng.uniform(0.0, 0.3)
+    p_mu1 = rng.uniform(0.0, 1.0 - p_mu0)
+    return PartySettings(mu_z=rng.uniform(0.01, 1.0), mu2=mu2, mu1=mu1,
+                         mu0=mu0, p_signal_window=rng.uniform(0.05, 0.95),
+                         epsilon_send=rng.uniform(0.01, 0.99), p_mu0=p_mu0,
+                         p_mu1=p_mu1, p_mu2=1.0 - p_mu0 - p_mu1)
+
+
+def _random_config(rng: np.random.Generator, mu0: float | None,
+                   sigma: float | None) -> ExperimentConfig:
+    """A random asymmetric config; ``None`` draws ``mu0`` per party and
+    the residual phase std at random."""
+    base = PRESETS[sorted(PRESETS)[rng.integers(len(PRESETS))]]
+    mu0s = rng.uniform(0.0, 5e-3, size=2) if mu0 is None else (mu0, mu0)
+    noise = dataclasses.replace(
+        base.noise, visibility=rng.uniform(0.7, 1.0),
+        residual_phase_std_rad=rng.uniform(0.0, 0.6) if sigma is None
+        else sigma)
+    link = dataclasses.replace(base.link,
+                               measured_loss_a_db=rng.uniform(0.0, 60.0),
+                               measured_loss_b_db=rng.uniform(0.0, 60.0))
+    return ExperimentConfig(
+        link=link, detectors=base.detectors,
+        party_a=_random_party(rng, mu0s[0]),
+        party_b=_random_party(rng, mu0s[1]), noise=noise,
+        security=SecuritySettings(allow_unbalanced=True))
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_cell_probabilities_match_per_category_oracle_on_presets(preset):
+    cfg = get_preset(preset)
+    assert np.array_equal(cell_probabilities(cfg),
+                          _reference_cell_probabilities(cfg))
+
+
+@pytest.mark.parametrize("sigma", [0.0, None], ids=["sigma0", "sigma_random"])
+@pytest.mark.parametrize("mu0", [0.0, 2e-4, None],
+                         ids=["mu0_zero", "mu0_2e-4", "mu0_random"])
+def test_cell_probabilities_match_per_category_oracle(mu0, sigma):
+    """Bit-for-bit equality on 60 seeded random asymmetric configs per
+    case, 360 in all: random parties, arm losses and visibility, with
+    the ``mu0`` and residual-phase cases named in the parameters."""
+    rng = np.random.default_rng(0)
+    for _ in range(60):
+        cfg = _random_config(rng, mu0, sigma)
+        got = cell_probabilities(cfg)
+        want = _reference_cell_probabilities(cfg)
+        assert got.shape == want.shape == (len(CATEGORIES), N_SLICES, 4)
+        assert np.array_equal(got, want), cfg
