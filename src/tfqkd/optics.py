@@ -175,12 +175,20 @@ def free_running_phase(noise: NoiseModel, dt: float, n: int,
     adds ``laser_phase`` to both bands.  The clock-accuracy floor
     affects only the signal band, whose phase is reconstructed from a
     reference measured against an imperfect timebase.
-    """
-    # Deferred: scipy.signal is about half of the CLI's import time.
-    from scipy.signal import lfilter
 
+    The velocity recurrence ``v = s*x + a*v`` is a Python loop, not
+    ``scipy.signal.lfilter([s], [1, -a], x)``: it gives the same array
+    bit for bit, and loading ``scipy.signal`` costs a cold ``stabilize``
+    more than the loop does.
+    """
     a, s = velocity_step_coeffs(noise, dt)
-    velocity = lfilter([s], [1.0, -a], rng.standard_normal(n))
+    velocity = np.empty(n)
+    out = memoryview(velocity)
+    v = 0.0
+    # lfilter's order of operations, so the result is bit-identical.
+    for i, x in enumerate(memoryview(rng.standard_normal(n))):
+        v = s * x + a * v
+        out[i] = v
     fiber_phase = np.cumsum(velocity) * dt
     t = np.arange(1, n + 1) * dt
     f0 = noise.laser_drift_hz_per_hour / 3600.0

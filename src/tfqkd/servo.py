@@ -7,6 +7,7 @@ driving a fiber stretcher.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,9 @@ TWO_PI = 2.0 * math.pi
 RATE_WINDOW_S = 1e-3
 
 STAGES = ("none", "fastOnly", "full")
+
+#: Size cap of a fringe-error table (see :func:`_error_table`).
+_ERROR_TABLE_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -95,6 +99,23 @@ def _fringe_error(counts: float, setpoint: float) -> float:
     return math.asin(max(-1.0, min(1.0, counts / setpoint - 1.0)))
 
 
+@functools.lru_cache(maxsize=8)
+def _error_table(setpoint: float) -> tuple[float, ...]:
+    """Phase errors ``_fringe_error(c, setpoint)`` of the counts c = 0, 1, ...
+
+    The table ends at the first count where the inversion clips at
+    pi/2, or after ``_ERROR_TABLE_MAX`` entries.  It is cached per set
+    point, because building it costs more ``asin`` calls than one 1 ms
+    span of :func:`fast_loop_span` makes.
+    """
+    errs = []
+    for counts in range(_ERROR_TABLE_MAX):
+        errs.append(_fringe_error(counts, setpoint))
+        if counts / setpoint >= 2.0:
+            break
+    return tuple(errs)
+
+
 def fast_loop_span(start: int, stop: int, phi_c: np.ndarray,
                    pm: np.ndarray, dc_counts: np.ndarray, loop: LoopConfig,
                    visibility: float, state: PIDState, draw) -> None:
@@ -110,22 +131,28 @@ def fast_loop_span(start: int, stop: int, phi_c: np.ndarray,
     controller between spans.  ``run_stabilization`` passes
     ``rng.poisson`` as ``draw``.
 
-    The loop body runs 1e5 times per simulated second, so the fringe
-    inversion and the PI update are written inline and the float64
-    arrays are read and written through memoryviews.
+    The loop body runs 1e5 times per simulated second, so the PI update
+    is written inline and the float64 arrays are read and written
+    through memoryviews.  The fringe inversion of a count is looked up
+    in :func:`_error_table`; a count past the table's end, or one that
+    is not an integer (a ``draw`` other than Poisson), falls back to
+    :func:`_fringe_error`.  Counts must be nonnegative.
     """
     phi_mv = memoryview(phi_c)
     pm_mv, dc_mv = memoryview(pm), memoryview(dc_counts)
     setpoint = loop.dc_setpoint_counts
     kp, ki = loop.fast_gains
     pm_range = loop.pm_range_rad
-    sin, asin, remainder = math.sin, math.asin, math.remainder
+    sin, remainder = math.sin, math.remainder
+    errs = _error_table(setpoint)
     output, unwrapped, integral = state.output, state.unwrapped, state.integral
     for i in range(start, stop):
         counts = draw(setpoint * (1.0 + visibility * sin(phi_mv[i] + output)))
         dc_mv[i] = counts
-        err = counts / setpoint - 1.0  # >= -1, as counts are nonnegative
-        err = asin(err if err < 1.0 else 1.0)
+        try:
+            err = errs[counts]
+        except (IndexError, TypeError):
+            err = _fringe_error(counts, setpoint)
         integral += err
         unwrapped -= kp * err + ki * integral
         output = remainder(unwrapped, pm_range)

@@ -88,6 +88,15 @@ def test_criterion_05_clock_drift_floor():
 # ------------------------------------------------- 6: servo reduction
 
 def test_criterion_06_fast_lock_reduction():
+    """Two seeded 2 s fast-lock runs; about a 0.4% false alarm per seed.
+
+    With both runs on the same seed, 2 of seeds 0-499 fail this check,
+    both on a clock-limited locked drift just under 40 rad/s (39.9 and
+    39.3; mean 45.2, SD 1.5 over the seeds).  The reduction factor
+    stayed in 1835-2148, well inside its band.  Seed 1 passes (1912,
+    44.2 rad/s).  Any change to the servo's draw order re-rolls the
+    outcome for this seed.
+    """
     loop = LoopConfig()
     ideal = NoiseModel(clock_accuracy=0.0)
     s_ideal, _ = run_stabilization(2.0, ideal, loop, stages="fastOnly", seed=1)
@@ -103,6 +112,13 @@ def test_criterion_06_fast_lock_reduction():
 # ---------------------------------------------- 7: closed-loop residual
 
 def test_criterion_07_full_pipeline_residual():
+    """Three seeded 2 s two-stage runs; no false alarm seen in 500 seeds.
+
+    None of seeds 0-499 fails this check.  The largest residual was
+    0.121 rad, and each link's residual has mean 0.115 rad and SD
+    0.002 rad over the seeds, so the 0.30 rad bound sits about 90 SD
+    above the mean.  Seed 2 passes (0.114, 0.116, 0.113 rad).
+    """
     loop = LoopConfig()
     results = {}
     for name, drift in TABLE_DRIFTS.items():

@@ -1,4 +1,5 @@
 """Physical-layer models: transmittance, interference clicks, drift noise."""
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.signal import lfilter
 from tfqkd.optics import (DetectorModel, LinkConfig, NoiseModel,
                           click_probability_arrays, free_running_phase,
                           velocity_step_coeffs)
+from tfqkd.presets import PRESETS
 
 
 # --------------------------------------------------------- transmittance
@@ -229,6 +231,37 @@ def test_free_running_phase_laser_ramp():
     assert np.array_equal(phi_c, laser)
     assert np.array_equal(phi_q, laser)
     assert phi_c[-1] == pytest.approx(math.pi * 1777.0 / 3600.0, rel=1e-12)
+
+
+def _lfilter_free_running_phase(noise, dt, n, rng):
+    """``free_running_phase`` as it was with ``scipy.signal.lfilter``."""
+    a, s = velocity_step_coeffs(noise, dt)
+    velocity = lfilter([s], [1.0, -a], rng.standard_normal(n))
+    fiber_phase = np.cumsum(velocity) * dt
+    t = np.arange(1, n + 1) * dt
+    f0 = noise.laser_drift_hz_per_hour / 3600.0
+    laser_phase = 2.0 * math.pi * (0.5 * f0 * t * t)
+    phi_c = fiber_phase + laser_phase
+    phi_q = (noise.band_ratio * fiber_phase + laser_phase
+             + noise.clock_drift_floor() * t)
+    return t, phi_c, phi_q, laser_phase
+
+
+@pytest.mark.parametrize("dt", [7e-6, 1e-5, 2e-5], ids=["7us", "10us", "20us"])
+@pytest.mark.parametrize("noise", [
+    *(PRESETS[name].noise for name in sorted(PRESETS)),
+    dataclasses.replace(PRESETS["sym546"].noise, clock_accuracy=0.0),
+], ids=[*sorted(PRESETS), "ideal_clock"])
+def test_free_running_phase_matches_lfilter(noise, dt):
+    # The velocity recurrence is a Python loop; it must reproduce the
+    # lfilter it replaced bit for bit, or every servo series changes.
+    for n in (10_000, 200_000):
+        for seed in (0, 3, 17):
+            got = free_running_phase(noise, dt, n, np.random.default_rng(seed))
+            want = _lfilter_free_running_phase(noise, dt, n,
+                                               np.random.default_rng(seed))
+            for g, w in zip(got, want, strict=True):
+                assert g.tobytes() == w.tobytes(), (n, seed)
 
 
 def test_drift_rate_calibration_closed_form():

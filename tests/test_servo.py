@@ -7,9 +7,10 @@ import pytest
 
 from tfqkd.optics import NoiseModel, free_running_phase
 from tfqkd.presets import PRESETS
-from tfqkd.servo import (STAGES, LoopConfig, PIDState, StabilizationSummary,
-                         _wrap_fringe, drift_rate_rms, fast_loop_span,
-                         frequency_readout, run_stabilization, slow_loop_step)
+from tfqkd.servo import (_ERROR_TABLE_MAX, STAGES, LoopConfig, PIDState,
+                         StabilizationSummary, _error_table, _wrap_fringe,
+                         drift_rate_rms, fast_loop_span, frequency_readout,
+                         run_stabilization, slow_loop_step)
 
 TWO_PI = 2.0 * math.pi
 
@@ -69,6 +70,46 @@ def test_fast_loop_output_wraps():
     assert abs(state.output) <= math.pi + 1e-12
     assert abs(state.unwrapped) > TWO_PI
     assert pm[-1] == state.unwrapped
+
+
+def _formula_error(counts, setpoint):
+    err = counts / setpoint - 1.0
+    return math.asin(err if err < 1.0 else 1.0)
+
+
+@pytest.mark.parametrize("fast_interval_us", [7.0, 10.0, 20.0, 1000.0])
+def test_error_table_matches_formula(fast_interval_us):
+    # Set points 42, 60 and 120 counts end at their first clipped count;
+    # 6000 counts would clip at 12000 and hits the size cap first.
+    loop = LoopConfig(fast_interval_us=fast_interval_us)
+    setpoint = loop.dc_setpoint_counts
+    errs = _error_table(setpoint)
+    want = [_formula_error(c, setpoint) for c in range(len(errs))]
+    assert np.array(errs).tobytes() == np.array(want).tobytes()
+    if len(errs) < _ERROR_TABLE_MAX:
+        assert errs[-1] == math.pi / 2 > errs[-2]
+    else:
+        assert fast_interval_us == 1000.0 and errs[-1] < math.pi / 2
+
+    # Counts past the table's end, then counts that are not integers,
+    # take the formula; in-table counts come before and between them.
+    end = len(errs)
+    counts = [0, end - 1, end, end + 7, 10 * end, 3, np.int64(end + 1),
+              0.0, setpoint, 1.5 * setpoint, float(end - 1), 2]
+    draws = iter(counts)
+    state = PIDState()
+    pm, dc_counts = _run_span(np.zeros(len(counts)), loop, state,
+                              draw=lambda lam: next(draws))
+    assert dc_counts.tolist() == [float(c) for c in counts]
+    kp, ki = loop.fast_gains
+    integral = unwrapped = 0.0
+    want_pm = []
+    for c in counts:
+        err = _formula_error(c, setpoint)
+        integral += err
+        unwrapped -= kp * err + ki * integral
+        want_pm.append(unwrapped)
+    assert pm.tobytes() == np.array(want_pm).tobytes()
 
 
 # ------------------------------------------------------------- slow loop
@@ -291,7 +332,8 @@ def _reference_stabilization(duration_s, noise, loop, stages, seed):
     LoopConfig(),
     LoopConfig(fs_range_rad=3.0),      # stretcher resets and blanking
     LoopConfig(fast_interval_us=7.0),  # the last slow-loop span is partial
-], ids=["default", "fs_range_3", "fast_7us"])
+    LoopConfig(fast_interval_us=20.0),  # set point 120 counts
+], ids=["default", "fs_range_3", "fast_7us", "fast_20us"])
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 @pytest.mark.parametrize("stages", STAGES)
 def test_run_stabilization_matches_per_step_oracle(stages, preset, loop):
