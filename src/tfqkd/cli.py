@@ -3,7 +3,8 @@
 Subcommands: ``verify``, ``keyrate``, ``simulate``, ``stabilize``,
 ``sweep``, ``optimize``, ``preset list|show``.  Exit codes: 0 success
 (including zero-rate runs), 1 verification failure, 2 configuration
-error.
+error.  The parser is built once, at import, so :func:`main` may be
+called any number of times in one process.
 """
 from __future__ import annotations
 
@@ -49,9 +50,16 @@ def _resolve_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _open_for_writing(path: str, flag: str):
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
+        with _open_for_writing(out_path, "--out") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -117,6 +125,9 @@ def _cmd_stabilize(args) -> int:
                                             seed=cfg.run.seed)
     except ValueError as exc:  # the config is checked; --duration is not
         raise ConfigError(f"--duration: {exc}") from exc
+    except MemoryError as exc:  # the series arrays grow with --duration
+        raise ConfigError(f"--duration {args.duration} s is too long: "
+                          f"{exc}") from exc
     lines = [
         f"stages\t{args.stages}",
         f"duration_s\t{args.duration}",
@@ -133,7 +144,7 @@ def _cmd_stabilize(args) -> int:
         cols = ("t_s", "phiC_rad", "phiQ_rad", "pm_rad", "fs_rad", "dc_counts")
         row = "\t".join(["%.9e"] * len(cols)) + "\n"
         rows = zip(*(series[c].tolist() for c in cols))
-        with open(args.series_out, "w") as fh:
+        with _open_for_writing(args.series_out, "--series-out") as fh:
             fh.write("\t".join(cols) + "\n" + "".join(row % r for r in rows))
     _emit(text, args.out)
     return 0
@@ -197,7 +208,7 @@ def _add_common(p: argparse.ArgumentParser, *run_flags: str) -> None:
     p.add_argument("--out", help="write the report to this path")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tfqkd",
         description="Twin-field QKD link simulator and key-rate toolkit")
@@ -244,9 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -408,15 +408,76 @@ def test_cli_flag_not_read_is_rejected(argv):
     ["sweep", "--distances", "500,400"],
     ["sweep", "--distances", ""],
     ["optimize", "--budget", "-3"],
+    # Its first array is 728 TiB, beyond the address space, so it fails
+    # before touching memory.  Shorter durations could really allocate.
+    ["stabilize", "--duration", "1e9"],
 ])
 def test_cli_bad_argument_exit(argv, capsys):
     assert main(argv) == 2
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["preset", "list", "--out"], "--out"),
+    (["stabilize", "--duration", "0.2", "--series-out"], "--series-out"),
+])
+def test_cli_unwritable_output_path_exit(tmp_path, argv, flag, capsys):
+    path = str(tmp_path / "missing" / "x")
+    assert main(argv + [path]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and flag in err and path in err
+
+
+def test_cli_main_reuses_parser_across_calls(tmp_path, capsys):
+    """Every subcommand, a usage error and a configuration error run
+    through one process's ``main``; each report matches the one the same
+    argv gave earlier in the process, and no flag carries over to a later
+    call that leaves it out."""
+    series = tmp_path / "series.tsv"
+    stabilize = ["stabilize", "--duration", "0.2", "--seed", "3"]
+    simulate = ["simulate", "--windows", "1e6"]
+    runs = [
+        ["verify"],
+        ["keyrate", "--preset", "asym452", "--mode", "finite"],
+        simulate + ["--seed", "5"],
+        simulate,
+        simulate + ["--seed", str(get_preset("sym546").run.seed)],
+        stabilize + ["--series-out", str(series)],
+        stabilize,
+        ["sweep", "--preset", "sym603", "--distances", "400,500"],
+        ["optimize", "--preset", "asym452", "--budget", "20"],
+        ["preset", "list"],
+        ["preset", "show", "sym603"],
+        ["keyrate", "--seed", "3"],
+        ["keyrate", "--preset", "nope"],
+    ]
+
+    def run(argv):
+        series.unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        written = series.read_bytes() if series.exists() else None
+        return code, out, written
+
+    first = {}
+    for argv in runs + runs[::-1]:
+        result = run(argv)
+        assert first.setdefault(tuple(argv), result) == result, argv
+    results = [first[tuple(argv)] for argv in runs]
+    assert [code for code, _, _ in results] == [0] * 11 + [2, 2]
+    # Without --seed, simulate uses the preset seed, not the last one given.
+    assert results[3] == results[4] != results[2]
+    # Only the stabilize run given --series-out writes a series.
+    assert results[5][2] and results[6][2] is None
+
+
 _WITHOUT_SCIPY = """
 import sys
 sys.modules["scipy"] = None  # any scipy import now raises ImportError
+sys.modules["numpy.polynomial"] = None
 from tfqkd.cli import main
 runs = [
     ["verify"],
@@ -439,7 +500,8 @@ for argv in runs:
 
 def test_cli_subcommands_run_without_scipy(tmp_path):
     # scipy is a test dependency only: every subcommand must run in an
-    # interpreter where importing it fails.
+    # interpreter where importing it fails.  numpy.polynomial is blocked
+    # too, because loading it costs every process about 2 MB of RSS.
     env = dict(os.environ,
                PYTHONPATH=str(Path(tfqkd.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], env=env,

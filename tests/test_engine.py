@@ -8,8 +8,8 @@ import pytest
 from scipy.stats import norm, poisson
 
 from tfqkd.counts import CATEGORIES, CountsTable, category_names
-from tfqkd.engine import (N_SLICES, cell_probabilities, expected_counts,
-                          simulate)
+from tfqkd.engine import (_GH_NODES, _GH_WEIGHTS, N_SLICES,
+                          cell_probabilities, expected_counts, simulate)
 from tfqkd.optics import click_probability_arrays
 from tfqkd.presets import PRESETS, ExperimentConfig, get_preset
 from tfqkd.ratecore import PartySettings, SecuritySettings
@@ -183,6 +183,14 @@ def _table_entries(t: CountsTable) -> dict:
     for key in ("x11_total", "x11_errors", "x22_total", "x22_errors"):
         entries[key] = getattr(t, key)
     return entries
+
+
+def test_gauss_hermite_constants_match_hermegauss():
+    # The quadrature is written out as literals to keep numpy.polynomial
+    # off the import path; they must equal the computed rule bit for bit.
+    nodes, weights = np.polynomial.hermite_e.hermegauss(17)
+    assert _GH_NODES.tobytes() == nodes.tobytes()
+    assert _GH_WEIGHTS.tobytes() == (weights / weights.sum()).tobytes()
 
 
 @pytest.mark.parametrize("preset", ["sym546", "asym452"])
