@@ -9,18 +9,19 @@ called any number of times in one process.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
-from dataclasses import replace
 
 from . import bench
-from .config import ConfigError, load_config, serialize_config
+from .config import (ConfigError, load_config, override_config,
+                     serialize_config)
 from .counts import CATEGORIES
 from .engine import simulate
 from .postproc import ProcessedRun
-from .presets import ExperimentConfig, get_preset, preset_names, with_run
+from .presets import ExperimentConfig, get_preset, preset_names
 from .ratecore import rate_per_second
-from .servo import LoopConfig, run_stabilization
+from .servo import STAGES, LoopConfig, run_stabilization
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -32,22 +33,12 @@ def _resolve_config(args) -> ExperimentConfig:
             cfg = get_preset(name)
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
-    updates = {}
-    if getattr(args, "windows", None) is not None:
-        try:
-            updates["n_windows"] = float(args.windows)
-        except ValueError as exc:
-            raise ConfigError(f"--windows: {exc}") from exc
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if updates:
-        try:
-            cfg = with_run(cfg, **updates)
-        except ValueError as exc:
-            raise ConfigError(f"run: {exc}") from exc
-    if getattr(args, "mode", None):
-        cfg = replace(cfg, security=replace(cfg.security, mode=args.mode))
-    return cfg
+    raw = {}
+    for flag, (section, key, _) in _RUN_FLAGS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            raw.setdefault(section, {})[key] = value
+    return override_config(cfg, raw)
 
 
 def _open_for_writing(path: str, flag: str):
@@ -89,7 +80,7 @@ def format_run_report(cfg: ExperimentConfig, run: ProcessedRun,
         f"nt_prime\t{run.pairing.surviving_pairs:.6e}",
         f"n1_prime\t{run.pairing.n1_prime:.6e}",
         f"e_bit_prime\t{run.pairing.e_bit_prime:.6e}",
-        f"e1_ph_prime\t{run.e1_ph_prime:.6e}",
+        f"e1_ph_prime\t{run.inputs.e1_ph_prime:.6e}",
         f"skr_bit_per_signal\t{skr:.6e}",
         f"skr_bit_per_s\t{rate_per_second(skr):.6e}",
     ]
@@ -119,34 +110,35 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_stabilize(args) -> int:
     cfg = _resolve_config(args)
-    try:
-        summary, series = run_stabilization(args.duration, cfg.noise,
-                                            LoopConfig(), stages=args.stages,
-                                            seed=cfg.run.seed)
-    except ValueError as exc:  # the config is checked; --duration is not
-        raise ConfigError(f"--duration: {exc}") from exc
-    except MemoryError as exc:  # the series arrays grow with --duration
-        raise ConfigError(f"--duration {args.duration} s is too long: "
-                          f"{exc}") from exc
-    lines = [
-        f"stages\t{args.stages}",
-        f"duration_s\t{args.duration}",
-        f"free_drift_std_rad_per_s\t{summary.free_drift_std_rad_per_s:.6e}",
-        f"fast_locked_drift_std_rad_per_s\t"
-        f"{summary.fast_locked_drift_std_rad_per_s:.6e}",
-        f"residual_phase_std_c_rad\t{summary.residual_phase_std_c_rad:.6e}",
-        f"residual_phase_std_q_rad\t{summary.residual_phase_std_q_rad:.6e}",
-        f"reduction_factor\t{summary.reduction_factor:.6e}",
-        f"freq_readout_hz\t{summary.freq_readout_hz:.6e}",
-    ]
-    text = "\n".join(lines) + "\n"
-    if args.series_out:
-        cols = ("t_s", "phiC_rad", "phiQ_rad", "pm_rad", "fs_rad", "dc_counts")
-        row = "\t".join(["%.9e"] * len(cols)) + "\n"
-        rows = zip(*(series[c].tolist() for c in cols))
-        with _open_for_writing(args.series_out, "--series-out") as fh:
-            fh.write("\t".join(cols) + "\n" + "".join(row % r for r in rows))
-    _emit(text, args.out)
+    with contextlib.ExitStack() as files:
+        # Open every output first: a bad path then fails before the run,
+        # and no output gets bytes unless the run succeeds.
+        out, series_out = [
+            files.enter_context(_open_for_writing(path, flag))
+            if path else None
+            for path, flag in ((args.out, "--out"),
+                               (args.series_out, "--series-out"))]
+        try:
+            summary, series = run_stabilization(args.duration, cfg.noise,
+                                                LoopConfig(),
+                                                stages=args.stages,
+                                                seed=cfg.run.seed)
+        except ValueError as exc:  # the config is checked; --duration is not
+            raise ConfigError(f"--duration: {exc}") from exc
+        except MemoryError as exc:  # the series arrays grow with --duration
+            raise ConfigError(f"--duration {args.duration} s is too long: "
+                              f"{exc}") from exc
+        names = ("free_drift_std_rad_per_s", "fast_locked_drift_std_rad_per_s",
+                 "residual_phase_std_c_rad", "residual_phase_std_q_rad",
+                 "reduction_factor", "freq_readout_hz")
+        lines = [f"stages\t{args.stages}", f"duration_s\t{args.duration}"]
+        lines += [f"{name}\t{getattr(summary, name):.6e}" for name in names]
+        if series_out:  # one column per series, in order
+            row = "\t".join(["%.9e"] * len(series)) + "\n"
+            rows = zip(*(col.tolist() for col in series.values()))
+            series_out.write("\t".join(series) + "\n"
+                             + "".join(row % r for r in rows))
+        (out or sys.stdout).write("\n".join(lines) + "\n")
     return 0
 
 
@@ -191,11 +183,12 @@ def _cmd_preset(args) -> int:
     return 0
 
 
+#: Run flags as the INI (section, key) they set, with their help text.
 _RUN_FLAGS = {
-    "windows": {"help": "window count override"},
-    "seed": {"type": int, "help": "RNG seed override"},
-    "mode": {"choices": ("asymptotic", "finite"),
-             "help": "security accounting mode"},
+    "windows": ("run", "n_windows", "window count override"),
+    "seed": ("run", "seed", "RNG seed override"),
+    "mode": ("security", "mode",
+             "security accounting mode: asymptotic or finite"),
 }
 
 
@@ -204,7 +197,7 @@ def _add_common(p: argparse.ArgumentParser, *run_flags: str) -> None:
     p.add_argument("--config", help="INI config file path")
     p.add_argument("--preset", help="built-in preset name")
     for name in run_flags:
-        p.add_argument(f"--{name}", **_RUN_FLAGS[name])
+        p.add_argument(f"--{name}", help=_RUN_FLAGS[name][2])
     p.add_argument("--out", help="write the report to this path")
 
 
@@ -230,8 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, "seed")
     p.add_argument("--duration", type=float, default=2.0,
                    help="simulated seconds")
-    p.add_argument("--stages", choices=("none", "fastOnly", "full"),
-                   default="full")
+    p.add_argument("--stages", choices=STAGES, default="full")
     p.add_argument("--series-out", help="write the time series to this path")
     p.set_defaults(func=_cmd_stabilize)
 

@@ -8,11 +8,14 @@ empty file therefore yields that default configuration.  Each value is
 parsed by its field's type: numbers must be finite, booleans take
 configparser's words (true/false, yes/no, on/off, 1/0), and ``none`` is
 accepted only where a field may be None.  Unknown keys are rejected.
+:func:`override_config` applies these rules to keys given another way,
+such as the CLI's ``--windows``, ``--seed`` and ``--mode``.
 """
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import io
 import math
 import typing
@@ -52,10 +55,16 @@ def _parse(text: str, typ):
     return val
 
 
+@functools.cache
+def _field_types(cls) -> dict:
+    """Resolved field types of a settings class (evaluating them is slow)."""
+    return typing.get_type_hints(cls)
+
+
 def _build(section: str, raw: dict, defaults, prefix: str = ""):
     """Override ``defaults`` with the keys of ``raw`` it knows (popped)."""
     kwargs = {}
-    for name, typ in typing.get_type_hints(type(defaults)).items():
+    for name, typ in _field_types(type(defaults)).items():
         key = prefix + name
         if key in raw:
             try:
@@ -68,6 +77,28 @@ def _build(section: str, raw: dict, defaults, prefix: str = ""):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
+def override_config(cfg: ExperimentConfig,
+                    raw: dict[str, dict[str, str]]) -> ExperimentConfig:
+    """Copy ``cfg`` with the INI values ``raw[section][key]`` set.
+
+    Each value is parsed by its field's type; unknown sections and keys
+    are rejected.  ``raw`` is left as it is.
+    """
+    for sec in raw:
+        if sec not in _SECTIONS:
+            raise ConfigError(f"unknown section [{sec}]")
+    raw = {sec: dict(keys) for sec, keys in raw.items()}
+    parts = {attr: _build(sec, raw[sec], getattr(cfg, attr), prefix)
+             for sec, attr, prefix in _LAYOUT if sec in raw}
+    unknown = [f"{sec}.{key}" for sec in _SECTIONS for key in raw.get(sec, ())]
+    if unknown:
+        raise ConfigError(f"unknown key(s): {', '.join(unknown)}")
+    try:
+        return dataclasses.replace(cfg, **parts)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Read an INI config file, filling gaps from the sym546 preset."""
     parser = configparser.ConfigParser()
@@ -78,21 +109,9 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"parse error in {path}: {exc}") from exc
-    for sec in parser.sections():
-        if sec not in _SECTIONS:
-            raise ConfigError(f"unknown section [{sec}]")
-    d = get_preset("sym546")
-    raw = {sec: dict(parser[sec]) if parser.has_section(sec) else {}
-           for sec in _SECTIONS}
-    parts = {attr: _build(sec, raw[sec], getattr(d, attr), prefix)
-             for sec, attr, prefix in _LAYOUT}
-    unknown = [f"{sec}.{key}" for sec in _SECTIONS for key in raw[sec]]
-    if unknown:
-        raise ConfigError(f"unknown key(s): {', '.join(unknown)}")
-    try:
-        return ExperimentConfig(**parts)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return override_config(get_preset("sym546"),
+                           {sec: dict(parser[sec])
+                            for sec in parser.sections()})
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

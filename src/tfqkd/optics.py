@@ -15,6 +15,10 @@ import numpy as np
 #: Speed of light (m/s), used for wavelength <-> frequency conversion.
 _C = 299_792_458.0
 
+#: Drift rates are phase changes over non-overlapping windows of this
+#: length, both where the free drift is calibrated and where it is measured.
+RATE_WINDOW_S = 1e-3
+
 
 @dataclass(frozen=True)
 class LinkConfig:
@@ -142,20 +146,20 @@ def velocity_step_coeffs(noise: NoiseModel, dt: float) -> tuple[float, float]:
     """AR(1) update coefficients (a, s) with v' = a v + s * N(0,1).
 
     The stationary velocity variance is chosen so that the std of the
-    1 ms average drift rate equals ``free_drift_rate_std``.  For the
+    average drift rate over ``RATE_WINDOW_S`` equals
+    ``free_drift_rate_std``.  For the
     discrete AR(1) velocity, the phase change over m steps has variance
     sigma_v^2 dt^2 [m + 2 a (m - 1 - m a + a^m) / (1 - a)^2], which the
     calibration inverts exactly.
     """
     tau = noise.drift_corr_time_s
     a = math.exp(-dt / tau)
-    t_win = 1e-3
-    m = max(1, round(t_win / dt))
+    m = max(1, round(RATE_WINDOW_S / dt))
     if a < 1.0:
         cross = 2.0 * a * (m - 1 - m * a + a ** m) / (1.0 - a) ** 2
     else:
         cross = float(m * (m - 1))
-    var_shape = (m + cross) * dt * dt / (t_win * t_win)
+    var_shape = (m + cross) * dt * dt / (RATE_WINDOW_S * RATE_WINDOW_S)
     sigma_v = noise.free_drift_rate_std / math.sqrt(var_shape)
     s = sigma_v * math.sqrt(1.0 - a * a)
     return a, s

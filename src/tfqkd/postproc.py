@@ -248,7 +248,6 @@ class ProcessedRun:
     decoy: DecoyBounds
     z_stats: ZBasisStats
     pairing: PairingResult
-    e1_ph_prime: float
     inputs: KeyRateInputs
 
 
@@ -263,13 +262,12 @@ def process(table: CountsTable, pa: PartySettings, pb: PartySettings,
     decoy = decoy_bounds(table, pa, pb, sec)
     z = z_basis_stats(table)
     pairing = odd_parity_pairing(z, decoy.n1a, decoy.n1b)
-    e1_ph_prime = min(0.5, aopp_phase_error(decoy.e1_upper))
     inputs = KeyRateInputs(
         n_windows=table.n_windows,
         n1_prime=pairing.n1_prime,
-        e1_ph_prime=e1_ph_prime,
-        nt_prime=max(pairing.surviving_pairs, pairing.n1_prime),
+        e1_ph_prime=aopp_phase_error(decoy.e1_upper),
+        nt_prime=pairing.surviving_pairs,
         e_bit_prime=pairing.e_bit_prime,
     )
     return ProcessedRun(table=table, decoy=decoy, z_stats=z, pairing=pairing,
-                        e1_ph_prime=e1_ph_prime, inputs=inputs)
+                        inputs=inputs)

@@ -11,7 +11,7 @@ error rates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .optics import DetectorModel, LinkConfig, NoiseModel
 from .ratecore import PartySettings, SecuritySettings, check_sns_constraint
@@ -150,8 +150,3 @@ def get_preset(name: str) -> ExperimentConfig:
         return PRESETS[name]
     except KeyError:
         raise KeyError(f"unknown preset {name!r}; choose from {preset_names()}")
-
-
-def with_run(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    """Copy a config with updated run settings."""
-    return replace(cfg, run=replace(cfg.run, **kwargs))

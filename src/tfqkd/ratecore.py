@@ -143,11 +143,9 @@ def key_rate(inputs: KeyRateInputs, sec: SecuritySettings, *, clamp: bool = True
     return rate
 
 
-def rate_per_second(rate_per_signal: float, clock_hz: float = DEFAULT_CLOCK_HZ) -> float:
+def rate_per_second(rate_per_signal: float) -> float:
     """Convert bit/signal to bit/s at the effective clock rate."""
-    if clock_hz <= 0:
-        raise ValueError("clock rate must be positive")
-    return rate_per_signal * clock_hz
+    return rate_per_signal * DEFAULT_CLOCK_HZ
 
 
 def plob_bound(total_loss_db: float) -> float:

@@ -13,12 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import NoiseModel, free_running_phase
+from .optics import RATE_WINDOW_S, NoiseModel, free_running_phase
 
 TWO_PI = 2.0 * math.pi
-
-#: Drift-rate statistics use non-overlapping windows of this length.
-RATE_WINDOW_S = 1e-3
 
 STAGES = ("none", "fastOnly", "full")
 
@@ -84,14 +81,6 @@ class PIDState:
     output: float = 0.0
     unwrapped: float = 0.0
     integral: float = 0.0
-    saturated: bool = False
-
-
-def _pid_update(error: float, gains: tuple[float, float],
-                state: PIDState) -> float:
-    kp, ki = gains
-    state.integral += error
-    return -(kp * error + ki * state.integral)
 
 
 def _fringe_error(counts: float, setpoint: float) -> float:
@@ -160,26 +149,24 @@ def fast_loop_span(start: int, stop: int, phi_c: np.ndarray,
     state.output, state.unwrapped, state.integral = output, unwrapped, integral
 
 
-def slow_loop_step(d0_reference_rate_hz: float, loop: LoopConfig,
-                   state: PIDState) -> float:
-    """One slow-loop iteration; returns the new fiber-stretcher value.
+def slow_loop_step(counts: float, loop: LoopConfig, state: PIDState) -> bool:
+    """One slow-loop iteration on a reference-slot bin count.
 
-    Takes the reference-slot detection rate, extracts the mid-fringe
-    phase error, and integrates it onto the stretcher.  When the
+    Inverts ``counts`` to a mid-fringe phase error and applies the PI
+    update of :func:`fast_loop_span` to the fiber stretcher.  When the
     stretcher leaves its range it is rewound toward center by a whole
-    number of fringes (phase-invariant) and flagged saturated so the
-    caller can blank the affected interval.
+    number of fringes (phase-invariant).  Returns whether it was, so
+    the caller can blank the affected interval.
     """
-    if d0_reference_rate_hz < 0:
-        raise ValueError("reference rate must be nonnegative")
-    counts = d0_reference_rate_hz / loop.slow_rate_hz
     err = _fringe_error(counts, loop.d0_setpoint_counts)
-    state.unwrapped += _pid_update(err, loop.slow_gains, state)
-    state.saturated = abs(state.unwrapped) > loop.fs_range_rad
-    if state.saturated:
+    kp, ki = loop.slow_gains
+    state.integral += err
+    state.unwrapped -= kp * err + ki * state.integral
+    rewound = abs(state.unwrapped) > loop.fs_range_rad
+    if rewound:
         state.unwrapped -= TWO_PI * round(state.unwrapped / TWO_PI)
     state.output = state.unwrapped
-    return state.output
+    return rewound
 
 
 def frequency_readout(pm_history_rad: np.ndarray, window_s: float) -> float:
@@ -216,11 +203,10 @@ class StabilizationSummary:
     freq_readout_hz: float
 
 
-def drift_rate_rms(phase_rad: np.ndarray, dt_s: float,
-                   window_s: float = RATE_WINDOW_S) -> float:
-    """RMS drift rate over non-overlapping windows of ``window_s``."""
+def drift_rate_rms(phase_rad: np.ndarray, dt_s: float) -> float:
+    """RMS drift rate over non-overlapping windows of ``RATE_WINDOW_S``."""
     phase = np.asarray(phase_rad, dtype=float)
-    step = max(1, int(round(window_s / dt_s)))
+    step = max(1, int(round(RATE_WINDOW_S / dt_s)))
     sampled = phase[::step]
     if sampled.size < 2:
         raise ValueError("series too short for the requested window")
@@ -289,23 +275,21 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
         span = slow_every if stages == "full" else n
         blank_steps = max(1, int(round(1e-3 / dt)))
         d0_set = loop.d0_setpoint_counts
-        fs_val = 0.0
         for start in range(0, n, span):
             stop = min(start + span, n)
             fast_loop_span(start, stop, phi_c, pm, dc_counts, loop, vis, fast,
                            draw)
-            fs[start:stop] = fs_val
+            fs[start:stop] = slow.output
             if stages == "full" and stop % slow_every == 0:
                 i = stop - 1
                 fringe = round(fast.unwrapped / TWO_PI)
                 resid = (floor * t[i] + delta * laser_phase[i]
                          - delta * TWO_PI * fringe)
-                d0_rate = draw(
-                    d0_set * (1.0 + vis * math.sin(resid + fs_val))
-                ) * loop.slow_rate_hz
-                fs_val = fs[i] = slow_loop_step(d0_rate, loop, slow)
-                if slow.saturated:
+                counts = draw(
+                    d0_set * (1.0 + vis * math.sin(resid + slow.output)))
+                if slow_loop_step(counts, loop, slow):
                     blanked[i:i + blank_steps + 1] = True
+                fs[i] = slow.output
         resid_q = (floor * t + delta * laser_phase
                    - delta * TWO_PI * np.round(pm / TWO_PI))
 

@@ -12,8 +12,9 @@ import tfqkd
 
 from tfqkd import bench
 from tfqkd.cli import main
-from tfqkd.config import ConfigError, load_config, serialize_config
-from tfqkd.presets import get_preset, preset_names, with_run
+from tfqkd.config import (ConfigError, load_config, override_config,
+                          serialize_config)
+from tfqkd.presets import get_preset, preset_names
 from tfqkd.ratecore import check_sns_constraint, plob_bound
 
 
@@ -38,10 +39,25 @@ def test_presets_satisfy_balance():
         assert check_sns_constraint(cfg.party_a, cfg.party_b) <= 0.05
 
 
-def test_with_run_override():
-    cfg = with_run(get_preset("sym546"), n_windows=123.0, seed=7)
+def test_override_config():
+    base = get_preset("sym546")
+    raw = {"run": {"n_windows": "123", "seed": "7"},
+           "security": {"mode": "finite"}}
+    cfg = override_config(base, raw)
     assert cfg.run.n_windows == 123.0
     assert cfg.run.seed == 7
+    assert cfg.security.mode == "finite"
+    assert dataclasses.replace(cfg, run=base.run,
+                               security=base.security) == base
+    assert raw["run"] == {"n_windows": "123", "seed": "7"}
+    for bad, match in [({"run": {"n_windows": "nan"}},
+                        "run.n_windows: 'nan' is not a finite number"),
+                       ({"run": {"seed": "-1"}}, "run: seed must be"),
+                       ({"security": {"mode": "exact"}}, "security: mode"),
+                       ({"run": {"windows": "5"}}, "unknown key.*run.windows"),
+                       ({"sim": {}}, r"unknown section \[sim\]")]:
+        with pytest.raises(ConfigError, match=match):
+            override_config(base, bad)
 
 
 # ------------------------------------------------------------ config files
@@ -426,6 +442,25 @@ def test_cli_unwritable_output_path_exit(tmp_path, argv, flag, capsys):
     assert main(argv + [path]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and flag in err and path in err
+
+
+@pytest.mark.parametrize("bad_flag", ["--out", "--series-out"])
+def test_cli_stabilize_bad_output_path_runs_nothing(tmp_path, monkeypatch,
+                                                    bad_flag):
+    # A bad path exits 2 before the servo runs, and the other, valid
+    # output holds no bytes.
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_stabilization was called")
+
+    monkeypatch.setattr("tfqkd.cli.run_stabilization", no_run)
+    good = tmp_path / "good.tsv"
+    paths = {"--out": str(good), "--series-out": str(good),
+             bad_flag: str(tmp_path / "missing" / "x")}
+    argv = ["stabilize", "--duration", "2"]
+    for flag, path in paths.items():
+        argv += [flag, path]
+    assert main(argv) == 2
+    assert not good.exists() or good.stat().st_size == 0
 
 
 def test_cli_main_reuses_parser_across_calls(tmp_path, capsys):

@@ -327,7 +327,7 @@ def test_process_outputs_consistent():
     run = process(table, cfg.party_a, cfg.party_b, cfg.security)
     assert run.inputs.n1_prime <= run.inputs.nt_prime
     assert 0.0 <= run.inputs.e_bit_prime <= 0.5
-    assert run.e1_ph_prime == pytest.approx(
+    assert run.inputs.e1_ph_prime == pytest.approx(
         aopp_phase_error(min(0.5, run.decoy.e1_upper)), abs=1e-12)
     assert run.z_stats.qber == pytest.approx(0.2732, abs=0.03)
 

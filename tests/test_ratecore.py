@@ -106,7 +106,6 @@ def test_finite_never_exceeds_asymptotic():
 
 def test_rate_per_second():
     assert rate_per_second(2e-9) == pytest.approx(1.0)
-    assert rate_per_second(2e-9, clock_hz=1e9) == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------- PLOB

@@ -118,9 +118,8 @@ def test_slow_loop_zero_drift():
     loop = LoopConfig()
     state = PIDState()
     for _ in range(20):
-        slow_loop_step(loop.d0_reference_rate_hz, loop, state)
+        assert not slow_loop_step(loop.d0_setpoint_counts, loop, state)
     assert state.output == 0.0
-    assert not state.saturated
 
 
 def test_slow_loop_locks_static_offset():
@@ -128,8 +127,9 @@ def test_slow_loop_locks_static_offset():
     state = PIDState()
     offset = 0.4
     for _ in range(60):
-        rate = loop.d0_reference_rate_hz * (1.0 + math.sin(offset + state.output))
-        slow_loop_step(rate, loop, state)
+        counts = loop.d0_setpoint_counts * (1.0 + math.sin(offset
+                                                           + state.output))
+        slow_loop_step(counts, loop, state)
     assert state.output == pytest.approx(-0.4, abs=1e-3)
 
 
@@ -138,9 +138,8 @@ def test_slow_loop_range_reset_flag():
     state = PIDState()
     saw_reset = False
     for _ in range(400):
-        # Pegged error signal: rate at twice the set point.
-        slow_loop_step(2.0 * loop.d0_reference_rate_hz, loop, state)
-        if state.saturated:
+        # Pegged error signal: counts at twice the set point.
+        if slow_loop_step(2.0 * loop.d0_setpoint_counts, loop, state):
             saw_reset = True
             assert abs(state.output) <= 10.0 + TWO_PI
     assert saw_reset
@@ -194,7 +193,7 @@ def test_drift_rate_rms_linear_ramp():
 
 def test_drift_rate_rms_too_short():
     with pytest.raises(ValueError):
-        drift_rate_rms(np.zeros(5), 1e-5, window_s=1e-3)
+        drift_rate_rms(np.zeros(5), 1e-5)
 
 
 # ------------------------------------------------------ full simulation
@@ -269,7 +268,10 @@ def test_fast_lock_drift_pooled_over_seeds():
 def _reference_stabilization(duration_s, noise, loop, stages, seed):
     """The per-step loop that ``fast_loop_span`` replaced, as its oracle.
 
-    Returns the summary, the series and the number of stretcher resets.
+    The slow loop keeps its earlier arithmetic inline: the drawn count
+    goes through a rate in Hz and back, and the PI correction is added
+    negated.  Returns the summary, the series and the number of
+    stretcher resets.
     """
     dt = loop.fast_dt_s
     n = round(duration_s / dt)
@@ -283,8 +285,9 @@ def _reference_stabilization(duration_s, noise, loop, stages, seed):
     resets = 0
     if stages != "none":
         fast = PIDState()
-        slow = PIDState()
         kp, ki = loop.fast_gains
+        slow_kp, slow_ki = loop.slow_gains
+        fs_integral = 0.0
         delta = 1.0 - noise.band_ratio
         floor = noise.clock_drift_floor()
         setpoint = loop.dc_setpoint_counts
@@ -310,8 +313,12 @@ def _reference_stabilization(duration_s, noise, loop, stages, seed):
                 d0_rate = rng.poisson(
                     d0_set * (1.0 + vis * math.sin(resid_q[i] + fs_val))
                 ) * loop.slow_rate_hz
-                fs_val = slow_loop_step(d0_rate, loop, slow)
-                if slow.saturated:
+                err = math.asin(max(-1.0, min(
+                    1.0, d0_rate / loop.slow_rate_hz / d0_set - 1.0)))
+                fs_integral += err
+                fs_val += -(slow_kp * err + slow_ki * fs_integral)
+                if abs(fs_val) > loop.fs_range_rad:
+                    fs_val -= TWO_PI * round(fs_val / TWO_PI)
                     resets += 1
                     blank_until = i + blank_steps
             fs[i] = fs_val
@@ -346,6 +353,20 @@ def _reference_stabilization(duration_s, noise, loop, stages, seed):
     return summary, series, resets
 
 
+def _assert_matches_oracle(duration_s, noise, loop, stages, seed):
+    """Check a run against the oracle bit for bit; return its resets."""
+    summary, series = run_stabilization(duration_s, noise, loop,
+                                        stages=stages, seed=seed)
+    want, want_series, resets = _reference_stabilization(duration_s, noise,
+                                                         loop, stages, seed)
+    assert (np.array(dataclasses.astuple(summary)).tobytes()
+            == np.array(dataclasses.astuple(want)).tobytes())
+    assert series.keys() == want_series.keys()
+    for key, values in want_series.items():
+        assert series[key].tobytes() == values.tobytes(), key
+    return resets
+
+
 @pytest.mark.parametrize("loop", [
     LoopConfig(),
     LoopConfig(fs_range_rad=3.0),      # stretcher resets and blanking
@@ -355,15 +376,14 @@ def _reference_stabilization(duration_s, noise, loop, stages, seed):
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 @pytest.mark.parametrize("stages", STAGES)
 def test_run_stabilization_matches_per_step_oracle(stages, preset, loop):
-    noise = PRESETS[preset].noise
-    summary, series = run_stabilization(0.2, noise, loop, stages=stages,
-                                        seed=3)
-    want, want_series, resets = _reference_stabilization(0.2, noise, loop,
-                                                         stages, seed=3)
+    resets = _assert_matches_oracle(0.2, PRESETS[preset].noise, loop, stages,
+                                    seed=3)
     if stages == "full" and loop.fs_range_rad == 3.0:
         assert resets > 0
-    assert (np.array(dataclasses.astuple(summary)).tobytes()
-            == np.array(dataclasses.astuple(want)).tobytes())
-    assert series.keys() == want_series.keys()
-    for key, values in want_series.items():
-        assert series[key].tobytes() == values.tobytes(), key
+
+
+def test_run_stabilization_rewinds_at_default_range():
+    # At the default 60 rad range a 2 s run still rewinds the stretcher.
+    resets = _assert_matches_oracle(2.0, PRESETS["sym546"].noise,
+                                    LoopConfig(), "full", seed=3)
+    assert resets >= 1
