@@ -1,5 +1,6 @@
 """Configuration ingestion, presets, sweeps, optimizer, and the CLI."""
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -384,6 +385,49 @@ def test_cli_reports_match_golden_files(preset, capsys):
         out = capsys.readouterr().out
         rates = out[out.index("y1a_lower\t"):]
         assert rates == (GOLDEN / f"keyrate_{preset}_{mode}.tsv").read_text()
+
+
+_STABILIZE = ["stabilize", "--preset", "sym546", "--duration", "0.2",
+              "--seed", "3", "--stages"]
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("verify.txt", ["verify"]),
+    ("preset_list.txt", ["preset", "list"]),
+    ("sweep_sym546.tsv", ["sweep", "--preset", "sym546",
+                          "--distances", "300,546.61,650"]),
+    *((f"simulate_{p}.tsv", ["simulate", "--preset", p, "--windows", "1e6",
+                             "--seed", "3"])
+      for p in ("sym546", "sym603", "asym452")),
+    *((f"stabilize_sym546_{s}.tsv", _STABILIZE + [s])
+      for s in ("none", "fastOnly", "full")),
+    ("optimize_sym546_finite_head.tsv", ["optimize", "--preset", "sym546",
+                                         "--mode", "finite", "--budget",
+                                         "200"]),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_cli_file_reports_match_golden_files(tmp_path, golden, argv):
+    """Every subcommand's ``--out`` report is pinned byte for byte.
+
+    Only integer counts and ``%.6e`` values are pinned.  The optimized
+    INI (``repr`` floats) is left out of the ``optimize`` golden, which
+    keeps the three head lines.
+    """
+    out = tmp_path / "report"
+    assert main(argv + ["--out", str(out)]) == 0
+    text = out.read_text()
+    if golden.startswith("optimize"):
+        text = "".join(text.splitlines(True)[:3])
+    assert text == (GOLDEN / golden).read_text()
+
+
+def test_cli_series_matches_golden_hash(tmp_path):
+    """The 0.2 s ``full`` series (about 2 MB) is pinned by its sha256."""
+    series = tmp_path / "series.tsv"
+    assert main(_STABILIZE + ["full", "--out", str(tmp_path / "report"),
+                              "--series-out", str(series)]) == 0
+    digest = hashlib.sha256(series.read_bytes()).hexdigest()
+    assert digest + "\n" == (
+        GOLDEN / "stabilize_sym546_full_series.sha256").read_text()
 
 
 def test_cli_sweep(tmp_path, capsys):
