@@ -5,12 +5,21 @@ Subcommands: ``verify``, ``keyrate``, ``simulate``, ``stabilize``,
 (including zero-rate runs), 1 verification failure, 2 configuration
 error.  The parser is built once, at import, so :func:`main` may be
 called any number of times in one process.
+
+Each ``_cmd_*`` writes nothing: it returns its exit code and its texts
+by output dest, and only :func:`main` writes.  It opens every given path
+before the work without truncating it, so a bad path exits 2 at once.
+Once the command returns (exit 1 included) it overwrites each target in
+place, keeping its mode, owner and links; a failing command leaves an
+existing target byte-identical and creates none.  The write is not
+crash-atomic.  Text without a path goes to ``sys.stdout``.
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
+import dataclasses
 import math
+import os
 import sys
 
 from . import bench
@@ -24,36 +33,24 @@ from .ratecore import rate_per_second
 from .servo import STAGES, LoopConfig, run_stabilization
 
 
+def _preset(name: str) -> ExperimentConfig:
+    try:
+        return get_preset(name)
+    except KeyError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _resolve_config(args) -> ExperimentConfig:
     if getattr(args, "config", None):
         cfg = load_config(args.config)
     else:
-        name = getattr(args, "preset", None) or "sym546"
-        try:
-            cfg = get_preset(name)
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
+        cfg = _preset(getattr(args, "preset", None) or "sym546")
     raw = {}
     for flag, (section, key, _) in _RUN_FLAGS.items():
         value = getattr(args, flag, None)
         if value is not None:
             raw.setdefault(section, {})[key] = value
     return override_config(cfg, raw)
-
-
-def _open_for_writing(path: str, flag: str):
-    try:
-        return open(path, "w")
-    except OSError as exc:
-        raise ConfigError(f"{flag}: {exc}") from exc
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with _open_for_writing(out_path, "--out") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def format_run_report(cfg: ExperimentConfig, run: ProcessedRun,
@@ -87,62 +84,48 @@ def format_run_report(cfg: ExperimentConfig, run: ProcessedRun,
     return "\n".join(lines) + "\n"
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, dict[str, str]]:
     ok, report = bench.verify()
-    _emit(report, args.out)
-    return 0 if ok else 1
+    return (0 if ok else 1), {"out": report}
 
 
-def _cmd_keyrate(args) -> int:
+def _cmd_keyrate(args) -> tuple[int, dict[str, str]]:
     cfg = _resolve_config(args)
     skr, run = bench.analytic_keyrate(cfg)
-    _emit(format_run_report(cfg, run, skr), args.out)
-    return 0
+    return 0, {"out": format_run_report(cfg, run, skr)}
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[int, dict[str, str]]:
     cfg = _resolve_config(args)
     table = simulate(cfg, int(cfg.run.n_windows), seed=cfg.run.seed)
     skr, run = bench.keyrate_from_counts(cfg, table)
-    _emit(format_run_report(cfg, run, skr), args.out)
-    return 0
+    return 0, {"out": format_run_report(cfg, run, skr)}
 
 
-def _cmd_stabilize(args) -> int:
+def _cmd_stabilize(args) -> tuple[int, dict[str, str]]:
     cfg = _resolve_config(args)
-    with contextlib.ExitStack() as files:
-        # Open every output first: a bad path then fails before the run,
-        # and no output gets bytes unless the run succeeds.
-        out, series_out = [
-            files.enter_context(_open_for_writing(path, flag))
-            if path else None
-            for path, flag in ((args.out, "--out"),
-                               (args.series_out, "--series-out"))]
-        try:
-            summary, series = run_stabilization(args.duration, cfg.noise,
-                                                LoopConfig(),
-                                                stages=args.stages,
-                                                seed=cfg.run.seed)
-        except ValueError as exc:  # the config is checked; --duration is not
-            raise ConfigError(f"--duration: {exc}") from exc
-        except MemoryError as exc:  # the series arrays grow with --duration
-            raise ConfigError(f"--duration {args.duration} s is too long: "
-                              f"{exc}") from exc
-        names = ("free_drift_std_rad_per_s", "fast_locked_drift_std_rad_per_s",
-                 "residual_phase_std_c_rad", "residual_phase_std_q_rad",
-                 "reduction_factor", "freq_readout_hz")
-        lines = [f"stages\t{args.stages}", f"duration_s\t{args.duration}"]
-        lines += [f"{name}\t{getattr(summary, name):.6e}" for name in names]
-        if series_out:  # one column per series, in order
-            row = "\t".join(["%.9e"] * len(series)) + "\n"
-            rows = zip(*(col.tolist() for col in series.values()))
-            series_out.write("\t".join(series) + "\n"
-                             + "".join(row % r for r in rows))
-        (out or sys.stdout).write("\n".join(lines) + "\n")
-    return 0
+    try:
+        summary, series = run_stabilization(args.duration, cfg.noise,
+                                            LoopConfig(), stages=args.stages,
+                                            seed=cfg.run.seed)
+    except ValueError as exc:  # the config is checked; --duration is not
+        raise ConfigError(f"--duration: {exc}") from exc
+    except MemoryError as exc:  # the series arrays grow with --duration
+        raise ConfigError(f"--duration {args.duration} s is too long: "
+                          f"{exc}") from exc
+    lines = [f"stages\t{args.stages}", f"duration_s\t{args.duration}"]
+    lines += [f"{f.name}\t{getattr(summary, f.name):.6e}"
+              for f in dataclasses.fields(summary)]
+    texts = {"out": "\n".join(lines) + "\n"}
+    if args.series_out:  # one column per series, in order
+        row = "\t".join(["%.9e"] * len(series)) + "\n"
+        rows = zip(*(col.tolist() for col in series.values()))
+        texts["series_out"] = "".join(["\t".join(series) + "\n"]
+                                      + [row % r for r in rows])
+    return 0, texts
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[int, dict[str, str]]:
     cfg = _resolve_config(args)
     try:
         distances = [float(x) for x in args.distances.split(",") if x.strip()]
@@ -152,11 +135,10 @@ def _cmd_sweep(args) -> int:
         rows = bench.sweep(cfg, distances)
     except ValueError as exc:  # the config is checked; --distances is not
         raise ConfigError(f"--distances: {exc}") from exc
-    _emit(bench.format_sweep(rows), args.out)
-    return 0
+    return 0, {"out": bench.format_sweep(rows)}
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> tuple[int, dict[str, str]]:
     cfg = _resolve_config(args)
     if args.budget < 0:
         raise ConfigError(f"--budget must be nonnegative, got {args.budget}")
@@ -165,22 +147,15 @@ def _cmd_optimize(args) -> int:
             f"evaluations\t{result.evaluations}\n"
             f"budget_exhausted\t{str(result.budget_exhausted).lower()}\n"
             + serialize_config(result.config))
-    _emit(text, args.out)
-    return 0
+    return 0, {"out": text}
 
 
-def _cmd_preset(args) -> int:
+def _cmd_preset(args) -> tuple[int, dict[str, str]]:
     if args.action == "list":
-        _emit("\n".join(preset_names()) + "\n", args.out)
-        return 0
+        return 0, {"out": "\n".join(preset_names()) + "\n"}
     if not args.name:
         raise ConfigError("preset show requires a name")
-    try:
-        cfg = get_preset(args.name)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
-    _emit(serialize_config(cfg), args.out)
-    return 0
+    return 0, {"out": serialize_config(_preset(args.name))}
 
 
 #: Run flags as the INI (section, key) they set, with their help text.
@@ -252,11 +227,35 @@ _PARSER = _build_parser()
 
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
+    files = {}  # dest -> (whether the path existed before the open, file)
     try:
-        return args.func(args)
-    except ConfigError as exc:
+        for dest, flag in (("out", "--out"), ("series_out", "--series-out")):
+            path = getattr(args, dest, None)
+            if path:
+                try:
+                    files[dest] = os.path.lexists(path), open(path, "a")
+                except OSError as exc:
+                    raise ConfigError(f"{flag}: {exc}") from exc
+        code, texts = args.func(args)
+    except BaseException as exc:
+        for existed, fh in files.values():  # "a" has not touched old bytes
+            fh.close()
+            if not existed:
+                os.remove(fh.name)
+        if not isinstance(exc, ConfigError):
+            raise
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    for dest, text in texts.items():
+        if dest not in files:
+            sys.stdout.write(text)
+            continue
+        with files[dest][1] as fh:
+            # ftruncate on an empty file costs more than the whole write.
+            if fh.seekable() and fh.tell():
+                fh.truncate(0)
+            fh.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -133,6 +133,15 @@ def test_criterion_07_full_pipeline_residual():
 # ------------------------------------------- 8: Monte Carlo vs analytic
 
 def test_criterion_08_monte_carlo_matches_expectation():
+    """False-alarm rate: at most 3.4e-3 per seed, by the union bound.
+
+    The test makes 54 checks (25 window counts, 25 herald counts and the
+    four X11/X22 tallies).  Each is an exact two-sided Poisson interval
+    at 4 sigma, with alpha = 2*Phi(-4) = 6.33e-5; the discrete quantiles
+    keep each check's false-alarm probability at or below alpha.  So a
+    correct program fails a given seed with probability at most
+    54 * 6.33e-5 = 3.4e-3.
+    """
     cfg = get_preset("sym546")
     n = 10**8
     mc = simulate(cfg, n, seed=0)

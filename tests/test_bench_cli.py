@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -492,7 +493,7 @@ def test_cli_unwritable_output_path_exit(tmp_path, argv, flag, capsys):
 def test_cli_stabilize_bad_output_path_runs_nothing(tmp_path, monkeypatch,
                                                     bad_flag):
     # A bad path exits 2 before the servo runs, and the other, valid
-    # output holds no bytes.
+    # output is not created.
     def no_run(*args, **kwargs):
         raise AssertionError("run_stabilization was called")
 
@@ -504,7 +505,97 @@ def test_cli_stabilize_bad_output_path_runs_nothing(tmp_path, monkeypatch,
     for flag, path in paths.items():
         argv += [flag, path]
     assert main(argv) == 2
-    assert not good.exists() or good.stat().st_size == 0
+    assert not good.exists()
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["verify"], "bench.verify"),
+    (["keyrate"], "bench.analytic_keyrate"),
+    (["simulate", "--windows", "1e3"], "simulate"),
+    (["stabilize", "--duration", "0.2"], "run_stabilization"),
+    (["sweep", "--distances", "500"], "bench.sweep"),
+    (["optimize"], "bench.optimize"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_cli_bad_output_path_runs_no_work(tmp_path, monkeypatch, capsys,
+                                          argv, work):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} was called")
+
+    monkeypatch.setattr(f"tfqkd.cli.{work}", no_work)
+    assert main(argv + ["--out", str(tmp_path / "missing" / "x")]) == 2
+    assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["stabilize", "--duration", "0.05"],
+    ["sweep", "--distances", "abc"],
+    ["optimize", "--budget", "-3"],
+    ["keyrate", "--preset", "nope"],
+    ["stabilize", "--duration", "0.2", "--series-out", "missing/x"],
+], ids=["short-duration", "bad-distances", "negative-budget",
+        "unknown-preset", "bad-series-out"])
+@pytest.mark.parametrize("existing", [True, False],
+                         ids=["existing", "missing"])
+def test_cli_failing_command_leaves_output_as_found(tmp_path, monkeypatch,
+                                                    argv, existing):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "report.tsv"
+    if existing:
+        out.write_text("an earlier report\n")
+    assert main(argv + ["--out", str(out)]) == 2
+    if existing:
+        assert out.read_text() == "an earlier report\n"
+    else:
+        assert not out.exists()
+    assert sorted(os.listdir(tmp_path)) == (["report.tsv"] if existing
+                                           else [])
+
+
+def test_cli_overwrite_leaves_no_stale_tail(tmp_path, capsys):
+    assert main(["preset", "list"]) == 0
+    want = capsys.readouterr().out
+    out = tmp_path / "list.txt"
+    out.write_text("x" * 10 * len(want))
+    assert main(["preset", "list", "--out", str(out)]) == 0
+    assert out.read_text() == want
+
+
+def test_cli_verify_writes_report_on_failure(tmp_path, monkeypatch):
+    text = "identity suite: 1 failed\nFAIL planted\n"
+    monkeypatch.setattr("tfqkd.cli.bench.verify", lambda: (False, text))
+    out = tmp_path / "verify.txt"
+    out.write_text("an earlier, longer report\n" * 4)
+    assert main(["verify", "--out", str(out)]) == 1
+    assert out.read_text() == text
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_cli_writes_report_to_fifo(tmp_path, capsys):
+    assert main(["preset", "list"]) == 0
+    want = capsys.readouterr().out
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+
+    def drain():
+        with open(fifo) as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    assert main(["preset", "list", "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert got == [want]
+
+
+def test_cli_stdout_is_never_truncated(tmp_path, monkeypatch):
+    path = tmp_path / "stdout.txt"
+    path.write_text("earlier output\n")
+    with open(path, "a") as fh, monkeypatch.context() as m:
+        m.setattr(sys, "stdout", fh)
+        assert main(["preset", "list"]) == 0
+    assert path.read_text() == "earlier output\n" + "".join(
+        f"{name}\n" for name in preset_names())
 
 
 def test_cli_main_reuses_parser_across_calls(tmp_path, capsys):
