@@ -400,7 +400,14 @@ _STABILIZE = ["stabilize", "--preset", "sym546", "--duration", "0.2",
     *((f"simulate_{p}.tsv", ["simulate", "--preset", p, "--windows", "1e6",
                              "--seed", "3"])
       for p in ("sym546", "sym603", "asym452")),
-    *((f"stabilize_sym546_{s}.tsv", _STABILIZE + [s])
+    # At the preset's own window count, so every category has heralds.
+    *((f"simulate_{p}_preset_windows_{m}.tsv",
+       ["simulate", "--preset", p, "--seed", "3", "--mode", m])
+      for p in ("sym546", "sym603", "asym452")
+      for m in ("asymptotic", "finite")),
+    *((f"stabilize_{p}_{s}.tsv",
+       ["stabilize", "--preset", p] + _STABILIZE[3:] + [s])
+      for p in ("sym546", "sym603", "asym452")
       for s in ("none", "fastOnly", "full")),
     ("optimize_sym546_finite_head.tsv", ["optimize", "--preset", "sym546",
                                          "--mode", "finite", "--budget",
