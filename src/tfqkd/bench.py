@@ -8,9 +8,8 @@ from dataclasses import dataclass, replace
 
 from .counts import CountsTable
 from .engine import expected_counts
-from .optics import LinkConfig, NoiseModel
 from .postproc import ProcessedRun, aopp_phase_error, process
-from .presets import ExperimentConfig, get_preset
+from .presets import ExperimentConfig, LinkConfig, NoiseModel, get_preset
 from .ratecore import (PartySettings, check_sns_constraint, key_rate,
                        phase_misalignment_qber, plob_bound, rate_per_second,
                        sns_balance_rhs)

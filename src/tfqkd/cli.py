@@ -21,16 +21,20 @@ import dataclasses
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import bench
 from .config import (ConfigError, load_config, override_config,
                      serialize_config)
 from .counts import CATEGORIES
-from .engine import simulate
-from .postproc import ProcessedRun
-from .presets import ExperimentConfig, get_preset, preset_names
+from .presets import STAGES, ExperimentConfig, get_preset, preset_names
 from .ratecore import rate_per_second
-from .servo import STAGES, LoopConfig, run_stabilization
+
+if TYPE_CHECKING:
+    from .postproc import ProcessedRun
+
+#: Rows of the ``--series-out`` text formatted per block: one block's
+#: ``tolist()`` copies and row strings stay small next to the text.
+_SERIES_BLOCK_ROWS = 4096
 
 
 def _preset(name: str) -> ExperimentConfig:
@@ -85,17 +89,21 @@ def format_run_report(cfg: ExperimentConfig, run: ProcessedRun,
 
 
 def _cmd_verify(args) -> tuple[int, dict[str, str]]:
+    from . import bench
     ok, report = bench.verify()
     return (0 if ok else 1), {"out": report}
 
 
 def _cmd_keyrate(args) -> tuple[int, dict[str, str]]:
+    from . import bench
     cfg = _resolve_config(args)
     skr, run = bench.analytic_keyrate(cfg)
     return 0, {"out": format_run_report(cfg, run, skr)}
 
 
 def _cmd_simulate(args) -> tuple[int, dict[str, str]]:
+    from . import bench
+    from .engine import simulate
     cfg = _resolve_config(args)
     table = simulate(cfg, int(cfg.run.n_windows), seed=cfg.run.seed)
     skr, run = bench.keyrate_from_counts(cfg, table)
@@ -103,6 +111,7 @@ def _cmd_simulate(args) -> tuple[int, dict[str, str]]:
 
 
 def _cmd_stabilize(args) -> tuple[int, dict[str, str]]:
+    from .servo import LoopConfig, run_stabilization
     cfg = _resolve_config(args)
     try:
         summary, series = run_stabilization(args.duration, cfg.noise,
@@ -119,13 +128,17 @@ def _cmd_stabilize(args) -> tuple[int, dict[str, str]]:
     texts = {"out": "\n".join(lines) + "\n"}
     if args.series_out:  # one column per series, in order
         row = "\t".join(["%.9e"] * len(series)) + "\n"
-        rows = zip(*(col.tolist() for col in series.values()))
-        texts["series_out"] = "".join(["\t".join(series) + "\n"]
-                                      + [row % r for r in rows])
+        cols = list(series.values())
+        blocks = ["\t".join(series) + "\n"]
+        for i in range(0, cols[0].size, _SERIES_BLOCK_ROWS):
+            rows = zip(*(c[i:i + _SERIES_BLOCK_ROWS].tolist() for c in cols))
+            blocks.append("".join([row % r for r in rows]))
+        texts["series_out"] = "".join(blocks)
     return 0, texts
 
 
 def _cmd_sweep(args) -> tuple[int, dict[str, str]]:
+    from . import bench
     cfg = _resolve_config(args)
     try:
         distances = [float(x) for x in args.distances.split(",") if x.strip()]
@@ -139,6 +152,7 @@ def _cmd_sweep(args) -> tuple[int, dict[str, str]]:
 
 
 def _cmd_optimize(args) -> tuple[int, dict[str, str]]:
+    from . import bench
     cfg = _resolve_config(args)
     if args.budget < 0:
         raise ConfigError(f"--budget must be nonnegative, got {args.budget}")

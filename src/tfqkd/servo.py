@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import RATE_WINDOW_S, NoiseModel, free_running_phase
+from .optics import RATE_WINDOW_S, free_running_phase
+from .presets import STAGES, NoiseModel
 
 TWO_PI = 2.0 * math.pi
-
-STAGES = ("none", "fastOnly", "full")
 
 #: Size cap of a fringe-error table (see :func:`_error_table`).
 _ERROR_TABLE_MAX = 4096

@@ -14,9 +14,8 @@ from scipy.stats import norm, poisson
 from tfqkd import bench
 from tfqkd.counts import CATEGORIES
 from tfqkd.engine import expected_counts, simulate
-from tfqkd.optics import DetectorModel, LinkConfig, NoiseModel
 from tfqkd.postproc import decoy_bounds, process
-from tfqkd.presets import get_preset
+from tfqkd.presets import DetectorModel, LinkConfig, NoiseModel, get_preset
 from tfqkd.ratecore import (PartySettings, SecuritySettings,
                             check_sns_constraint, phase_misalignment_qber,
                             plob_bound)

@@ -504,7 +504,7 @@ def test_cli_stabilize_bad_output_path_runs_nothing(tmp_path, monkeypatch,
     def no_run(*args, **kwargs):
         raise AssertionError("run_stabilization was called")
 
-    monkeypatch.setattr("tfqkd.cli.run_stabilization", no_run)
+    monkeypatch.setattr("tfqkd.servo.run_stabilization", no_run)
     good = tmp_path / "good.tsv"
     paths = {"--out": str(good), "--series-out": str(good),
              bad_flag: str(tmp_path / "missing" / "x")}
@@ -513,13 +513,18 @@ def test_cli_stabilize_bad_output_path_runs_nothing(tmp_path, monkeypatch,
         argv += [flag, path]
     assert main(argv) == 2
     assert not good.exists()
+    with pytest.raises(AssertionError, match="run_stabilization was called"):
+        main(["stabilize", "--out", str(good)])
 
 
 @pytest.mark.parametrize("argv, work", [
     (["verify"], "bench.verify"),
     (["keyrate"], "bench.analytic_keyrate"),
-    (["simulate", "--windows", "1e3"], "simulate"),
-    (["stabilize", "--duration", "0.2"], "run_stabilization"),
+    # The ids keep the names these two had when cli imported them.
+    pytest.param(["simulate", "--windows", "1e3"], "engine.simulate",
+                 id="simulate-simulate"),
+    pytest.param(["stabilize", "--duration", "0.2"], "servo.run_stabilization",
+                 id="stabilize-run_stabilization"),
     (["sweep", "--distances", "500"], "bench.sweep"),
     (["optimize"], "bench.optimize"),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
@@ -528,9 +533,12 @@ def test_cli_bad_output_path_runs_no_work(tmp_path, monkeypatch, capsys,
     def no_work(*args, **kwargs):
         raise AssertionError(f"{work} was called")
 
-    monkeypatch.setattr(f"tfqkd.cli.{work}", no_work)
+    monkeypatch.setattr(f"tfqkd.{work}", no_work)
     assert main(argv + ["--out", str(tmp_path / "missing" / "x")]) == 2
     assert "--out" in capsys.readouterr().err
+    # The patched function is the one the command runs.
+    with pytest.raises(AssertionError, match=f"{work} was called"):
+        main(argv + ["--out", str(tmp_path / "x")])
 
 
 @pytest.mark.parametrize("argv", [
@@ -569,7 +577,7 @@ def test_cli_overwrite_leaves_no_stale_tail(tmp_path, capsys):
 
 def test_cli_verify_writes_report_on_failure(tmp_path, monkeypatch):
     text = "identity suite: 1 failed\nFAIL planted\n"
-    monkeypatch.setattr("tfqkd.cli.bench.verify", lambda: (False, text))
+    monkeypatch.setattr("tfqkd.bench.verify", lambda: (False, text))
     out = tmp_path / "verify.txt"
     out.write_text("an earlier, longer report\n" * 4)
     assert main(["verify", "--out", str(out)]) == 1
@@ -687,3 +695,72 @@ def test_cli_subcommands_run_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     for stages in ("none", "fastOnly", "full"):
         assert (tmp_path / f"{stages}.tsv").stat().st_size > 0
+
+
+_BLOCKED = """
+import sys
+for name in sys.argv[1].split(","):
+    sys.modules[name] = None  # importing it now raises ImportError
+from tfqkd.cli import main
+golden = sys.argv[2]
+runs = {
+    "numpy": [
+        ("preset_list.txt", ["preset", "list"]),
+        *((f"preset_{p}.ini", ["preset", "show", p])
+          for p in ("sym546", "sym603", "asym452")),
+        (None, ["--help"]),
+    ],
+    "tfqkd.engine,tfqkd.postproc,tfqkd.bench": [
+        (f"stabilize_sym546_{s}.tsv",
+         ["stabilize", "--duration", "0.2", "--seed", "3", "--stages", s])
+        for s in ("none", "fastOnly", "full")
+    ],
+    "tfqkd.servo": [
+        ("keyrate_sym546_finite.tsv", ["keyrate", "--mode", "finite"]),
+        ("simulate_sym546.tsv", ["simulate", "--windows", "1e6", "--seed", "3"]),
+        ("sweep_sym546.tsv", ["sweep", "--distances", "300,546.61,650"]),
+        ("optimize_sym546_finite_head.tsv",
+         ["optimize", "--mode", "finite", "--budget", "200"]),
+        ("verify.txt", ["verify"]),
+    ],
+}[sys.argv[1]]
+for name, argv in runs:
+    try:
+        code = main(argv + ["--out", "report"] if name else argv)
+    except SystemExit as exc:
+        code = exc.code
+    if code:
+        sys.exit(f"{argv} exited {code}")
+    if name:
+        with open("report") as fh:
+            text = fh.read()
+        if name.startswith("keyrate"):
+            text = text[text.index("y1a_lower\\t"):]
+        elif name.startswith("optimize"):
+            text = "".join(text.splitlines(True)[:3])
+        with open(f"{golden}/{name}") as fh:
+            if text != fh.read():
+                sys.exit(f"{argv} does not match {name}")
+"""
+
+
+@pytest.mark.parametrize("blocked", [
+    "numpy",
+    "tfqkd.engine,tfqkd.postproc,tfqkd.bench",
+    "tfqkd.servo",
+])
+def test_cli_subcommands_load_only_their_layers(tmp_path, blocked):
+    """Each subcommand imports only the layers it runs.
+
+    With the named modules blocked in a fresh interpreter: ``preset
+    list``, ``preset show`` and ``--help`` run without numpy;
+    ``stabilize`` without the engine, post-processing and bench layers;
+    ``keyrate``, ``simulate``, ``sweep``, ``optimize`` and ``verify``
+    without the servo.  Each report still matches its golden file.
+    """
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(tfqkd.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _BLOCKED, blocked,
+                           str(GOLDEN)], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.signal import lfilter
 
-from tfqkd.optics import (DetectorModel, LinkConfig, NoiseModel,
-                          click_probability_arrays, free_running_phase,
+from tfqkd.optics import (click_probability_arrays, free_running_phase,
                           velocity_step_coeffs)
-from tfqkd.presets import PRESETS
+from tfqkd.presets import PRESETS, DetectorModel, LinkConfig, NoiseModel
 
 
 # --------------------------------------------------------- transmittance

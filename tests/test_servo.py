@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from tfqkd.optics import NoiseModel, free_running_phase
-from tfqkd.presets import PRESETS
+from tfqkd.optics import free_running_phase
+from tfqkd.presets import PRESETS, NoiseModel
 from tfqkd.servo import (_ERROR_TABLE_MAX, STAGES, LoopConfig, PIDState,
                          StabilizationSummary, _error_table, _wrap_fringe,
                          drift_rate_rms, fast_loop_span, frequency_readout,
