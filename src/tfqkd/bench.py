@@ -118,23 +118,20 @@ def _apply(cfg: ExperimentConfig, name: str, value: float,
         return None
 
 
-def optimize(cfg: ExperimentConfig, parameters: tuple[str, ...] = FREE_PARAMETERS,
-             budget: int = 200) -> OptimizeResult:
+def optimize(cfg: ExperimentConfig, budget: int = 200) -> OptimizeResult:
     """Coordinate-descent search for the best source settings.
 
-    Each pass tries multiplicative steps up/down on every free
-    parameter; the step shrinks when a pass makes no progress.  Party
-    B's weak decoy intensity is always re-derived from the balance
-    condition, so every candidate satisfies it by construction.
+    Each pass tries multiplicative steps up/down on every parameter of
+    :data:`FREE_PARAMETERS`; the step shrinks when a pass makes no
+    progress.  Party B's weak decoy intensity is always re-derived from
+    the balance condition, so every candidate satisfies it by
+    construction.
     Deterministic; stops at the evaluation budget with a flag.  A
     candidate the search revisits is not recomputed: its key rate is
     read back from the ones scored earlier in this call, but the visit
     still counts toward the budget, so the search path and evaluation
     count are those of a search that recomputes it.
     """
-    for p in parameters:
-        if p not in FREE_PARAMETERS:
-            raise ValueError(f"unknown free parameter {p!r}")
     # Candidates differ only in their parties.
     scored: dict[tuple[PartySettings, PartySettings], float] = {}
 
@@ -152,7 +149,7 @@ def optimize(cfg: ExperimentConfig, parameters: tuple[str, ...] = FREE_PARAMETER
     exhausted = False
     while step > 1.005:
         improved = False
-        for name in parameters:
+        for name in FREE_PARAMETERS:
             for factor in (step, 1.0 / step):
                 if evals >= budget:
                     exhausted = True

@@ -6,34 +6,25 @@ Subcommands: ``verify``, ``keyrate``, ``simulate``, ``stabilize``,
 error.  The parser is built once, at import, so :func:`main` may be
 called any number of times in one process.
 
-Each ``_cmd_*`` writes nothing: it returns its exit code and its texts
-by output dest, and only :func:`main` writes.  It opens every given path
-before the work without truncating it, so a bad path exits 2 at once.
-Once the command returns (exit 1 included) it overwrites each target in
-place, keeping its mode, owner and links; a failing command leaves an
-existing target byte-identical and creates none.  The write is not
-crash-atomic.  Text without a path goes to ``sys.stdout``.
+Each ``_cmd_*`` writes nothing: it returns its exit code and, by output
+dest, the list of text chunks to write, and only :func:`main` writes.
+It opens every given path before the work without truncating it, so a
+bad path exits 2 at once.  Once the command returns (exit 1 included) it
+overwrites each target in place with ``writelines``, keeping its mode,
+owner and links; a failing command leaves an existing target
+byte-identical and creates none.  The write is not crash-atomic.  Text
+without a path goes to ``sys.stdout``.
 
 At import this module loads only numpy-free layers: ``config``,
-``counts``, ``presets`` (which holds every settings type) and
-``ratecore``.  Each ``_cmd_*`` imports the layers it runs in its own
-body, so ``preset list|show`` and ``--help`` load no numpy,
-``stabilize`` adds ``servo`` and ``optics`` only, and ``verify``,
-``keyrate``, ``simulate``, ``sweep`` and ``optimize`` add ``bench``,
-``engine``, ``optics`` and ``postproc`` but no ``servo``.  The first
-command of each kind in a process pays that import.
-
-Cold wall time of ``python -m tfqkd.cli <command>`` in ms, median of 12
-fresh interpreters per side (2-core x86-64 host, Python 3.11.7, numpy
-2.4.6; each start includes about 40-50 ms of a site ``.pth`` file that
-imports ``certifi``):
-
-    command                    every layer at start-up  per subcommand
-    preset list                243                      121
-    preset show sym546         246                      125
-    keyrate                    260                      250
-    verify                     286                      280
-    stabilize --duration 0.1   343                      324
+``counts``, ``presets`` (which holds the link, detector, noise and run
+settings and the whole ``ExperimentConfig``) and ``ratecore`` (which
+holds the party and security settings).  Each ``_cmd_*`` imports the
+layers it runs in its own body, so ``preset list|show`` and ``--help``
+load no numpy, ``stabilize`` adds ``servo`` and ``optics`` only, and
+``verify``, ``keyrate``, ``simulate``, ``sweep`` and ``optimize`` add
+``bench``, ``engine``, ``optics`` and ``postproc`` but no ``servo``.
+The first command of each kind in a process pays that import; README's
+Cold start section gives the wall times.
 """
 from __future__ import annotations
 
@@ -109,34 +100,34 @@ def format_run_report(cfg: ExperimentConfig, run: ProcessedRun,
     return "\n".join(lines) + "\n"
 
 
-def _cmd_verify(args) -> tuple[int, dict[str, str]]:
+def _cmd_verify(args) -> tuple[int, dict[str, list[str]]]:
     from . import bench
     ok, report = bench.verify()
-    return (0 if ok else 1), {"out": report}
+    return (0 if ok else 1), {"out": [report]}
 
 
-def _cmd_keyrate(args) -> tuple[int, dict[str, str]]:
+def _cmd_keyrate(args) -> tuple[int, dict[str, list[str]]]:
     from . import bench
     cfg = _resolve_config(args)
     skr, run = bench.analytic_keyrate(cfg)
-    return 0, {"out": format_run_report(cfg, run, skr)}
+    return 0, {"out": [format_run_report(cfg, run, skr)]}
 
 
-def _cmd_simulate(args) -> tuple[int, dict[str, str]]:
+def _cmd_simulate(args) -> tuple[int, dict[str, list[str]]]:
     from . import bench
     from .engine import simulate
     cfg = _resolve_config(args)
     table = simulate(cfg, int(cfg.run.n_windows), seed=cfg.run.seed)
     skr, run = bench.keyrate_from_counts(cfg, table)
-    return 0, {"out": format_run_report(cfg, run, skr)}
+    return 0, {"out": [format_run_report(cfg, run, skr)]}
 
 
-def _cmd_stabilize(args) -> tuple[int, dict[str, str]]:
-    from .servo import LoopConfig, run_stabilization
+def _cmd_stabilize(args) -> tuple[int, dict[str, list[str]]]:
+    from .servo import run_stabilization
     cfg = _resolve_config(args)
     try:
         summary, series = run_stabilization(args.duration, cfg.noise,
-                                            LoopConfig(), stages=args.stages,
+                                            stages=args.stages,
                                             seed=cfg.run.seed)
     except ValueError as exc:  # the config is checked; --duration is not
         raise ConfigError(f"--duration: {exc}") from exc
@@ -146,7 +137,7 @@ def _cmd_stabilize(args) -> tuple[int, dict[str, str]]:
     lines = [f"stages\t{args.stages}", f"duration_s\t{args.duration}"]
     lines += [f"{f.name}\t{getattr(summary, f.name):.6e}"
               for f in dataclasses.fields(summary)]
-    texts = {"out": "\n".join(lines) + "\n"}
+    texts = {"out": ["\n".join(lines) + "\n"]}
     if args.series_out:  # one column per series, in order
         row = "\t".join(["%.9e"] * len(series)) + "\n"
         cols = list(series.values())
@@ -154,11 +145,11 @@ def _cmd_stabilize(args) -> tuple[int, dict[str, str]]:
         for i in range(0, cols[0].size, _SERIES_BLOCK_ROWS):
             rows = zip(*(c[i:i + _SERIES_BLOCK_ROWS].tolist() for c in cols))
             blocks.append("".join([row % r for r in rows]))
-        texts["series_out"] = "".join(blocks)
+        texts["series_out"] = blocks
     return 0, texts
 
 
-def _cmd_sweep(args) -> tuple[int, dict[str, str]]:
+def _cmd_sweep(args) -> tuple[int, dict[str, list[str]]]:
     from . import bench
     cfg = _resolve_config(args)
     try:
@@ -169,10 +160,10 @@ def _cmd_sweep(args) -> tuple[int, dict[str, str]]:
         rows = bench.sweep(cfg, distances)
     except ValueError as exc:  # the config is checked; --distances is not
         raise ConfigError(f"--distances: {exc}") from exc
-    return 0, {"out": bench.format_sweep(rows)}
+    return 0, {"out": [bench.format_sweep(rows)]}
 
 
-def _cmd_optimize(args) -> tuple[int, dict[str, str]]:
+def _cmd_optimize(args) -> tuple[int, dict[str, list[str]]]:
     from . import bench
     cfg = _resolve_config(args)
     if args.budget < 0:
@@ -182,15 +173,15 @@ def _cmd_optimize(args) -> tuple[int, dict[str, str]]:
             f"evaluations\t{result.evaluations}\n"
             f"budget_exhausted\t{str(result.budget_exhausted).lower()}\n"
             + serialize_config(result.config))
-    return 0, {"out": text}
+    return 0, {"out": [text]}
 
 
-def _cmd_preset(args) -> tuple[int, dict[str, str]]:
+def _cmd_preset(args) -> tuple[int, dict[str, list[str]]]:
     if args.action == "list":
-        return 0, {"out": "\n".join(preset_names()) + "\n"}
+        return 0, {"out": ["\n".join(preset_names()) + "\n"]}
     if not args.name:
         raise ConfigError("preset show requires a name")
-    return 0, {"out": serialize_config(_preset(args.name))}
+    return 0, {"out": [serialize_config(_preset(args.name))]}
 
 
 #: Run flags as the INI (section, key) they set, with their help text.
@@ -281,15 +272,15 @@ def main(argv: list[str] | None = None) -> int:
             raise
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    for dest, text in texts.items():
+    for dest, chunks in texts.items():
         if dest not in files:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
             continue
         with files[dest][1] as fh:
             # ftruncate on an empty file costs more than the whole write.
             if fh.seekable() and fh.tell():
                 fh.truncate(0)
-            fh.write(text)
+            fh.writelines(chunks)
     return code
 
 

@@ -4,10 +4,26 @@ A fast loop (100 kHz) locks the reference-band interference at
 mid-fringe through a phase modulator; the residual signal-band drift,
 already suppressed by the band ratio, is removed by a slow loop (1 kHz)
 driving a fiber stretcher.
+
+The loop design is fixed by module constants:
+
+- ``FAST_STEP_S``: the fast-loop step, 10 us, in s;
+- ``FAST_SETPOINT_COUNTS``: the mid-fringe mean reference-detector
+  counts per fast step (half the fringe maximum), a 6 MHz rate, about
+  60 counts;
+- ``SLOW_SETPOINT_COUNTS``: the mid-fringe mean reference-slot counts
+  per slow step, a 100 kHz rate over 1 ms, 100 counts;
+- ``FAST_GAINS`` and ``SLOW_GAINS``: the (kp, ki) PI gains, in rad of
+  correction per rad of phase error, (0.8, 0.05) and (0.8, 0.3);
+- ``PM_RANGE_RAD``: the phase modulator's output wraps modulo 2*pi rad;
+- ``FS_RANGE_RAD``: the fiber stretcher is rewound toward center by
+  whole fringes once it passes +-60 rad;
+- ``SLOW_LOOP_STEPS`` and ``BLANK_STEPS``: the fast steps per slow-loop
+  step (1 kHz) and the fast steps blanked after a rewind (1 ms), 100
+  each.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -18,54 +34,17 @@ from .presets import STAGES, NoiseModel
 
 TWO_PI = 2.0 * math.pi
 
-#: Size cap of a fringe-error table (see :func:`_error_table`).
-_ERROR_TABLE_MAX = 4096
-
-
-@dataclass(frozen=True)
-class LoopConfig:
-    """Timing and gains of the stabilization loops.
-
-    ``dc_target_counts_hz`` is the mid-fringe set-point rate on the
-    reference detector (half the fringe maximum).  Gains are (kp, ki)
-    pairs.  The phase modulator wraps modulo ``pm_range_rad``;
-    the fiber stretcher resets toward center by whole fringes when
-    exceeding ``fs_range_rad``, blanking 1 ms of data.
-    """
-
-    fast_interval_us: float = 10.0
-    slow_rate_hz: float = 1e3
-    dc_target_counts_hz: float = 6e6
-    fast_gains: tuple[float, float] = (0.8, 0.05)
-    slow_gains: tuple[float, float] = (0.8, 0.3)
-    pm_range_rad: float = TWO_PI
-    fs_range_rad: float = 60.0
-    d0_reference_rate_hz: float = 1e5
-
-    def __post_init__(self) -> None:
-        if self.fast_interval_us <= 0 or self.slow_rate_hz <= 0:
-            raise ValueError("loop intervals must be positive")
-        if self.dc_target_counts_hz <= 0 or self.d0_reference_rate_hz <= 0:
-            raise ValueError("set-point rates must be positive")
-        for gains in (self.fast_gains, self.slow_gains):
-            if len(gains) != 2 or not all(map(math.isfinite, gains)):
-                raise ValueError("gains must be finite (kp, ki) pairs")
-        if self.pm_range_rad <= 0 or self.fs_range_rad <= 0:
-            raise ValueError("actuator ranges must be positive")
-
-    @property
-    def fast_dt_s(self) -> float:
-        return self.fast_interval_us * 1e-6
-
-    @property
-    def dc_setpoint_counts(self) -> float:
-        """Mid-fringe mean counts per fast-loop bin."""
-        return self.dc_target_counts_hz * self.fast_dt_s
-
-    @property
-    def d0_setpoint_counts(self) -> float:
-        """Mid-fringe mean reference counts per slow-loop bin."""
-        return self.d0_reference_rate_hz / self.slow_rate_hz
+# 10.0 * 1e-6 is 9.999999999999999e-06, one ulp below 1e-5; the fast set
+# point and every seeded series depend on that float.
+FAST_STEP_S = 10.0 * 1e-6
+FAST_SETPOINT_COUNTS = 6e6 * FAST_STEP_S
+SLOW_SETPOINT_COUNTS = 100.0
+FAST_GAINS = (0.8, 0.05)
+SLOW_GAINS = (0.8, 0.3)
+PM_RANGE_RAD = TWO_PI
+FS_RANGE_RAD = 60.0
+SLOW_LOOP_STEPS = 100
+BLANK_STEPS = 100
 
 
 @dataclass
@@ -87,26 +66,15 @@ def _fringe_error(counts: float, setpoint: float) -> float:
     return math.asin(max(-1.0, min(1.0, counts / setpoint - 1.0)))
 
 
-@functools.lru_cache(maxsize=8)
-def _error_table(setpoint: float) -> tuple[float, ...]:
-    """Phase errors ``_fringe_error(c, setpoint)`` of the counts c = 0, 1, ...
-
-    The table ends at the first count where the inversion clips at
-    pi/2, or after ``_ERROR_TABLE_MAX`` entries.  It is cached per set
-    point, because building it costs more ``asin`` calls than one 1 ms
-    span of :func:`fast_loop_span` makes.
-    """
-    errs = []
-    for counts in range(_ERROR_TABLE_MAX):
-        errs.append(_fringe_error(counts, setpoint))
-        if counts / setpoint >= 2.0:
-            break
-    return tuple(errs)
+#: ``_fringe_error(c, FAST_SETPOINT_COUNTS)`` of the counts c = 0..120;
+#: 120 is the first count where the inversion clips at pi/2.
+_ERROR_TABLE = tuple(_fringe_error(c, FAST_SETPOINT_COUNTS)
+                     for c in range(math.ceil(2.0 * FAST_SETPOINT_COUNTS) + 1))
 
 
 def fast_loop_span(start: int, stop: int, phi_c: np.ndarray,
-                   pm: np.ndarray, dc_counts: np.ndarray, loop: LoopConfig,
-                   visibility: float, state: PIDState, draw) -> None:
+                   pm: np.ndarray, dc_counts: np.ndarray, visibility: float,
+                   state: PIDState, draw) -> None:
     """Run the fast loop over steps ``[start, stop)``.
 
     Step ``i`` draws the reference-detector bin count as
@@ -122,17 +90,17 @@ def fast_loop_span(start: int, stop: int, phi_c: np.ndarray,
     The loop body runs 1e5 times per simulated second, so the PI update
     is written inline and the float64 arrays are read and written
     through memoryviews.  The fringe inversion of a count is looked up
-    in :func:`_error_table`; a count past the table's end, or one that
-    is not an integer (a ``draw`` other than Poisson), falls back to
+    in ``_ERROR_TABLE``; a count past the table's end, or one that is
+    not an integer (a ``draw`` other than Poisson), falls back to
     :func:`_fringe_error`.  Counts must be nonnegative.
     """
     phi_mv = memoryview(phi_c)
     pm_mv, dc_mv = memoryview(pm), memoryview(dc_counts)
-    setpoint = loop.dc_setpoint_counts
-    kp, ki = loop.fast_gains
-    pm_range = loop.pm_range_rad
+    setpoint = FAST_SETPOINT_COUNTS
+    kp, ki = FAST_GAINS
+    pm_range = PM_RANGE_RAD
     sin, remainder = math.sin, math.remainder
-    errs = _error_table(setpoint)
+    errs = _ERROR_TABLE
     output, unwrapped, integral = state.output, state.unwrapped, state.integral
     for i in range(start, stop):
         counts = draw(setpoint * (1.0 + visibility * sin(phi_mv[i] + output)))
@@ -148,7 +116,7 @@ def fast_loop_span(start: int, stop: int, phi_c: np.ndarray,
     state.output, state.unwrapped, state.integral = output, unwrapped, integral
 
 
-def slow_loop_step(counts: float, loop: LoopConfig, state: PIDState) -> bool:
+def slow_loop_step(counts: float, state: PIDState) -> bool:
     """One slow-loop iteration on a reference-slot bin count.
 
     Inverts ``counts`` to a mid-fringe phase error and applies the PI
@@ -157,11 +125,11 @@ def slow_loop_step(counts: float, loop: LoopConfig, state: PIDState) -> bool:
     number of fringes (phase-invariant).  Returns whether it was, so
     the caller can blank the affected interval.
     """
-    err = _fringe_error(counts, loop.d0_setpoint_counts)
-    kp, ki = loop.slow_gains
+    err = _fringe_error(counts, SLOW_SETPOINT_COUNTS)
+    kp, ki = SLOW_GAINS
     state.integral += err
     state.unwrapped -= kp * err + ki * state.integral
-    rewound = abs(state.unwrapped) > loop.fs_range_rad
+    rewound = abs(state.unwrapped) > FS_RANGE_RAD
     if rewound:
         state.unwrapped -= TWO_PI * round(state.unwrapped / TWO_PI)
     state.output = state.unwrapped
@@ -230,8 +198,7 @@ def _wrap_fringe(phase_rad: np.ndarray) -> np.ndarray:
 
 
 def run_stabilization(duration_s: float, noise: NoiseModel,
-                      loop: LoopConfig, stages: str = "full",
-                      seed: int = 0
+                      stages: str = "full", seed: int = 0
                       ) -> tuple[StabilizationSummary, dict[str, np.ndarray]]:
     """Time-stepped simulation of the stabilization chain.
 
@@ -249,7 +216,7 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
     """
     if stages not in STAGES:
         raise ValueError(f"stages must be one of {STAGES}")
-    dt = loop.fast_dt_s
+    dt = FAST_STEP_S
     steps = duration_s / dt
     if not (math.isfinite(steps) and round(steps) >= 10_000):
         raise ValueError("duration must be finite and cover at least 1e4 "
@@ -267,30 +234,28 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
         fast = PIDState()
         slow = PIDState()
         delta = 1.0 - noise.band_ratio
-        floor = noise.clock_drift_floor()
+        # Signal-band drift left by a perfect reference lock.
+        drift_q = noise.clock_drift_floor() * t + delta * laser_phase
         vis = noise.visibility
         draw = rng.poisson
-        slow_every = max(1, int(round(1.0 / (dt * loop.slow_rate_hz))))
-        span = slow_every if stages == "full" else n
-        blank_steps = max(1, int(round(1e-3 / dt)))
-        d0_set = loop.d0_setpoint_counts
+        span = SLOW_LOOP_STEPS if stages == "full" else n
         for start in range(0, n, span):
             stop = min(start + span, n)
-            fast_loop_span(start, stop, phi_c, pm, dc_counts, loop, vis, fast,
-                           draw)
+            fast_loop_span(start, stop, phi_c, pm, dc_counts, vis, fast, draw)
             fs[start:stop] = slow.output
-            if stages == "full" and stop % slow_every == 0:
+            if stages == "full" and stop % SLOW_LOOP_STEPS == 0:
                 i = stop - 1
                 fringe = round(fast.unwrapped / TWO_PI)
-                resid = (floor * t[i] + delta * laser_phase[i]
-                         - delta * TWO_PI * fringe)
-                counts = draw(
-                    d0_set * (1.0 + vis * math.sin(resid + slow.output)))
-                if slow_loop_step(counts, loop, slow):
-                    blanked[i:i + blank_steps + 1] = True
+                resid = drift_q[i] - delta * TWO_PI * fringe
+                counts = draw(SLOW_SETPOINT_COUNTS
+                              * (1.0 + vis * math.sin(resid + slow.output)))
+                if slow_loop_step(counts, slow):
+                    blanked[i:i + BLANK_STEPS + 1] = True
                 fs[i] = slow.output
-        resid_q = (floor * t + delta * laser_phase
-                   - delta * TWO_PI * np.round(pm / TWO_PI))
+        # In place: the drift array becomes the residual, so the run
+        # holds one signal-band array, not two.
+        resid_q = np.subtract(drift_q, delta * TWO_PI * np.round(pm / TWO_PI),
+                              out=drift_q)
 
     warm = min(n // 5, int(round(0.2 / dt)))
     valid = ~blanked

@@ -19,7 +19,7 @@ from tfqkd.presets import DetectorModel, LinkConfig, NoiseModel, get_preset
 from tfqkd.ratecore import (PartySettings, SecuritySettings,
                             check_sns_constraint, phase_misalignment_qber,
                             plob_bound)
-from tfqkd.servo import LoopConfig, run_stabilization
+from tfqkd.servo import run_stabilization
 
 TWO_PI = 2.0 * math.pi
 
@@ -96,11 +96,10 @@ def test_criterion_06_fast_lock_reduction():
     44.2 rad/s).  Any change to the servo's draw order re-rolls the
     outcome for this seed.
     """
-    loop = LoopConfig()
     ideal = NoiseModel(clock_accuracy=0.0)
-    s_ideal, _ = run_stabilization(2.0, ideal, loop, stages="fastOnly", seed=1)
-    s_clock, _ = run_stabilization(2.0, NoiseModel(), loop,
-                                   stages="fastOnly", seed=1)
+    s_ideal, _ = run_stabilization(2.0, ideal, stages="fastOnly", seed=1)
+    s_clock, _ = run_stabilization(2.0, NoiseModel(), stages="fastOnly",
+                                   seed=1)
     red = s_ideal.reduction_factor
     locked = s_clock.fast_locked_drift_std_rad_per_s
     _report(6, "fast-lock reduction and clock-limited residual drift",
@@ -118,11 +117,10 @@ def test_criterion_07_full_pipeline_residual():
     0.002 rad over the seeds, so the 0.30 rad bound sits about 90 SD
     above the mean.  Seed 2 passes (0.114, 0.116, 0.113 rad).
     """
-    loop = LoopConfig()
     results = {}
     for name, drift in TABLE_DRIFTS.items():
         noise = NoiseModel(free_drift_rate_std=drift)
-        summary, _ = run_stabilization(2.0, noise, loop, stages="full", seed=2)
+        summary, _ = run_stabilization(2.0, noise, stages="full", seed=2)
         results[name] = summary.residual_phase_std_q_rad
     _report(7, "two-stage residual signal-band phase std <= 0.30 rad",
             all(v <= 0.30 for v in results.values()),

@@ -196,7 +196,7 @@ def test_optimize_budget_zero():
 def test_optimize_never_worse():
     cfg = get_preset("sym546")
     base, _ = bench.analytic_keyrate(cfg)
-    result = bench.optimize(cfg, parameters=("mu_z",), budget=30)
+    result = bench.optimize(cfg, budget=30)
     assert result.skr >= base
     assert check_sns_constraint(result.config.party_a,
                                 result.config.party_b) <= 0.05
@@ -207,7 +207,7 @@ def test_optimize_recovers_perturbed_mu_z():
     base, _ = bench.analytic_keyrate(cfg)
     bad_party = dataclasses.replace(cfg.party_a, mu_z=cfg.party_a.mu_z * 1.5)
     bad = dataclasses.replace(cfg, party_a=bad_party, party_b=bad_party)
-    result = bench.optimize(bad, parameters=("mu_z",), budget=60)
+    result = bench.optimize(bad, budget=60)
     assert result.skr >= 0.95 * base
 
 
@@ -352,13 +352,13 @@ def test_cli_simulate_byte_identical(tmp_path):
 
 
 def test_cli_series_out_matches_per_row_format(tmp_path):
-    from tfqkd.servo import LoopConfig, run_stabilization
+    from tfqkd.servo import run_stabilization
     path = tmp_path / "series.tsv"
     assert main(["stabilize", "--preset", "sym546", "--duration", "0.2",
                  "--seed", "3", "--out", str(tmp_path / "report.txt"),
                  "--series-out", str(path)]) == 0
     _, series = run_stabilization(0.2, get_preset("sym546").noise,
-                                  LoopConfig(), stages="full", seed=3)
+                                  stages="full", seed=3)
     cols = ("t_s", "phiC_rad", "phiQ_rad", "pm_rad", "fs_rad", "dc_counts")
     want = "\t".join(cols) + "\n" + "".join(
         "\t".join(f"{series[c][i]:.9e}" for c in cols) + "\n"
@@ -414,13 +414,16 @@ _STABILIZE = ["stabilize", "--preset", "sym546", "--duration", "0.2",
        ["stabilize", "--preset", p] + _STABILIZE[3:] + [s])
       for p in ("sym603", "asym452")
       for s in ("none", "fastOnly", "full")),
+    # Asymmetric: the search moves party A alone and re-derives B's mu1.
+    ("optimize_asym452_head.tsv", ["optimize", "--preset", "asym452",
+                                   "--budget", "200"]),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_cli_file_reports_match_golden_files(tmp_path, golden, argv):
     """Every subcommand's ``--out`` report is pinned byte for byte.
 
     Only integer counts and ``%.6e`` values are pinned.  The optimized
-    INI (``repr`` floats) is left out of the ``optimize`` golden, which
-    keeps the three head lines.
+    INI (``repr`` floats) is left out of the ``optimize`` goldens, which
+    keep the three head lines.
     """
     out = tmp_path / "report"
     assert main(argv + ["--out", str(out)]) == 0

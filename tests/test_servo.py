@@ -5,24 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from tfqkd import servo
 from tfqkd.optics import free_running_phase
 from tfqkd.presets import PRESETS, NoiseModel
-from tfqkd.servo import (_ERROR_TABLE_MAX, STAGES, LoopConfig, PIDState,
-                         StabilizationSummary, _error_table, _wrap_fringe,
-                         drift_rate_rms, fast_loop_span, frequency_readout,
-                         run_stabilization, slow_loop_step)
+from tfqkd.servo import (_ERROR_TABLE, FAST_GAINS, FAST_SETPOINT_COUNTS,
+                         FAST_STEP_S, FS_RANGE_RAD, SLOW_SETPOINT_COUNTS, STAGES, PIDState,
+                         StabilizationSummary, _wrap_fringe, drift_rate_rms,
+                         fast_loop_span, frequency_readout, run_stabilization,
+                         slow_loop_step)
 
 TWO_PI = 2.0 * math.pi
-
-
-# ----------------------------------------------------------- loop config
-
-@pytest.mark.parametrize("kwargs", [{"dc_target_counts_hz": 0.0},
-                                    {"d0_reference_rate_hz": 0.0},
-                                    {"fast_gains": (0.8, 0.05, 0.0)}])
-def test_loop_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
-        LoopConfig(**kwargs)
 
 
 # ------------------------------------------------------------- fast loop
@@ -31,41 +23,39 @@ def _noiseless(lam):
     return lam
 
 
-def _run_span(phi_c, loop, state, draw=_noiseless):
+def _run_span(phi_c, state, draw=_noiseless):
     n = phi_c.size
     pm, dc_counts = np.zeros(n), np.zeros(n)
-    fast_loop_span(0, n, phi_c, pm, dc_counts, loop, 1.0, state, draw)
+    fast_loop_span(0, n, phi_c, pm, dc_counts, 1.0, state, draw)
     return pm, dc_counts
 
 
 def test_fast_loop_zero_error():
-    loop = LoopConfig()
     state = PIDState()
-    pm, dc_counts = _run_span(np.zeros(20), loop, state)
+    pm, dc_counts = _run_span(np.zeros(20), state)
     assert state.output == 0.0
     assert state.unwrapped == 0.0
     assert np.all(pm == 0.0)
-    assert np.all(dc_counts == loop.dc_setpoint_counts)
+    assert np.all(dc_counts == FAST_SETPOINT_COUNTS)
 
 
 def test_fast_loop_locks_static_offset():
     # Noiseless closed loop: counts follow the fringe model for a fixed
     # +0.5 rad plant offset; the correction must converge to -0.5 rad.
     state = PIDState()
-    pm, _ = _run_span(np.full(50, 0.5), LoopConfig(), state)
+    pm, _ = _run_span(np.full(50, 0.5), state)
     assert state.output == pytest.approx(-0.5, abs=5e-3)
     assert pm[-1] == state.unwrapped
 
 
 def test_fast_loop_output_wraps():
-    loop = LoopConfig()
     state = PIDState()
     # A pegged count (three times the set point, so the error clips at
     # pi/2) every step walks the unwrapped value far past one fringe; the
     # physical output stays within (-pi, pi].
-    pm, _ = _run_span(np.zeros(200), loop, state,
-                      draw=lambda lam: 3.0 * loop.dc_setpoint_counts)
-    kp, ki = loop.fast_gains
+    pm, _ = _run_span(np.zeros(200), state,
+                      draw=lambda lam: 3.0 * FAST_SETPOINT_COUNTS)
+    kp, ki = FAST_GAINS
     assert pm[0] == pytest.approx(-(kp + ki) * math.pi / 2, rel=1e-12)
     assert abs(state.output) <= math.pi + 1e-12
     assert abs(state.unwrapped) > TWO_PI
@@ -77,19 +67,19 @@ def _formula_error(counts, setpoint):
     return math.asin(err if err < 1.0 else 1.0)
 
 
-@pytest.mark.parametrize("fast_interval_us", [7.0, 10.0, 20.0, 1000.0])
+@pytest.mark.parametrize("fast_interval_us", [10.0])
 def test_error_table_matches_formula(fast_interval_us):
-    # Set points 42, 60 and 120 counts end at their first clipped count;
-    # 6000 counts would clip at 12000 and hits the size cap first.
-    loop = LoopConfig(fast_interval_us=fast_interval_us)
-    setpoint = loop.dc_setpoint_counts
-    errs = _error_table(setpoint)
+    # The table is built for the 10 us fast step: its set point, 6 MHz
+    # over one step, is just under 60 counts, so the table ends at its
+    # first clipped count, 120.
+    assert FAST_STEP_S == fast_interval_us * 1e-6
+    setpoint = FAST_SETPOINT_COUNTS
+    assert setpoint == 6e6 * (fast_interval_us * 1e-6)
+    errs = _ERROR_TABLE
+    assert len(errs) == 121
     want = [_formula_error(c, setpoint) for c in range(len(errs))]
     assert np.array(errs).tobytes() == np.array(want).tobytes()
-    if len(errs) < _ERROR_TABLE_MAX:
-        assert errs[-1] == math.pi / 2 > errs[-2]
-    else:
-        assert fast_interval_us == 1000.0 and errs[-1] < math.pi / 2
+    assert errs[-1] == math.pi / 2 > errs[-2]
 
     # Counts past the table's end, then counts that are not integers,
     # take the formula; in-table counts come before and between them.
@@ -98,10 +88,10 @@ def test_error_table_matches_formula(fast_interval_us):
               0.0, setpoint, 1.5 * setpoint, float(end - 1), 2]
     draws = iter(counts)
     state = PIDState()
-    pm, dc_counts = _run_span(np.zeros(len(counts)), loop, state,
+    pm, dc_counts = _run_span(np.zeros(len(counts)), state,
                               draw=lambda lam: next(draws))
     assert dc_counts.tolist() == [float(c) for c in counts]
-    kp, ki = loop.fast_gains
+    kp, ki = FAST_GAINS
     integral = unwrapped = 0.0
     want_pm = []
     for c in counts:
@@ -115,33 +105,30 @@ def test_error_table_matches_formula(fast_interval_us):
 # ------------------------------------------------------------- slow loop
 
 def test_slow_loop_zero_drift():
-    loop = LoopConfig()
     state = PIDState()
     for _ in range(20):
-        assert not slow_loop_step(loop.d0_setpoint_counts, loop, state)
+        assert not slow_loop_step(SLOW_SETPOINT_COUNTS, state)
     assert state.output == 0.0
 
 
 def test_slow_loop_locks_static_offset():
-    loop = LoopConfig()
     state = PIDState()
     offset = 0.4
     for _ in range(60):
-        counts = loop.d0_setpoint_counts * (1.0 + math.sin(offset
-                                                           + state.output))
-        slow_loop_step(counts, loop, state)
+        counts = SLOW_SETPOINT_COUNTS * (1.0 + math.sin(offset
+                                                        + state.output))
+        slow_loop_step(counts, state)
     assert state.output == pytest.approx(-0.4, abs=1e-3)
 
 
 def test_slow_loop_range_reset_flag():
-    loop = LoopConfig(fs_range_rad=10.0)
     state = PIDState()
     saw_reset = False
     for _ in range(400):
         # Pegged error signal: counts at twice the set point.
-        if slow_loop_step(2.0 * loop.d0_setpoint_counts, loop, state):
+        if slow_loop_step(2.0 * SLOW_SETPOINT_COUNTS, state):
             saw_reset = True
-            assert abs(state.output) <= 10.0 + TWO_PI
+            assert abs(state.output) <= FS_RANGE_RAD + TWO_PI
     assert saw_reset
 
 
@@ -200,20 +187,19 @@ def test_drift_rate_rms_too_short():
 
 def test_run_stabilization_validates_inputs():
     with pytest.raises(ValueError):
-        run_stabilization(0.01, NoiseModel(), LoopConfig())
+        run_stabilization(0.01, NoiseModel())
     with pytest.raises(ValueError):
-        run_stabilization(1.0, NoiseModel(), LoopConfig(), stages="bogus")
+        run_stabilization(1.0, NoiseModel(), stages="bogus")
 
 
 def test_run_stabilization_seed_determinism():
     noise = NoiseModel()
-    loop = LoopConfig()
-    s1, ser1 = run_stabilization(0.15, noise, loop, stages="full", seed=11)
-    s2, ser2 = run_stabilization(0.15, noise, loop, stages="full", seed=11)
+    s1, ser1 = run_stabilization(0.15, noise, stages="full", seed=11)
+    s2, ser2 = run_stabilization(0.15, noise, stages="full", seed=11)
     assert s1 == s2
     for key in ser1:
         assert np.array_equal(ser1[key], ser2[key])
-    s3, _ = run_stabilization(0.15, noise, loop, stages="full", seed=12)
+    s3, _ = run_stabilization(0.15, noise, stages="full", seed=12)
     assert s3 != s1
 
 
@@ -221,30 +207,18 @@ def test_run_stabilization_free_drift_calibration():
     # Long free-running record (vectorized, no loop dynamics): the
     # 1 ms drift-rate statistic must sit within 5% of the model input.
     noise = NoiseModel()
-    summary, _ = run_stabilization(30.0, noise, LoopConfig(),
-                                   stages="none", seed=4)
+    summary, _ = run_stabilization(30.0, noise, stages="none", seed=4)
     assert summary.free_drift_std_rad_per_s == pytest.approx(1.65e4, rel=0.05)
     assert summary.reduction_factor == pytest.approx(1.0)
 
 
 def test_run_stabilization_series_shapes():
-    _, series = run_stabilization(0.15, NoiseModel(), LoopConfig(),
-                                  stages="fastOnly", seed=0)
+    _, series = run_stabilization(0.15, NoiseModel(), stages="fastOnly",
+                                  seed=0)
     n = series["t_s"].size
     assert n == 15_000
     for key in ("phiC_rad", "phiQ_rad", "pm_rad", "fs_rad", "dc_counts"):
         assert series[key].size == n
-
-
-def test_run_stabilization_slow_rate_follows_fast_interval():
-    # 20 us fast steps: the slow loop still runs at slow_rate_hz = 1 kHz,
-    # so 0.4 s gives 400 stretcher updates.  Each moves the stretcher
-    # unless its error and integral are both zero.
-    _, series = run_stabilization(0.4, NoiseModel(),
-                                  LoopConfig(fast_interval_us=20.0),
-                                  stages="full", seed=0)
-    changes = np.count_nonzero(np.diff(series["fs_rad"]))
-    assert 395 <= changes <= 400
 
 
 def test_fast_lock_drift_pooled_over_seeds():
@@ -259,21 +233,26 @@ def test_fast_lock_drift_pooled_over_seeds():
     probability below 1e-20; the per-seed check of criterion 6 fails for
     about 0.4% of seeds.
     """
-    drifts = [run_stabilization(2.0, NoiseModel(), LoopConfig(), "fastOnly",
+    drifts = [run_stabilization(2.0, NoiseModel(), "fastOnly",
                                 seed)[0].fast_locked_drift_std_rad_per_s
               for seed in range(2, 10)]
     assert 40.0 <= np.mean(drifts) <= 150.0
 
 
-def _reference_stabilization(duration_s, noise, loop, stages, seed):
+def _reference_stabilization(duration_s, noise, stages, seed,
+                             fs_range_rad=60.0):
     """The per-step loop that ``fast_loop_span`` replaced, as its oracle.
 
-    The slow loop keeps its earlier arithmetic inline: the drawn count
-    goes through a rate in Hz and back, and the PI correction is added
-    negated.  Returns the summary, the series and the number of
-    stretcher resets.
+    It states the loop design as rates: 10 us fast steps, a 6 MHz
+    fast set point, a 1 kHz slow loop with a 100 kHz reference rate and
+    1 ms blanking.  The slow loop keeps its earlier arithmetic inline:
+    the drawn count goes through a rate in Hz and back, and the PI
+    correction is added negated.  ``fs_range_rad`` is the stretcher
+    range.  Returns the summary, the series and the number of stretcher
+    resets.
     """
-    dt = loop.fast_dt_s
+    dt = 10.0 * 1e-6
+    slow_rate_hz = 1e3
     n = round(duration_s / dt)
     rng = np.random.default_rng(seed)
     t, phi_c, phi_q_free, laser_phase = free_running_phase(noise, dt, n, rng)
@@ -285,17 +264,17 @@ def _reference_stabilization(duration_s, noise, loop, stages, seed):
     resets = 0
     if stages != "none":
         fast = PIDState()
-        kp, ki = loop.fast_gains
-        slow_kp, slow_ki = loop.slow_gains
+        kp, ki = 0.8, 0.05
+        slow_kp, slow_ki = 0.8, 0.3
         fs_integral = 0.0
         delta = 1.0 - noise.band_ratio
         floor = noise.clock_drift_floor()
-        setpoint = loop.dc_setpoint_counts
+        setpoint = 6e6 * dt
         vis = noise.visibility
-        slow_every = max(1, int(round(1.0 / (dt * loop.slow_rate_hz))))
+        slow_every = max(1, int(round(1.0 / (dt * slow_rate_hz))))
         blank_steps = max(1, int(round(1e-3 / dt)))
         blank_until = -1
-        d0_set = loop.d0_setpoint_counts
+        d0_set = 1e5 / slow_rate_hz
         fs_val = 0.0
         for i in range(n):
             err_c = phi_c[i] + fast.output
@@ -304,7 +283,7 @@ def _reference_stabilization(duration_s, noise, loop, stages, seed):
             err = math.asin(max(-1.0, min(1.0, counts / setpoint - 1.0)))
             fast.integral += err
             fast.unwrapped += -(kp * err + ki * fast.integral)
-            fast.output = math.remainder(fast.unwrapped, loop.pm_range_rad)
+            fast.output = math.remainder(fast.unwrapped, TWO_PI)
             pm[i] = fast.unwrapped
             fringe = round(fast.unwrapped / TWO_PI)
             resid_q[i] = (floor * t[i] + delta * laser_phase[i]
@@ -312,12 +291,12 @@ def _reference_stabilization(duration_s, noise, loop, stages, seed):
             if stages == "full" and (i + 1) % slow_every == 0:
                 d0_rate = rng.poisson(
                     d0_set * (1.0 + vis * math.sin(resid_q[i] + fs_val))
-                ) * loop.slow_rate_hz
+                ) * slow_rate_hz
                 err = math.asin(max(-1.0, min(
-                    1.0, d0_rate / loop.slow_rate_hz / d0_set - 1.0)))
+                    1.0, d0_rate / slow_rate_hz / d0_set - 1.0)))
                 fs_integral += err
                 fs_val += -(slow_kp * err + slow_ki * fs_integral)
-                if abs(fs_val) > loop.fs_range_rad:
+                if abs(fs_val) > fs_range_rad:
                     fs_val -= TWO_PI * round(fs_val / TWO_PI)
                     resets += 1
                     blank_until = i + blank_steps
@@ -353,12 +332,13 @@ def _reference_stabilization(duration_s, noise, loop, stages, seed):
     return summary, series, resets
 
 
-def _assert_matches_oracle(duration_s, noise, loop, stages, seed):
+def _assert_matches_oracle(duration_s, noise, stages, seed,
+                           fs_range_rad=FS_RANGE_RAD):
     """Check a run against the oracle bit for bit; return its resets."""
-    summary, series = run_stabilization(duration_s, noise, loop,
-                                        stages=stages, seed=seed)
-    want, want_series, resets = _reference_stabilization(duration_s, noise,
-                                                         loop, stages, seed)
+    summary, series = run_stabilization(duration_s, noise, stages=stages,
+                                        seed=seed)
+    want, want_series, resets = _reference_stabilization(
+        duration_s, noise, stages, seed, fs_range_rad)
     assert (np.array(dataclasses.astuple(summary)).tobytes()
             == np.array(dataclasses.astuple(want)).tobytes())
     assert series.keys() == want_series.keys()
@@ -367,23 +347,37 @@ def _assert_matches_oracle(duration_s, noise, loop, stages, seed):
     return resets
 
 
-@pytest.mark.parametrize("loop", [
-    LoopConfig(),
-    LoopConfig(fs_range_rad=3.0),      # stretcher resets and blanking
-    LoopConfig(fast_interval_us=7.0),  # the last slow-loop span is partial
-    LoopConfig(fast_interval_us=20.0),  # set point 120 counts
-], ids=["default", "fs_range_3", "fast_7us", "fast_20us"])
+@pytest.mark.parametrize("duration_s, fs_range_rad", [
+    # Whole 1 ms spans; the last slow step is the last sample.
+    pytest.param(0.2, FS_RANGE_RAD, id="default"),
+    # The last slow-loop span is partial: 50 steps.
+    pytest.param(0.2005, FS_RANGE_RAD, id="partial_span"),
+    # The stretcher range patched down to 3 rad, so a 0.2 s run rewinds
+    # the stretcher and blanks on every preset.
+    pytest.param(0.2, 3.0, id="fs_range_3"),
+])
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 @pytest.mark.parametrize("stages", STAGES)
-def test_run_stabilization_matches_per_step_oracle(stages, preset, loop):
-    resets = _assert_matches_oracle(0.2, PRESETS[preset].noise, loop, stages,
-                                    seed=3)
-    if stages == "full" and loop.fs_range_rad == 3.0:
+def test_run_stabilization_matches_per_step_oracle(monkeypatch, stages,
+                                                   preset, duration_s,
+                                                   fs_range_rad):
+    monkeypatch.setattr(servo, "FS_RANGE_RAD", fs_range_rad)
+    resets = _assert_matches_oracle(duration_s, PRESETS[preset].noise,
+                                    stages, seed=3, fs_range_rad=fs_range_rad)
+    if stages == "full" and fs_range_rad == 3.0:
         assert resets > 0
 
 
 def test_run_stabilization_rewinds_at_default_range():
-    # At the default 60 rad range a 2 s run still rewinds the stretcher.
-    resets = _assert_matches_oracle(2.0, PRESETS["sym546"].noise,
-                                    LoopConfig(), "full", seed=3)
+    """At the 60 rad range a 2 s run rewinds the stretcher and blanks.
+
+    The stretcher follows the 44.4 rad/s clock-accuracy floor, so it
+    passes 60 rad after about 1.35 s whatever the seed: each of seeds
+    0-239 rewound exactly once in a 2 s sym546 ``full`` run (seeds 0-5
+    at 1.27-1.39 s).  The per-seed false-alarm rate is thus 0 of 240.
+    The blanked millisecond enters the summary's residuals, which the
+    oracle checks bit for bit.
+    """
+    resets = _assert_matches_oracle(2.0, PRESETS["sym546"].noise, "full",
+                                    seed=3)
     assert resets >= 1
