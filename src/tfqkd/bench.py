@@ -10,9 +10,9 @@ from .counts import CountsTable
 from .engine import expected_counts
 from .postproc import ProcessedRun, aopp_phase_error, process
 from .presets import ExperimentConfig, LinkConfig, NoiseModel, get_preset
-from .ratecore import (PartySettings, check_sns_constraint, key_rate,
-                       phase_misalignment_qber, plob_bound, rate_per_second,
-                       sns_balance_rhs)
+from .ratecore import (MAX_BALANCE_DEVIATION, PartySettings,
+                       check_sns_constraint, key_rate, phase_misalignment_qber,
+                       plob_bound, rate_per_second, sns_balance_rhs)
 
 SWEEP_COLUMNS = ("distance_km", "total_loss_db", "skr_bit_per_signal",
                  "skr_bit_per_s", "skc0_bit_per_signal", "ratio")
@@ -43,7 +43,7 @@ def sweep(cfg: ExperimentConfig, distances_km: list[float]
     Each distance uses the template's attenuation coefficient (measured
     per-arm loss overrides are dropped); the PLOB capacity is evaluated
     at the fiber-only loss.  Returns one row per distance with the
-    :data:`SWEEP_COLUMNS` fields.
+    :data:`SWEEP_COLUMNS` fields; a zero key rate has ratio 0.
     """
     if any(b < a for a, b in zip(distances_km, distances_km[1:])):
         raise ValueError("distance list must be nondecreasing")
@@ -63,7 +63,7 @@ def sweep(cfg: ExperimentConfig, distances_km: list[float]
             "skr_bit_per_signal": skr,
             "skr_bit_per_s": rate_per_second(skr),
             "skc0_bit_per_signal": skc0,
-            "ratio": skr / skc0 if skc0 > 0 else math.inf,
+            "ratio": 0.0 if skr == 0 else skr / skc0 if skc0 else math.inf,
         })
     return rows
 
@@ -197,18 +197,16 @@ def verify() -> tuple[bool, str]:
                           (0.0994, 0.1790)):
         ok &= _check(f"aopp_phase_error({before})",
                      aopp_phase_error(before), after, 5e-4, lines)
-    sym = get_preset("sym546")
-    dev_sym = check_sns_constraint(sym.party_a, sym.party_b)
-    passed = dev_sym == 0.0
-    lines.append(f"{'PASS' if passed else 'FAIL'} balance deviation "
-                 f"(symmetric): got {dev_sym:.6e}, expected 0 exactly")
-    ok &= passed
-    asym = get_preset("asym452")
-    dev = check_sns_constraint(asym.party_a, asym.party_b)
-    passed = dev <= 0.05
-    lines.append(f"{'PASS' if passed else 'FAIL'} balance deviation "
-                 f"(asymmetric): got {dev:.6e}, expected <= 5e-02")
-    ok &= passed
+    for label, name, bound, expected in (
+            ("symmetric", "sym546", 0.0, "0 exactly"),
+            ("asymmetric", "asym452", MAX_BALANCE_DEVIATION,
+             f"<= {MAX_BALANCE_DEVIATION:.0e}")):
+        cfg = get_preset(name)
+        dev = check_sns_constraint(cfg.party_a, cfg.party_b)
+        passed = dev <= bound
+        lines.append(f"{'PASS' if passed else 'FAIL'} balance deviation "
+                     f"({label}): got {dev:.6e}, expected {expected}")
+        ok &= passed
     ok &= _check("phase_misalignment_qber(0.20, 1.0)",
                  phase_misalignment_qber(0.20, 1.0), 0.0099, 0.05, lines)
     ok &= _check("clock_drift_floor()", NoiseModel().clock_drift_floor(),

@@ -53,14 +53,14 @@ def _preset(name: str) -> ExperimentConfig:
     try:
         return get_preset(name)
     except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(exc.args[0]) from exc
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-    else:
-        cfg = _preset(getattr(args, "preset", None) or "sym546")
+    """The preset, overridden by ``--config``, then by the run flags."""
+    cfg = _preset(args.preset)
+    if args.config:
+        cfg = load_config(args.config, cfg)
     raw = {}
     for flag, (section, key, _) in _RUN_FLAGS.items():
         value = getattr(args, flag, None)
@@ -178,6 +178,8 @@ def _cmd_optimize(args) -> tuple[int, dict[str, list[str]]]:
 
 def _cmd_preset(args) -> tuple[int, dict[str, list[str]]]:
     if args.action == "list":
+        if args.name is not None:
+            raise ConfigError(f"preset list takes no name, got {args.name!r}")
         return 0, {"out": ["\n".join(preset_names()) + "\n"]}
     if not args.name:
         raise ConfigError("preset show requires a name")
@@ -195,8 +197,10 @@ _RUN_FLAGS = {
 
 def _add_common(p: argparse.ArgumentParser, *run_flags: str) -> None:
     """Config source and output flags, plus the ``_RUN_FLAGS`` named."""
-    p.add_argument("--config", help="INI config file path")
-    p.add_argument("--preset", help="built-in preset name")
+    p.add_argument("--preset", default="sym546",
+                   help="base preset, overridden by --config and then by the "
+                   "run flags (default %(default)s)")
+    p.add_argument("--config", help="INI file whose keys override the preset")
     for name in run_flags:
         p.add_argument(f"--{name}", help=_RUN_FLAGS[name][2])
     p.add_argument("--out", help="write the report to this path")

@@ -3,10 +3,9 @@
 Sections: ``[link]``, ``[detectors]``, ``[protocol]``, ``[noise]``,
 ``[security]``, ``[run]``.  Keys are the snake_case field names of the
 corresponding types; ``[protocol]`` keys carry an ``a_``/``b_`` prefix
-per party.  Missing keys fall back to the 546-km preset defaults; an
-empty file therefore yields that default configuration.  Each value is
-parsed by its field's type: numbers must be finite, booleans take
-configparser's words (true/false, yes/no, on/off, 1/0), and ``none`` is
+per party.  A file overrides a base configuration (the run's preset) key
+by key; an empty file therefore yields the base unchanged.  Each value
+is parsed by its field's type: numbers must be finite, and ``none`` is
 accepted only where a field may be None.  Unknown keys are rejected.
 :func:`override_config` applies these rules to keys given another way,
 such as the CLI's ``--windows``, ``--seed`` and ``--mode``.
@@ -20,7 +19,7 @@ import io
 import math
 import typing
 
-from .presets import ExperimentConfig, get_preset
+from .presets import ExperimentConfig
 
 
 class ConfigError(ValueError):
@@ -33,7 +32,6 @@ _LAYOUT = (("link", "link", ""), ("detectors", "detectors", ""),
            ("noise", "noise", ""), ("security", "security", ""),
            ("run", "run", ""))
 _SECTIONS = tuple(dict.fromkeys(sec for sec, _, _ in _LAYOUT))
-_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 
 
 def _parse(text: str, typ):
@@ -41,10 +39,6 @@ def _parse(text: str, typ):
     text = text.strip()
     if typ is str:
         return text
-    if typ is bool:
-        if text.lower() not in _BOOLEANS:
-            raise ValueError(f"{text!r} is not a boolean")
-        return _BOOLEANS[text.lower()]
     if text.lower() == "none":
         if type(None) not in typing.get_args(typ):
             raise ValueError("none is not allowed for this key")
@@ -95,12 +89,12 @@ def override_config(cfg: ExperimentConfig,
         raise ConfigError(f"unknown key(s): {', '.join(unknown)}")
     try:
         return dataclasses.replace(cfg, **parts)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Read an INI config file, filling gaps from the sym546 preset."""
+def load_config(path: str, base: ExperimentConfig) -> ExperimentConfig:
+    """Read an INI config file, filling gaps from ``base``."""
     parser = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -109,9 +103,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"parse error in {path}: {exc}") from exc
-    return override_config(get_preset("sym546"),
-                           {sec: dict(parser[sec])
-                            for sec in parser.sections()})
+    return override_config(base, {sec: dict(parser[sec])
+                                  for sec in parser.sections()})
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -123,8 +116,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         part = getattr(cfg, attr)
         for f in dataclasses.fields(part):
             v = getattr(part, f.name)
-            if isinstance(v, bool):
-                v = str(v).lower()
             parser[sec][prefix + f.name] = "none" if v is None else str(v)
     out = io.StringIO()
     parser.write(out)

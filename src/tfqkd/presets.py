@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ratecore import PartySettings, SecuritySettings, check_sns_constraint
+from .ratecore import (MAX_BALANCE_DEVIATION, PartySettings, SecuritySettings,
+                       check_sns_constraint)
 
 TWO_PI = 2.0 * math.pi
 
@@ -179,12 +180,11 @@ class ExperimentConfig:
     run: RunSettings = RunSettings()
 
     def __post_init__(self) -> None:
-        if not self.security.allow_unbalanced:
-            dev = check_sns_constraint(self.party_a, self.party_b)
-            if dev > 0.05:
-                raise ValueError(
-                    f"party_a/party_b: intensity-balance deviation {dev:.4f} "
-                    "exceeds 0.05 (set security.allow_unbalanced to override)")
+        dev = check_sns_constraint(self.party_a, self.party_b)
+        if dev > MAX_BALANCE_DEVIATION:
+            raise ValueError(
+                f"party_a/party_b: intensity-balance deviation {dev:.4f} "
+                f"exceeds {MAX_BALANCE_DEVIATION}")
 
 
 def _noise(free_drift_khz: float, residual_std_rad: float) -> NoiseModel:

@@ -12,6 +12,9 @@ DEFAULT_CLOCK_HZ = 5.0e8
 
 _PROB_TOL = 1e-9
 
+#: Largest intensity-balance deviation (:func:`check_sns_constraint`).
+MAX_BALANCE_DEVIATION = 0.05
+
 
 def binary_entropy(x: float) -> float:
     """Shannon binary entropy h(x) = -x log2 x - (1-x) log2 (1-x).
@@ -71,7 +74,6 @@ class SecuritySettings:
     ``eps_est`` is the total failure probability allotted to the
     statistical (Chernoff) estimation steps in finite mode; it is split
     evenly across the individual bound applications.
-    ``allow_unbalanced`` lifts ExperimentConfig's intensity-balance check.
     """
 
     f: float = 1.1
@@ -80,7 +82,6 @@ class SecuritySettings:
     eps_hat: float = 1e-10
     eps_est: float = 1e-10
     mode: str = "asymptotic"
-    allow_unbalanced: bool = False
 
     def __post_init__(self) -> None:
         if self.f < 1.0:
@@ -169,8 +170,6 @@ def sns_balance_rhs(a: PartySettings, b: PartySettings) -> float:
 
 def check_sns_constraint(a: PartySettings, b: PartySettings) -> float:
     """Relative deviation |mu1_a/mu1_b - RHS| / RHS of the balance condition."""
-    if b.mu1 == 0.0:
-        raise ZeroDivisionError("mu1 of the second party must be nonzero")
     rhs = sns_balance_rhs(a, b)
     if rhs == 0.0:
         raise ZeroDivisionError("balance condition undefined: RHS is zero")

@@ -12,12 +12,12 @@ import pytest
 
 import tfqkd
 
-from tfqkd import bench
+from tfqkd import bench, cli
 from tfqkd.cli import main
 from tfqkd.config import (ConfigError, load_config, override_config,
                           serialize_config)
-from tfqkd.presets import get_preset, preset_names
-from tfqkd.ratecore import check_sns_constraint, plob_bound
+from tfqkd.presets import ExperimentConfig, get_preset, preset_names
+from tfqkd.ratecore import SecuritySettings, check_sns_constraint, plob_bound
 
 
 # --------------------------------------------------------------- presets
@@ -64,11 +64,15 @@ def test_override_config():
 
 # ------------------------------------------------------------ config files
 
+def _load(path, preset="sym546"):
+    return load_config(str(path), get_preset(preset))
+
+
 def test_config_roundtrip(tmp_path):
     cfg = get_preset("asym452")
     path = tmp_path / "a.ini"
     path.write_text(serialize_config(cfg))
-    loaded = load_config(str(path))
+    loaded = _load(path)
     assert loaded == cfg
     # Idempotence after one normalization pass.
     assert serialize_config(loaded) == serialize_config(cfg)
@@ -77,14 +81,15 @@ def test_config_roundtrip(tmp_path):
 def test_config_empty_file_gives_defaults(tmp_path):
     path = tmp_path / "empty.ini"
     path.write_text("")
-    assert load_config(str(path)) == get_preset("sym546")
+    for name in preset_names():
+        assert _load(path, name) == get_preset(name)
 
 
 def test_config_bad_probabilities(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[protocol]\na_p_mu0 = 0.1\na_p_mu1 = 0.5\na_p_mu2 = 0.3\n")
     with pytest.raises(ConfigError) as err:
-        load_config(str(path))
+        _load(path)
     assert "p_mu" in str(err.value) or "prob" in str(err.value).lower()
 
 
@@ -96,7 +101,7 @@ def test_config_unknown_key(tmp_path, section, key):
     path = tmp_path / "typo.ini"
     path.write_text(f"[{section}]\n{key} = 0.4\n")
     with pytest.raises(ConfigError, match="unknown key"):
-        load_config(str(path))
+        _load(path)
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -108,41 +113,56 @@ def test_config_non_finite_number(tmp_path, section, key, value):
     path = tmp_path / "nan.ini"
     path.write_text(f"[{section}]\n{key} = {value}\n")
     with pytest.raises(ConfigError, match="finite"):
-        load_config(str(path))
+        _load(path)
 
 
 def test_config_none_only_where_optional(tmp_path):
     path = tmp_path / "none.ini"
     path.write_text("[link]\nmeasured_loss_a_db = none\n")
-    assert load_config(str(path)).link.measured_loss_a_db is None
+    assert _load(path).link.measured_loss_a_db is None
     for body in ("[link]\nattenuation_db_per_km = none\n",
                  "[run]\nseed = none\n"):
         path.write_text(body)
         with pytest.raises(ConfigError, match="none"):
-            load_config(str(path))
+            _load(path)
         assert main(["keyrate", "--config", str(path)]) == 2
 
 
-def test_config_non_boolean(tmp_path):
-    path = tmp_path / "bool.ini"
-    path.write_text("[security]\nallow_unbalanced = maybe\n")
-    with pytest.raises(ConfigError, match="allow_unbalanced"):
-        load_config(str(path))
-
-
-def test_config_residual_and_allow_unbalanced_fields(tmp_path):
+@pytest.mark.parametrize("body, error", [
+    ("[protocol]\na_mu1 = 0.2\n",
+     "party_a/party_b: intensity-balance deviation 1.2222 exceeds 0.05"),
+    # No key lifts the balance rule.
+    ("[security]\nallow_unbalanced = false\n",
+     "unknown key(s): security.allow_unbalanced"),
+    ("[protocol]\na_mu1 = 0.2\n[security]\nallow_unbalanced = true\n",
+     "unknown key(s): security.allow_unbalanced"),
+    # An epsilon_send of 0 or 1 leaves the balance condition undefined.
+    ("[protocol]\nb_epsilon_send = 0\n",
+     "balance condition undefined: denominator is zero"),
+    ("[protocol]\na_epsilon_send = 0\n",
+     "balance condition undefined: RHS is zero"),
+], ids=["unbalanced", "opt-out-key", "opt-out-key-unbalanced",
+        "zero-denominator", "zero-rhs"])
+def test_cli_balance_rule_has_no_opt_out(tmp_path, capsys, body, error):
     path = tmp_path / "unbalanced.ini"
-    path.write_text("[protocol]\na_mu1 = 0.2\n")
-    with pytest.raises(ConfigError, match="security.allow_unbalanced"):
-        load_config(str(path))
-    path.write_text("[protocol]\na_mu1 = 0.2\n"
-                    "[security]\nallow_unbalanced = Yes\n")
-    cfg = load_config(str(path))
-    assert cfg.security.allow_unbalanced is True
-    assert "\nallow_unbalanced = true\n" in serialize_config(cfg)
+    path.write_text(body)
+    assert main(["keyrate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {error}\n"
+
+
+def test_config_residual_field_and_balance_rule(tmp_path):
+    path = tmp_path / "residual.ini"
     path.write_text("[noise]\nresidual_phase_std_rad = -0.1\n")
     with pytest.raises(ConfigError, match="noise: residual phase std"):
-        load_config(str(path))
+        _load(path)
+    # Settings built in code meet the balance rule too, with no opt-out.
+    cfg = get_preset("sym546")
+    assert "allow_unbalanced" not in {
+        f.name for f in dataclasses.fields(SecuritySettings)}
+    with pytest.raises(ValueError, match="exceeds 0.05"):
+        ExperimentConfig(link=cfg.link, detectors=cfg.detectors,
+                         party_a=dataclasses.replace(cfg.party_a, mu1=0.2),
+                         party_b=cfg.party_b, noise=cfg.noise)
 
 
 # ----------------------------------------------------------------- sweep
@@ -162,12 +182,21 @@ def test_sweep_rows_and_monotonicity():
     assert [r["distance_km"] for r in rows] == [450.0, 500.0, 546.61]
     for r in rows:
         assert set(r) == set(bench.SWEEP_COLUMNS)
-        assert r["skc0_bit_per_signal"] == pytest.approx(
-            plob_bound(r["total_loss_db"] - cfg.link.extra_loss_a_db
-                       - cfg.link.extra_loss_b_db), rel=1e-6) \
-            or r["skc0_bit_per_signal"] > 0
+        assert r["skc0_bit_per_signal"] == plob_bound(r["total_loss_db"])
+        assert r["ratio"] == (r["skr_bit_per_signal"]
+                              / r["skc0_bit_per_signal"])
     skrs = [r["skr_bit_per_signal"] for r in rows]
     assert skrs[0] >= skrs[1] >= skrs[2]
+
+
+def test_sweep_zero_rate_has_zero_ratio():
+    # At 17,000 km the capacity is subnormal; at 17,700 km and beyond it
+    # underflows to 0.  The key rate is 0 at both, and so is the ratio.
+    rows = bench.sweep(get_preset("sym546"), [17_000.0, 17_700.0])
+    assert rows[0]["skc0_bit_per_signal"] > 0
+    assert rows[1]["skc0_bit_per_signal"] == 0
+    for r in rows:
+        assert r["skr_bit_per_signal"] == 0 and r["ratio"] == 0
 
 
 def test_sweep_crossing_at_546():
@@ -301,6 +330,20 @@ def test_cli_preset_show_unknown():
     assert main(["preset", "show", "nope"]) == 2
 
 
+@pytest.mark.parametrize("name", ["sym546", "nope", ""])
+def test_cli_preset_list_rejects_name(name, capsys):
+    assert main(["preset", "list", name]) == 2
+    assert capsys.readouterr() == (
+        "", f"configuration error: preset list takes no name, got {name!r}\n")
+
+
+def test_cli_unknown_preset_message(capsys):
+    assert main(["keyrate", "--preset", "nope"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: unknown preset 'nope'; choose from "
+        "['asym452', 'sym546', 'sym603']\n")
+
+
 def test_cli_verify_exit_code(capsys):
     assert main(["verify"]) == 0
     assert "pass" in capsys.readouterr().out
@@ -318,6 +361,45 @@ def test_cli_bad_config_exit(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[protocol]\na_p_mu0 = 0.9\n")
     assert main(["keyrate", "--config", str(path)]) == 2
+
+
+def _parse_run(*argv):
+    """The settings a subcommand's argv resolves to."""
+    return cli._resolve_config(cli._PARSER.parse_args(list(argv)))
+
+
+@pytest.mark.parametrize("preset", ["sym546", "sym603", "asym452"])
+def test_cli_settings_chain(tmp_path, preset, capsys):
+    """The preset is the base, ``--config`` overrides its keys, and the
+    run flags override both."""
+    base = get_preset(preset)
+    ini = tmp_path / "tweak.ini"
+    ini.write_text("[run]\nseed = 5\n")
+    seeded = dataclasses.replace(base, run=dataclasses.replace(base.run,
+                                                               seed=5))
+    assert _parse_run("simulate", "--preset", preset,
+                      "--config", str(ini)) == seeded
+    # keyrate reads no seed: the partial INI gives the preset's report.
+    assert main(["keyrate", "--preset", preset, "--config", str(ini)]) == 0
+    assert main(["keyrate", "--preset", preset]) == 0
+    with_ini, without = capsys.readouterr().out.split("n_windows\t")[1:]
+    assert with_ini == without
+    ini.write_text("[run]\nseed = 5\nn_windows = 1000\n"
+                   "[security]\nmode = finite\n")
+    got = _parse_run("simulate", "--preset", preset, "--config", str(ini),
+                     "--seed", "7", "--windows", "2000",
+                     "--mode", "asymptotic")
+    assert got == dataclasses.replace(
+        base, run=dataclasses.replace(base.run, seed=7, n_windows=2000.0))
+
+
+def test_cli_config_alone_starts_from_sym546(tmp_path):
+    ini = tmp_path / "tweak.ini"
+    ini.write_text("[run]\nseed = 5\n")
+    base = get_preset("sym546")
+    assert _parse_run("simulate", "--config", str(ini)) == (
+        dataclasses.replace(base, run=dataclasses.replace(base.run, seed=5)))
+    assert _parse_run("keyrate") == base
 
 
 @pytest.mark.parametrize("windows", ["nan", "inf", "-5", "abc", "1.5", "0",
@@ -457,8 +539,9 @@ def test_cli_optimize_output_loads(tmp_path):
     # Three report lines, then the optimized config as INI.
     ini = tmp_path / "opt.ini"
     text = "".join(out.read_text().splitlines(True)[3:])
+    assert "allow_unbalanced" not in text
     ini.write_text(text)
-    assert serialize_config(load_config(str(ini))) == text
+    assert serialize_config(_load(ini)) == text
 
 
 @pytest.mark.parametrize("argv", [

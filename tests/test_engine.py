@@ -2,6 +2,7 @@
 oracle, a per-category oracle, and analytic checks."""
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from tfqkd.engine import (_GH_NODES, _GH_WEIGHTS, N_SLICES,
                           cell_probabilities, expected_counts, simulate)
 from tfqkd.optics import click_probability_arrays
 from tfqkd.presets import PRESETS, ExperimentConfig, get_preset
-from tfqkd.ratecore import PartySettings, SecuritySettings
+from tfqkd.ratecore import PartySettings
 
 
 @pytest.fixture(scope="module")
@@ -57,16 +58,43 @@ def test_window_partition(cfg546):
     assert table.x11_total <= table.heralds["XX11"]
 
 
+def _mu1_decoy_windows(cfg, n: int, seed: int) -> int:
+    """User A's decoy windows at ``mu1`` in an ``n``-window session."""
+    table = simulate(cfg, n, seed=seed)
+    return sum(table.windows[c] for c in CATEGORIES
+               if c[0] == "X" and c[2] == "1")
+
+
 def test_choice_frequencies(cfg546):
-    # Decoy-window mu1 frequency: P(X) * p_mu1 within 3 sigma binomial.
+    """Decoy-window mu1 frequency: P(X) * p_mu1 within 3 sigma binomial.
+
+    The count is exactly binomial, so a correct engine fails this
+    two-sided check with probability 2.70e-3 per seed (exact binomial
+    tail); 240 of seeds 0-99,999 failed (2.4e-3).
+    :func:`test_choice_frequencies_pooled_over_seeds` is its pooled
+    companion.
+    """
     n = 10_000_000
-    table = simulate(cfg546, n, seed=6)
     pa = cfg546.party_a
     p = (1.0 - pa.p_signal_window) * pa.p_mu1
-    observed = sum(table.windows[c] for c in CATEGORIES
-                   if c[0] == "X" and c[2] == "1")
+    observed = _mu1_decoy_windows(cfg546, n, seed=6)
     sigma = math.sqrt(n * p * (1.0 - p))
     assert abs(observed - n * p) <= 3.0 * sigma
+
+
+def test_choice_frequencies_pooled_over_seeds(cfg546):
+    """Pooled companion of :func:`test_choice_frequencies` over seeds
+    0-31: the summed count of 3.2e8 windows is binomial too, and must
+    lie within 5 sigma, a two-sided false-alarm probability of 5.7e-7.
+    Relative to the expected count, that band is 0.88 single-seed sigma
+    wide, against the single-seed test's 3.  None of the 3,125 disjoint 32-seed blocks of seeds
+    0-99,999 failed (largest |z| 3.19)."""
+    n, seeds = 10_000_000, range(32)
+    pa = cfg546.party_a
+    p = (1.0 - pa.p_signal_window) * pa.p_mu1
+    observed = sum(_mu1_decoy_windows(cfg546, n, seed) for seed in seeds)
+    total = n * len(seeds)
+    assert abs(observed - total * p) <= 5.0 * math.sqrt(total * p * (1.0 - p))
 
 
 # ------------------------------------------------------ analytic expectation
@@ -102,6 +130,13 @@ def test_expected_counts_deterministic(cfg546):
 
 
 def test_simulation_matches_expectation_totals(cfg546):
+    """Summed heralds within 4 sqrt(expected) of the expectation.
+
+    At 2e6 windows the expected total is only 1.81 heralds, so the sum
+    is Poisson to good accuracy and the check fails a correct engine
+    when it reaches 8: 5.9e-4 per seed (Poisson tail); 55 of seeds
+    0-99,999 failed (5.5e-4).
+    """
     n = 2_000_000
     mc = simulate(cfg546, n, seed=8)
     exp = expected_counts(cfg546, n)
@@ -281,8 +316,20 @@ def _random_party(rng: np.random.Generator, mu0: float) -> PartySettings:
                          p_mu1=p_mu1, p_mu2=1.0 - p_mu0 - p_mu1)
 
 
+class _EngineParts(NamedTuple):
+    """The five parts of a config that the engine reads.  Random parties
+    break the intensity-balance rule, which ``ExperimentConfig`` enforces;
+    the engine does not depend on it."""
+
+    link: object
+    detectors: object
+    party_a: PartySettings
+    party_b: PartySettings
+    noise: object
+
+
 def _random_config(rng: np.random.Generator, mu0: float | None,
-                   sigma: float | None) -> ExperimentConfig:
+                   sigma: float | None) -> _EngineParts:
     """A random asymmetric config; ``None`` draws ``mu0`` per party and
     the residual phase std at random."""
     base = PRESETS[sorted(PRESETS)[rng.integers(len(PRESETS))]]
@@ -294,11 +341,10 @@ def _random_config(rng: np.random.Generator, mu0: float | None,
     link = dataclasses.replace(base.link,
                                measured_loss_a_db=rng.uniform(0.0, 60.0),
                                measured_loss_b_db=rng.uniform(0.0, 60.0))
-    return ExperimentConfig(
+    return _EngineParts(
         link=link, detectors=base.detectors,
         party_a=_random_party(rng, mu0s[0]),
-        party_b=_random_party(rng, mu0s[1]), noise=noise,
-        security=SecuritySettings(allow_unbalanced=True))
+        party_b=_random_party(rng, mu0s[1]), noise=noise)
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))

@@ -204,12 +204,34 @@ def test_run_stabilization_seed_determinism():
 
 
 def test_run_stabilization_free_drift_calibration():
-    # Long free-running record (vectorized, no loop dynamics): the
-    # 1 ms drift-rate statistic must sit within 5% of the model input.
+    """Long free-running record (vectorized, no loop dynamics): the
+    1 ms drift-rate statistic must sit within 5% of the model input.
+
+    Over seeds 0-239 the statistic's deviation from 1.65e4 has mean
+    -0.2% and SD 2.3%, and 9 seeds fail the 5% band (3.8% per seed; the
+    worst is seed 200 at -8.0%).  Seed 4 gives -3.2%.
+    :func:`test_free_drift_calibration_pooled_over_seeds` is its pooled
+    companion.
+    """
     noise = NoiseModel()
     summary, _ = run_stabilization(30.0, noise, stages="none", seed=4)
     assert summary.free_drift_std_rad_per_s == pytest.approx(1.65e4, rel=0.05)
     assert summary.reduction_factor == pytest.approx(1.0)
+
+
+def test_free_drift_calibration_pooled_over_seeds():
+    """Pooled companion of the free-drift calibration over seeds 5-8.
+
+    The mean of four 30 s records has an SEM of about 1.2% (per-seed SD
+    2.3% over seeds 0-239), so the same 5% band lies about 4.3 SEM from
+    the model input.  Under a normal approximation of the seed mean a
+    correct program fails with probability about 2e-5; none of the 60
+    disjoint 4-seed blocks of seeds 0-239 failed (largest |mean| 2.7%).
+    """
+    drifts = [run_stabilization(30.0, NoiseModel(), stages="none",
+                                seed=seed)[0].free_drift_std_rad_per_s
+              for seed in range(5, 9)]
+    assert np.mean(drifts) == pytest.approx(1.65e4, rel=0.05)
 
 
 def test_run_stabilization_series_shapes():
