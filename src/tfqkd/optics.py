@@ -65,20 +65,28 @@ def free_running_phase(noise: NoiseModel, dt: float, n: int,
     more than the loop does.
     """
     a, s = velocity_step_coeffs(noise, dt)
-    velocity = np.empty(n)
-    out = memoryview(velocity)
+    # The velocity overwrites the normals that drive it, then the phase
+    # overwrites the velocity.  The recurrence keeps lfilter's order of
+    # operations, so the result is bit-identical.
+    fiber_phase = rng.standard_normal(n)
+    buf = memoryview(fiber_phase)
     v = 0.0
-    # lfilter's order of operations, so the result is bit-identical.
-    for i, x in enumerate(memoryview(rng.standard_normal(n))):
+    for i, x in enumerate(buf):
         v = s * x + a * v
-        out[i] = v
-    fiber_phase = np.cumsum(velocity) * dt
-    t = np.arange(1, n + 1) * dt
+        buf[i] = v
+    np.cumsum(fiber_phase, out=fiber_phase)
+    fiber_phase *= dt
+    t = np.arange(1, n + 1, dtype=float)
+    t *= dt
     f0 = noise.laser_drift_hz_per_hour / 3600.0
-    laser_phase = 2.0 * math.pi * (0.5 * f0 * t * t)
+    laser_phase = 0.5 * f0 * t
+    laser_phase *= t
+    laser_phase *= 2.0 * math.pi
     phi_c = fiber_phase + laser_phase
-    phi_q = (noise.band_ratio * fiber_phase + laser_phase
-             + noise.clock_drift_floor() * t)
+    phi_q = fiber_phase
+    phi_q *= noise.band_ratio
+    phi_q += laser_phase
+    phi_q += noise.clock_drift_floor() * t
     return t, phi_c, phi_q, laser_phase
 
 

@@ -139,16 +139,24 @@ def slow_loop_step(counts: float, state: PIDState) -> bool:
 def frequency_readout(pm_history_rad: np.ndarray, window_s: float) -> float:
     """Frequency offset (Hz) from the phase-modulator correction ramp.
 
-    Linear-regression slope of the unwrapped correction history,
-    assumed uniformly sampled over ``window_s``, divided by 2*pi.
+    Least-squares slope of the unwrapped correction history, assumed
+    uniformly sampled over ``window_s``, divided by 2*pi.  For m samples
+    y_i at t_i = i h, with h = window_s / (m - 1), the slope has the
+    closed form sum((i - c) y_i) * 12 (m - 1) / (window_s m (m^2 - 1)),
+    with c = (m - 1) / 2: the first-degree ``np.polyfit`` without its
+    Vandermonde matrix.  The weights i - c are exact and sum to zero, so
+    a constant offset of the history cancels.
     """
     pm = np.asarray(pm_history_rad, dtype=float)
     if pm.size < 2:
         raise ValueError("need at least two correction samples")
     if window_s <= 0:
         raise ValueError("window must be positive")
-    t = np.linspace(0.0, window_s, pm.size)
-    slope = np.polyfit(t, pm, 1)[0]
+    m = pm.size
+    weights = np.arange(m, dtype=float)
+    weights -= 0.5 * (m - 1)
+    slope = (np.dot(weights, pm) * (12.0 * (m - 1))
+             / (window_s * m * (m * m - 1)))
     return slope / TWO_PI
 
 
@@ -188,13 +196,17 @@ def _wrap_fringe(phase_rad: np.ndarray) -> np.ndarray:
     exact, and moving a remainder beyond half a fringe by one fringe is
     exact by Sterbenz's lemma.  At exactly half a fringe the tie goes to
     the even quotient, as in ``math.remainder``; the quotient's parity
-    comes from ``fmod`` by two fringes.
+    comes from ``fmod`` by two fringes, taken only at the ties.  The
+    shifts are made in place in the ``fmod`` result, so no other float
+    array of the input's length is allocated.
     """
     r = np.fmod(phase_rad, TWO_PI)
-    half = np.abs(r)
-    odd = np.abs(np.fmod(phase_rad, 2.0 * TWO_PI)) >= TWO_PI
-    shift = (half > math.pi) | ((half == math.pi) & odd)
-    return np.where(shift, r - np.copysign(TWO_PI, r), r)
+    ties = np.flatnonzero((r == math.pi) | (r == -math.pi))
+    odd = ties[np.abs(np.fmod(phase_rad[ties], 2.0 * TWO_PI)) >= TWO_PI]
+    np.subtract(r, TWO_PI, out=r, where=r > math.pi)
+    np.add(r, TWO_PI, out=r, where=r < -math.pi)
+    r[odd] -= np.copysign(TWO_PI, r[odd])
+    return r
 
 
 def run_stabilization(duration_s: float, noise: NoiseModel,
@@ -224,6 +236,14 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
     n = round(steps)
     rng = np.random.default_rng(seed)
     t, phi_c, phi_q_free, laser_phase = free_running_phase(noise, dt, n, rng)
+    delta = 1.0 - noise.band_ratio
+    if stages != "none":
+        # Signal-band drift left by a perfect reference lock; after the
+        # loop the same array becomes the signal-band residual.
+        resid_q = noise.clock_drift_floor() * t
+        laser_phase *= delta
+        resid_q += laser_phase
+    del laser_phase
 
     pm = np.zeros(n)
     dc_counts = np.zeros(n)
@@ -233,9 +253,6 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
     if stages != "none":
         fast = PIDState()
         slow = PIDState()
-        delta = 1.0 - noise.band_ratio
-        # Signal-band drift left by a perfect reference lock.
-        drift_q = noise.clock_drift_floor() * t + delta * laser_phase
         vis = noise.visibility
         draw = rng.poisson
         span = SLOW_LOOP_STEPS if stages == "full" else n
@@ -246,39 +263,44 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
             if stages == "full" and stop % SLOW_LOOP_STEPS == 0:
                 i = stop - 1
                 fringe = round(fast.unwrapped / TWO_PI)
-                resid = drift_q[i] - delta * TWO_PI * fringe
+                resid = resid_q[i] - delta * TWO_PI * fringe
                 counts = draw(SLOW_SETPOINT_COUNTS
                               * (1.0 + vis * math.sin(resid + slow.output)))
                 if slow_loop_step(counts, slow):
                     blanked[i:i + BLANK_STEPS + 1] = True
                 fs[i] = slow.output
-        # In place: the drift array becomes the residual, so the run
-        # holds one signal-band array, not two.
-        resid_q = np.subtract(drift_q, delta * TWO_PI * np.round(pm / TWO_PI),
-                              out=drift_q)
+        # The modulator transfers whole reference fringes to the signal band.
+        transferred = pm / TWO_PI
+        np.round(transferred, out=transferred)
+        transferred *= delta * TWO_PI
+        resid_q -= transferred
+        del transferred
 
     warm = min(n // 5, int(round(0.2 / dt)))
     valid = ~blanked
     valid[:warm] = False
 
+    # Each residual array is dropped as soon as its statistic is taken.
     free_rate = drift_rate_rms(phi_q_free, dt)
     if stages == "none":
         locked_rate = free_rate
-        resid_c = phi_c
-        resid_total = phi_q_free
         freq = -frequency_readout(phi_c, duration_s)
+        std_c = float(np.std(_wrap_fringe(phi_c[valid])))
+        std_q = float(np.std(_wrap_fringe(phi_q_free[valid])))
     else:
         locked_rate = drift_rate_rms(resid_q[warm:], dt)
-        resid_c = phi_c + pm  # unwrapped pm tracks -phi_c when locked
-        resid_total = resid_q + fs
         freq = -frequency_readout(pm[warm:], (n - warm) * dt)
+        resid_q += fs
+        std_q = float(np.std(_wrap_fringe(resid_q[valid])))
+        del resid_q
+        # The unwrapped pm tracks -phi_c when locked.
+        std_c = float(np.std(_wrap_fringe(phi_c[valid] + pm[valid])))
 
     summary = StabilizationSummary(
         free_drift_std_rad_per_s=free_rate,
         fast_locked_drift_std_rad_per_s=locked_rate,
-        residual_phase_std_c_rad=float(np.std(_wrap_fringe(resid_c[valid]))),
-        residual_phase_std_q_rad=float(
-            np.std(_wrap_fringe(resid_total[valid]))),
+        residual_phase_std_c_rad=std_c,
+        residual_phase_std_q_rad=std_q,
         reduction_factor=free_rate / locked_rate if locked_rate > 0 else math.inf,
         freq_readout_hz=freq,
     )

@@ -499,6 +499,11 @@ _STABILIZE = ["stabilize", "--preset", "sym546", "--duration", "0.2",
     # Asymmetric: the search moves party A alone and re-derives B's mu1.
     ("optimize_asym452_head.tsv", ["optimize", "--preset", "asym452",
                                    "--budget", "200"]),
+    # The 2 s lock of criterion 6 and of the benchmark's ideal-clock run.
+    *((f"stabilize_sym546_2s_{s}.tsv",
+       ["stabilize", "--preset", "sym546", "--duration", "2", "--seed", "3",
+        "--stages", s])
+      for s in ("none", "fastOnly", "full")),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_cli_file_reports_match_golden_files(tmp_path, golden, argv):
     """Every subcommand's ``--out`` report is pinned byte for byte.

@@ -145,6 +145,26 @@ def test_simulation_matches_expectation_totals(cfg546):
     assert abs(total_mc - total_exp) <= 4.0 * math.sqrt(total_exp)
 
 
+def test_simulation_matches_expectation_totals_at_1e12_windows(cfg546):
+    """Companion of the 2e6-window check, where it has the power to fail.
+
+    At 2e6 windows the expected total is only 1.81 heralds, so that
+    check passes any engine yielding 0 to 7 heralds and cannot see a
+    herald-rate error below a factor of about 4.  ``simulate`` costs the
+    same at 1e12 windows, where 906,534 heralds are expected and the
+    band 4 sqrt(expected) = 3,808 is 0.42% of the total.  The sum is
+    Poisson to good accuracy, so the check is a two-sided 4 sigma test
+    that fails a correct engine with probability 6.3e-5 per seed; 3 of
+    seeds 0-99,999 failed (z-score SD 0.997).
+    """
+    n = 10**12
+    mc = simulate(cfg546, n, seed=8)
+    exp = expected_counts(cfg546, n)
+    total_mc = sum(mc.heralds.values())
+    total_exp = sum(exp.heralds.values())
+    assert abs(total_mc - total_exp) <= 4.0 * math.sqrt(total_exp)
+
+
 # ------------------------------------------------- per-window oracle
 
 def _draw_window(u: np.ndarray, p: PartySettings):

@@ -1,6 +1,7 @@
 """Stabilization loops: fast/slow phase locks, readouts, closed-loop runs."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,27 @@ def test_frequency_readout_noisy_offset():
     assert frequency_readout(pm, 10.0) == pytest.approx(500.0, abs=50.0)
 
 
+@pytest.mark.parametrize("m", [2, 3, 10, 1000, 100_000, 1_000_000])
+def test_frequency_readout_matches_polyfit(m):
+    """The closed-form slope equals the first-degree ``np.polyfit``.
+
+    Two histories per length: a pure ramp, and a unit-step random walk
+    10^4 rad (about 1,600 fringes) off zero, riding on a frequency ramp
+    as the correction history does.  Without the ramp a short walk's
+    slope can come close to 0, and the relative difference then
+    measures polyfit's own rounding (about eps * offset / slope), not
+    the closed form.  Over seeds 0-39 the worst difference was 1.4e-13.
+    """
+    rng = np.random.default_rng(m)
+    window = 1.8
+    t = np.linspace(0.0, window, m)
+    ramp = TWO_PI * 123.4 * t
+    walk = np.cumsum(rng.standard_normal(m)) + 1e4 - TWO_PI * 87.6 * t
+    for pm in (ramp, walk):
+        want = np.polyfit(t, pm, 1)[0] / TWO_PI
+        assert frequency_readout(pm, window) == pytest.approx(want, rel=1e-12)
+
+
 def test_frequency_readout_needs_samples():
     with pytest.raises(ValueError):
         frequency_readout(np.array([1.0]), 1.0)
@@ -241,6 +263,28 @@ def test_run_stabilization_series_shapes():
     assert n == 15_000
     for key in ("phiC_rad", "phiQ_rad", "pm_rad", "fs_rad", "dc_counts"):
         assert series[key].size == n
+
+
+@pytest.mark.parametrize("stages", STAGES)
+def test_run_stabilization_peak_memory(stages):
+    """A 2 s sym546 run holds at most 10 float64 arrays of its length.
+
+    numpy reports its data buffers to ``tracemalloc``, so the traced
+    peak counts every array the run allocates, and it does not depend on
+    the C library's heap.  Six of the arrays are the returned series.
+    The run peaks at 8.9 arrays (``none``) and 9.4 (locked stages).
+    Building the phases from full-length temporaries and reading the
+    frequency through ``np.polyfit`` peaks at 14.7 and 16.55 arrays.
+    """
+    noise = PRESETS["sym546"].noise
+    n = round(2.0 / FAST_STEP_S)
+    tracemalloc.start()
+    try:
+        run_stabilization(2.0, noise, stages, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * n * 8
 
 
 def test_fast_lock_drift_pooled_over_seeds():
