@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .counts import CountsTable
-from .engine import expected_counts
+from .engine import click_outcomes, expected_counts
 from .postproc import ProcessedRun, aopp_phase_error, process
 from .presets import ExperimentConfig, LinkConfig, NoiseModel, get_preset
 from .ratecore import (MAX_BALANCE_DEVIATION, PartySettings,
@@ -31,9 +31,15 @@ def keyrate_from_counts(cfg: ExperimentConfig, table: CountsTable
     return key_rate(run.inputs, cfg.security), run
 
 
-def analytic_keyrate(cfg: ExperimentConfig) -> tuple[float, ProcessedRun]:
-    """Key rate (bit/signal) from the expected-counts pipeline."""
-    return keyrate_from_counts(cfg, expected_counts(cfg, cfg.run.n_windows))
+def analytic_keyrate(cfg: ExperimentConfig, outcomes=None
+                     ) -> tuple[float, ProcessedRun]:
+    """Key rate (bit/signal) from the expected-counts pipeline.
+
+    ``outcomes`` is :func:`engine.click_outcomes` of ``cfg`` when the
+    caller already has it.
+    """
+    return keyrate_from_counts(
+        cfg, expected_counts(cfg, cfg.run.n_windows, outcomes))
 
 
 def sweep(cfg: ExperimentConfig, distances_km: list[float]
@@ -91,6 +97,10 @@ _BOUNDS = {
 }
 
 
+#: Click-outcome tensors (8 KB each) one search keeps, oldest dropped first.
+_OUTCOMES_KEPT = 4
+
+
 @dataclass(frozen=True)
 class OptimizeResult:
     config: ExperimentConfig
@@ -110,9 +120,14 @@ def _apply(cfg: ExperimentConfig, name: str, value: float,
                         p_mu2=1.0 - value - cfg.party_a.p_mu0)
         else:
             a = replace(cfg.party_a, **{name: value})
+        # Enforce the intensity-balance condition by deriving b.mu1.  A
+        # symmetric candidate meets it as it stands: its right-hand side
+        # divides two identical products and is exactly 1.  Most steps
+        # leave the derived value as it was, and then b is kept.
         b = a if symmetric else cfg.party_b
-        # Enforce the intensity-balance condition by deriving b.mu1.
-        b = replace(b, mu1=a.mu1 / sns_balance_rhs(a, b))
+        mu1_b = a.mu1 / sns_balance_rhs(a, b)
+        if mu1_b != b.mu1:
+            b = replace(b, mu1=mu1_b)
         return replace(cfg, party_a=a, party_b=b)
     except (ValueError, ZeroDivisionError):
         return None
@@ -130,15 +145,23 @@ def optimize(cfg: ExperimentConfig, budget: int = 200) -> OptimizeResult:
     candidate the search revisits is not recomputed: its key rate is
     read back from the ones scored earlier in this call, but the visit
     still counts toward the budget, so the search path and evaluation
-    count are those of a search that recomputes it.
+    count are those of a search that recomputes it.  Most steps leave
+    the intensities as they are, so the click-outcome tensor of the last
+    few intensity pairs is kept and reused.
     """
     # Candidates differ only in their parties.
     scored: dict[tuple[PartySettings, PartySettings], float] = {}
+    outcomes: dict = {}  # (A intensities, B intensities) -> tensor
 
     def score(c: ExperimentConfig) -> float:
         key = (c.party_a, c.party_b)
         if key not in scored:
-            scored[key], _ = analytic_keyrate(c)
+            mus = (c.party_a.intensities, c.party_b.intensities)
+            if mus not in outcomes:
+                if len(outcomes) == _OUTCOMES_KEPT:
+                    del outcomes[next(iter(outcomes))]
+                outcomes[mus] = click_outcomes(c)
+            scored[key], _ = analytic_keyrate(c, outcomes[mus])
         return scored[key]
 
     symmetric = cfg.party_a == cfg.party_b

@@ -10,25 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-Z_INTENSITIES = (0, 3)
-X_INTENSITIES = (0, 1, 2)
+#: All 25 window categories in a fixed order: user A's basis, then user
+#: B's, then A's intensity index, then B's.
+CATEGORIES = (
+    "ZZ00", "ZZ03", "ZZ30", "ZZ33",
+    "ZX00", "ZX01", "ZX02", "ZX30", "ZX31", "ZX32",
+    "XZ00", "XZ03", "XZ10", "XZ13", "XZ20", "XZ23",
+    "XX00", "XX01", "XX02", "XX10", "XX11", "XX12", "XX20", "XX21", "XX22",
+)
 
 
-def category_names() -> list[str]:
-    """All 25 window categories in a fixed order."""
-    names = []
-    for ba, ia_set in (("Z", Z_INTENSITIES), ("X", X_INTENSITIES)):
-        for bb, ib_set in (("Z", Z_INTENSITIES), ("X", X_INTENSITIES)):
-            for ia in ia_set:
-                for ib in ib_set:
-                    names.append(f"{ba}{bb}{ia}{ib}")
-    return names
-
-
-CATEGORIES = tuple(category_names())
-
-
-@dataclass
+@dataclass(frozen=True)
 class CountsTable:
     """Window and herald counts of one run.
 
@@ -38,15 +30,18 @@ class CountsTable:
     users chose the same decoy intensity and their phase-slice indices
     differ by 0 or 8 out of 16): totals are heralded matched windows,
     errors those where the wrong detector fired for the slice pairing.
+    A sampled session holds ints; an expectation holds floats.
     """
 
-    n_windows: int = 0
-    windows: dict[str, int] = field(default_factory=lambda: {c: 0 for c in CATEGORIES})
-    heralds: dict[str, int] = field(default_factory=lambda: {c: 0 for c in CATEGORIES})
-    x11_total: int = 0
-    x11_errors: int = 0
-    x22_total: int = 0
-    x22_errors: int = 0
+    n_windows: int | float = 0
+    windows: dict[str, int | float] = field(
+        default_factory=lambda: {c: 0 for c in CATEGORIES})
+    heralds: dict[str, int | float] = field(
+        default_factory=lambda: {c: 0 for c in CATEGORIES})
+    x11_total: int | float = 0
+    x11_errors: int | float = 0
+    x22_total: int | float = 0
+    x22_errors: int | float = 0
 
     def yield_of(self, cat: str) -> float:
         """Heralds per emitted window of a category (0 if never emitted)."""

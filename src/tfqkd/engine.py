@@ -12,6 +12,21 @@ flattened tensor, seeded with ``default_rng(seed)``, so a session of any
 size costs the same; :func:`expected_counts` scales the tensor by the
 window count.  Both project the cells onto a :class:`CountsTable` the
 same way.
+
+The cells are built in two parts.  :func:`click_outcomes` is the costly
+one: a ``(16, 16, 4)`` tensor over (intensity pair, slice difference,
+outcome) that depends only on the two parties' intensity tuples, the
+link, the detectors and the noise model, so a caller that scores many
+configs with the same intensities can compute it once and pass it in.
+:func:`cell_probabilities` gathers it into category order and applies
+the cheap category weights.  Two rules hold for the kernel:
+
+- Every array it returns is C-contiguous.  :func:`_project` sums over
+  axes, and the same cells stored in another memory order are added in
+  another order, which moves the last bits of the counts and of the
+  reports built on them.
+- Every temporary stays under glibc's 128 KiB mmap threshold, so no
+  call maps and unmaps a fresh array.
 """
 from __future__ import annotations
 
@@ -47,6 +62,10 @@ _GH_WEIGHTS = np.array([
     0.2267063084689769, 0.0974063711627211, 0.023086657025710968,
     0.002858946062284619, 0.0001684914315513384, 4.012679447979844e-06,
     2.8080161179305654e-08, 2.5843149193748912e-11])
+#: Offsets and weights of the average when there is no residual phase.
+_NO_RESIDUAL = (np.zeros(1), np.ones(1))
+#: Phase of each slice difference, a column against the quadrature nodes.
+_SLICE_PHASES = (2.0 * math.pi * np.arange(N_SLICES) / N_SLICES)[:, None]
 
 #: Intensity index of user A and of user B in each of the 16 distinct
 #: (A intensity, B intensity) pairs; pair ``k`` is ``(k // 4, k % 4)``.
@@ -54,7 +73,7 @@ _PAIR_IA, _PAIR_IB = np.divmod(np.arange(16), 4)
 #: Pair index of each category, and the category index of the
 #: phase-matched decoy windows XX11 and XX22.
 _PAIR = np.array([4 * int(c[2]) + int(c[3]) for c in CATEGORIES])
-_XX = {level: CATEGORIES.index(f"XX{level}{level}") for level in (1, 2)}
+_XX11, _XX22 = CATEGORIES.index("XX11"), CATEGORIES.index("XX22")
 #: Index of each category's user A and user B window class in the
 #: per-party table of :func:`_class_probs` (Z0, Z3, X0, X1, X2).
 _CLASSES = ("Z0", "Z3", "X0", "X1", "X2")
@@ -73,37 +92,54 @@ def _class_probs(p: PartySettings) -> np.ndarray:
                      px * p.p_mu0, px * p.p_mu1, px * p.p_mu2])
 
 
-def cell_probabilities(cfg: ExperimentConfig) -> np.ndarray:
-    """Probability of every (category, slice difference, outcome) cell.
+def click_outcomes(cfg: ExperimentConfig) -> np.ndarray:
+    """Outcome probabilities of each intensity pair and slice difference.
 
-    Returns a ``(25, 16, 4)`` array laid out as described in the module
-    docstring.  The two slice indices are independent and uniform, so
-    every slice difference has probability 1/16.  The 25 categories use
-    only 16 distinct (A intensity, B intensity) pairs, so the outcome
-    probabilities are computed once per pair, as a ``(16, 16, 4)`` array,
-    and gathered into category order before the category weights apply.
+    Returns the ``(16, 16, 4)`` C-contiguous tensor described in the
+    module docstring.  It reads only the two parties' intensity tuples,
+    the link, the detectors and the noise model, so configs that differ
+    only in window or decoy probabilities share it.
     """
-    pa, pb = cfg.party_a, cfg.party_b
     sigma = cfg.noise.residual_phase_std_rad
     if sigma > 0:
         offsets, weights = _GH_NODES * sigma, _GH_WEIGHTS
     else:
-        offsets = np.zeros(1)
-        weights = np.ones(1)
-    # delta grid: (slice difference, quadrature node)
-    delta = (2.0 * math.pi * np.arange(N_SLICES) / N_SLICES)[:, None] + offsets
-
-    mu_a = np.asarray(pa.intensities)[_PAIR_IA][:, None, None]
-    mu_b = np.asarray(pb.intensities)[_PAIR_IB][:, None, None]
-    cat_prob = _class_probs(pa)[_CA] * _class_probs(pb)[_CB]
-    p0, p1 = click_probability_arrays(mu_a, mu_b, delta, cfg.link,
-                                      cfg.detectors, cfg.noise)
+        offsets, weights = _NO_RESIDUAL
+    mu_a = np.asarray(cfg.party_a.intensities)[_PAIR_IA][:, None, None]
+    mu_b = np.asarray(cfg.party_b.intensities)[_PAIR_IB][:, None, None]
+    p0, p1 = click_probability_arrays(mu_a, mu_b, _SLICE_PHASES + offsets,
+                                      cfg.link, cfg.detectors, cfg.noise)
     q0, q1 = 1.0 - p0, 1.0 - p1
-    # Average each outcome first: every temporary then stays under glibc's
-    # 128 KiB mmap threshold, so no call maps and unmaps a fresh array.
-    outcomes = np.stack([(a * b) @ weights for a, b in
-                         ((q0, q1), (p0, q1), (q0, p1), (p0, p1))], axis=2)
-    return outcomes[_PAIR] * (cat_prob / N_SLICES)[:, None, None]
+    # One product buffer serves all four outcomes, and each average
+    # writes its column of the result directly.  A buffer holding all
+    # four products, (16, 16, 4, 17), would be 139 KB: above the mmap
+    # threshold.
+    outcomes = np.empty((len(_PAIR_IA), N_SLICES, 4))
+    columns = outcomes.reshape(-1, 4)
+    product = np.empty_like(p0)
+    rows = product.reshape(-1, weights.size)
+    for k, (a, b) in enumerate(((q0, q1), (p0, q1), (q0, p1), (p0, p1))):
+        np.multiply(a, b, out=product)
+        np.matmul(rows, weights, out=columns[:, k])
+    return outcomes
+
+
+def cell_probabilities(cfg: ExperimentConfig,
+                       outcomes: np.ndarray | None = None) -> np.ndarray:
+    """Probability of every (category, slice difference, outcome) cell.
+
+    Returns a ``(25, 16, 4)`` array laid out as described in the module
+    docstring.  The two slice indices are independent and uniform, so
+    every slice difference has probability 1/16.  ``outcomes`` is
+    :func:`click_outcomes` of ``cfg``, computed here when not given; it
+    is gathered into category order before the category weights apply.
+    """
+    if outcomes is None:
+        outcomes = click_outcomes(cfg)
+    cat_prob = _class_probs(cfg.party_a)[_CA] * _class_probs(cfg.party_b)[_CB]
+    cells = outcomes[_PAIR]
+    cells *= (cat_prob / N_SLICES)[:, None, None]
+    return cells
 
 
 def _project(cells: np.ndarray, n_windows) -> CountsTable:
@@ -114,16 +150,14 @@ def _project(cells: np.ndarray, n_windows) -> CountsTable:
     error is a herald on the other detector.
     """
     heralds = cells[:, :, 1] + cells[:, :, 2]
-    table = CountsTable(
+    return CountsTable(
         n_windows=n_windows,
         windows=dict(zip(CATEGORIES, cells.sum(axis=(1, 2)).tolist())),
-        heralds=dict(zip(CATEGORIES, heralds.sum(axis=1).tolist())))
-    for level, tot_attr, err_attr in ((1, "x11_total", "x11_errors"),
-                                      (2, "x22_total", "x22_errors")):
-        k = _XX[level]
-        setattr(table, tot_attr, (heralds[k, 0] + heralds[k, 8]).item())
-        setattr(table, err_attr, (cells[k, 0, 2] + cells[k, 8, 1]).item())
-    return table
+        heralds=dict(zip(CATEGORIES, heralds.sum(axis=1).tolist())),
+        x11_total=(heralds[_XX11, 0] + heralds[_XX11, 8]).item(),
+        x11_errors=(cells[_XX11, 0, 2] + cells[_XX11, 8, 1]).item(),
+        x22_total=(heralds[_XX22, 0] + heralds[_XX22, 8]).item(),
+        x22_errors=(cells[_XX22, 0, 2] + cells[_XX22, 8, 1]).item())
 
 
 def simulate(cfg: ExperimentConfig, n_windows: int,
@@ -140,10 +174,13 @@ def simulate(cfg: ExperimentConfig, n_windows: int,
     return _project(counts.reshape(p.shape), int(n_windows))
 
 
-def expected_counts(cfg: ExperimentConfig, n_windows: float) -> CountsTable:
+def expected_counts(cfg: ExperimentConfig, n_windows: float,
+                    outcomes: np.ndarray | None = None) -> CountsTable:
     """Analytic expectation of every :class:`CountsTable` entry.
 
-    Entries are expected values and stay floats, although the table's
-    fields are annotated as integer counts.
+    Entries are expected values and stay floats.  ``outcomes`` is
+    passed on to :func:`cell_probabilities`.
     """
-    return _project(n_windows * cell_probabilities(cfg), n_windows)
+    cells = cell_probabilities(cfg, outcomes)
+    cells *= n_windows
+    return _project(cells, n_windows)

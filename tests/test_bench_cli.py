@@ -12,7 +12,7 @@ import pytest
 
 import tfqkd
 
-from tfqkd import bench, cli
+from tfqkd import bench, cli, engine
 from tfqkd.cli import main
 from tfqkd.config import (ConfigError, load_config, override_config,
                           serialize_config)
@@ -292,18 +292,42 @@ def test_optimize_matches_reference_search(preset, mode, budget):
                                                                      budget)
 
 
+def _spy(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper; returns the list of the
+    first argument of each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def test_optimize_scores_each_candidate_once(monkeypatch):
-    scored = []
-    original = bench.analytic_keyrate
-
-    def counting(cfg):
-        scored.append((cfg.party_a, cfg.party_b))
-        return original(cfg)
-
-    monkeypatch.setattr(bench, "analytic_keyrate", counting)
+    calls = _spy(monkeypatch, bench, "analytic_keyrate")
     result = bench.optimize(_with_mode("sym546", "finite"), budget=200)
     assert result.evaluations == 200 and result.budget_exhausted
-    assert len(set(scored)) == len(scored) < result.evaluations
+    scored = [(c.party_a, c.party_b) for c in calls]
+    assert 0 < len(set(scored)) == len(scored) < result.evaluations
+
+
+@pytest.mark.parametrize("preset, mode, most", [("sym546", "finite", 105),
+                                                ("asym452", "asymptotic", 146)])
+def test_optimize_reuses_click_outcomes(monkeypatch, preset, mode, most):
+    """The two searches of the design-scan benchmark (budget 200) run the
+    click model at most 105 and 146 times.  Scoring each candidate afresh
+    runs it 161 and 168 times; once per distinct pair of intensity tuples
+    would be 88 and 115.  The lower bound is that distinct count, so the
+    check cannot pass by skipping the click model."""
+    scored = _spy(monkeypatch, bench, "analytic_keyrate")
+    clicks = _spy(monkeypatch, engine, "click_probability_arrays")
+    result = bench.optimize(_with_mode(preset, mode), budget=200)
+    assert result.evaluations == 200
+    distinct = {(c.party_a.intensities, c.party_b.intensities) for c in scored}
+    assert 0 < len(distinct) <= len(clicks) <= most
 
 
 # ------------------------------------------------------------------ verify

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm, poisson
 
-from tfqkd.counts import CATEGORIES, CountsTable, category_names
-from tfqkd.engine import (_GH_NODES, _GH_WEIGHTS, N_SLICES,
-                          cell_probabilities, expected_counts, simulate)
+from tfqkd.counts import CATEGORIES, CountsTable
+from tfqkd.engine import (_GH_NODES, _GH_WEIGHTS, N_SLICES, cell_probabilities,
+                          click_outcomes, expected_counts, simulate)
 from tfqkd.optics import click_probability_arrays
 from tfqkd.presets import PRESETS, ExperimentConfig, get_preset
 from tfqkd.ratecore import PartySettings
@@ -24,12 +24,15 @@ def cfg546():
 # ------------------------------------------------------------ counts table
 
 def test_category_set():
-    names = category_names()
-    assert len(names) == 25
-    assert len(set(names)) == 25
-    assert "ZZ33" in names and "XX22" in names and "XZ10" in names
-    # Z windows only use intensity indices {0, 3}; X windows {0, 1, 2}.
-    assert "ZZ13" not in names and "XX33" not in names
+    # Every (basis A, basis B, intensity A, intensity B) key the sources
+    # can emit, once: Z windows only use intensity indices {0, 3}, X
+    # windows {0, 1, 2}.  Reports list them grouped by basis pair (ZZ,
+    # ZX, XZ, XX), then by A's index, then by B's.
+    levels = {"Z": "03", "X": "012"}
+    every = [ba + bb + ia + ib for ba in "ZX" for bb in "ZX"
+             for ia in levels[ba] for ib in levels[bb]]
+    assert CATEGORIES == tuple(every)
+    assert len(set(CATEGORIES)) == 25
 
 
 # ----------------------------------------------------------- simulation
@@ -215,21 +218,21 @@ def _per_window_counts(cfg: ExperimentConfig, n: int, seed: int) -> CountsTable:
     code = ((za * 4 + ia) * 2 + zb) * 4 + ib
     win_counts = np.bincount(code, minlength=128)
     her_counts = np.bincount(code[herald], minlength=128)
-    table = CountsTable(n_windows=n)
+    windows, heralds = {}, {}
     for cat in CATEGORIES:
         c = (((cat[0] == "Z") * 4 + int(cat[2])) * 2 + (cat[1] == "Z")) * 4 \
             + int(cat[3])
-        table.windows[cat] = int(win_counts[c])
-        table.heralds[cat] = int(her_counts[c])
+        windows[cat] = int(win_counts[c])
+        heralds[cat] = int(her_counts[c])
     matched = ~za & ~zb & (ia == ib) & ((dtheta == 0) | (dtheta == 8)) & herald
     # Slice difference 0 targets detector 0 and difference 8 detector 1.
     wrong = np.where(dtheta == 0, c1, c0)
-    for level, tot_attr, err_attr in ((1, "x11_total", "x11_errors"),
-                                      (2, "x22_total", "x22_errors")):
+    decoys = {}
+    for level in (1, 2):
         m = matched & (ia == level)
-        setattr(table, tot_attr, int(m.sum()))
-        setattr(table, err_attr, int((m & wrong).sum()))
-    return table
+        decoys[f"x{level}{level}_total"] = int(m.sum())
+        decoys[f"x{level}{level}_errors"] = int((m & wrong).sum())
+    return CountsTable(n_windows=n, windows=windows, heralds=heralds, **decoys)
 
 
 def _table_entries(t: CountsTable) -> dict:
@@ -299,9 +302,25 @@ def _reference_class_prob(basis: str, i: int, p: PartySettings) -> float:
     return (1.0 - p.p_signal_window) * (p.p_mu0, p.p_mu1, p.p_mu2)[i]
 
 
+def _reference_clicks(mu_a, mu_b, delta_phi, link, det, noise):
+    """The click model as one plain expression per port: the bit-for-bit
+    oracle of the in-place :func:`click_probability_arrays`."""
+    ma = np.asarray(mu_a, dtype=float) * link.arm_transmittance("a")
+    mb = np.asarray(mu_b, dtype=float) * link.arm_transmittance("b")
+    cross = noise.visibility * np.sqrt(ma * mb) * np.cos(delta_phi)
+    mean = 0.5 * (ma + mb)
+    n0 = det.efficiency_d0 * (mean + cross)
+    n1 = det.efficiency_d1 * (mean - cross)
+    p0 = 1.0 - (1.0 - det.dark_prob_d0) * np.exp(-n0)
+    p1 = 1.0 - (1.0 - det.dark_prob_d1) * np.exp(-n1)
+    return p0, p1
+
+
 def _reference_cell_probabilities(cfg: ExperimentConfig) -> np.ndarray:
-    """The per-category evaluation that the intensity-pair gather
-    replaced, as its oracle: the click model runs on all 25 categories."""
+    """The straightforward kernel, as the bit-for-bit oracle of
+    :func:`cell_probabilities`: the plain click expressions evaluated on
+    all 25 categories (no intensity-pair gather), then each outcome
+    product averaged by its own 3-D ``matmul`` and the four stacked."""
     pa, pb = cfg.party_a, cfg.party_b
     sigma = cfg.noise.residual_phase_std_rad
     if sigma > 0:
@@ -318,12 +337,22 @@ def _reference_cell_probabilities(cfg: ExperimentConfig) -> np.ndarray:
     cat_prob = np.array([_reference_class_prob(c[0], int(c[2]), pa)
                          * _reference_class_prob(c[1], int(c[3]), pb)
                          for c in CATEGORIES])
-    p0, p1 = click_probability_arrays(mu_a, mu_b, delta, cfg.link,
-                                      cfg.detectors, cfg.noise)
+    p0, p1 = _reference_clicks(mu_a, mu_b, delta, cfg.link, cfg.detectors,
+                               cfg.noise)
     q0, q1 = 1.0 - p0, 1.0 - p1
     outcomes = np.stack([(a * b) @ weights for a, b in
                          ((q0, q1), (p0, q1), (q0, p1), (p0, p1))], axis=2)
     return outcomes * (cat_prob / N_SLICES)[:, None, None]
+
+
+def _assert_same_cells(cfg) -> None:
+    got = cell_probabilities(cfg)
+    want = _reference_cell_probabilities(cfg)
+    assert got.shape == want.shape == (len(CATEGORIES), N_SLICES, 4)
+    # C order matters beyond the values: _project sums over axes, and
+    # another memory order adds the same cells in another order.
+    assert got.flags.c_contiguous and click_outcomes(cfg).flags.c_contiguous
+    assert got.tobytes() == want.tobytes(), cfg
 
 
 def _random_party(rng: np.random.Generator, mu0: float) -> PartySettings:
@@ -369,9 +398,7 @@ def _random_config(rng: np.random.Generator, mu0: float | None,
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_cell_probabilities_match_per_category_oracle_on_presets(preset):
-    cfg = get_preset(preset)
-    assert np.array_equal(cell_probabilities(cfg),
-                          _reference_cell_probabilities(cfg))
+    _assert_same_cells(get_preset(preset))
 
 
 @pytest.mark.parametrize("sigma", [0.0, None], ids=["sigma0", "sigma_random"])
@@ -383,8 +410,33 @@ def test_cell_probabilities_match_per_category_oracle(mu0, sigma):
     the ``mu0`` and residual-phase cases named in the parameters."""
     rng = np.random.default_rng(0)
     for _ in range(60):
-        cfg = _random_config(rng, mu0, sigma)
-        got = cell_probabilities(cfg)
-        want = _reference_cell_probabilities(cfg)
-        assert got.shape == want.shape == (len(CATEGORIES), N_SLICES, 4)
-        assert np.array_equal(got, want), cfg
+        _assert_same_cells(_random_config(rng, mu0, sigma))
+
+
+def test_cell_probabilities_reuse_given_outcomes():
+    # Configs with equal intensities share the outcome tensor: a search
+    # that passes it in gets the cells it would have computed.
+    cfg = get_preset("asym452")
+    party = dataclasses.replace(cfg.party_a, p_signal_window=0.5, p_mu1=0.5,
+                                p_mu2=1.0 - 0.5 - cfg.party_a.p_mu0)
+    other = dataclasses.replace(cfg, party_a=party)
+    shared = cell_probabilities(other, click_outcomes(cfg))
+    assert shared.tobytes() == cell_probabilities(other).tobytes()
+
+
+@pytest.mark.parametrize("shape, delta_shape",
+                         [((), ()), ((7,), (7,)), ((3, 1, 1), (5, 4))])
+def test_click_probability_arrays_match_plain_expression(shape, delta_shape):
+    """The in-place click model equals the plain expressions bit for bit,
+    for scalars and for broadcast shapes, over 50 random draws each."""
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        cfg = _random_config(rng, None, None)
+        mu_a = rng.uniform(0.0, 1.0, size=shape)
+        mu_b = rng.uniform(0.0, 1.0, size=shape)
+        delta = rng.uniform(-np.pi, np.pi, size=delta_shape)
+        args = (mu_a, mu_b, delta, cfg.link, cfg.detectors, cfg.noise)
+        got, want = click_probability_arrays(*args), _reference_clicks(*args)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()

@@ -1,4 +1,5 @@
 """Post-processing: decoy bounds, Chernoff intervals, sifting, pairing."""
+import dataclasses
 import itertools
 import math
 
@@ -307,9 +308,8 @@ def test_decoy_finite_mode_is_conservative():
     party = PartySettings(mu_z=0.5, mu2=0.3, mu1=0.1, mu0=0.0,
                           p_signal_window=0.7, epsilon_send=0.3,
                           p_mu0=0.1, p_mu1=0.6, p_mu2=0.3)
-    table = _pure_loss_table(0.01, party)
+    table = dataclasses.replace(_pure_loss_table(0.01, party), x11_errors=1000)
     table.windows["XX11"] = 10**8
-    table.x11_errors = 1000
     table.windows["XX00"] = 10**6
     asym = decoy_bounds(table, party, party, SecuritySettings(mode="asymptotic"))
     fin = decoy_bounds(table, party, party, SecuritySettings(mode="finite"))
