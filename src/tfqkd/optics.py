@@ -49,15 +49,17 @@ def free_running_phase(noise: NoiseModel, dt: float, n: int,
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Open-loop differential phases at t = dt, 2 dt, ..., n dt.
 
-    Returns ``(t, phi_c, phi_q, laser_phase)``.  The fiber drift
+    Returns ``(phi_c, phi_q, laser_phase, clock_phase)``.  The fiber drift
     velocity is the AR(1) process of :func:`velocity_step_coeffs`,
     starting at rest and driven by ``n`` standard normals from ``rng``;
     its integral applies to the reference band ``phi_c`` directly and to
     the signal band ``phi_q`` scaled by the frequency ratio.  The laser
     frequency offset ramps from zero at the specified drift rate and
     adds ``laser_phase`` to both bands.  The clock-accuracy floor
-    affects only the signal band, whose phase is reconstructed from a
-    reference measured against an imperfect timebase.
+    ``clock_phase``, ``noise.clock_drift_floor() * t``, affects only the
+    signal band, whose phase is reconstructed from a reference measured
+    against an imperfect timebase.  It is built once, in the buffer of
+    ``t``, and returned for callers that need it again.
 
     The velocity recurrence ``v = s*x + a*v`` is a Python loop, not
     ``scipy.signal.lfilter([s], [1, -a], x)``: it gives the same array
@@ -86,8 +88,11 @@ def free_running_phase(noise: NoiseModel, dt: float, n: int,
     phi_q = fiber_phase
     phi_q *= noise.band_ratio
     phi_q += laser_phase
-    phi_q += noise.clock_drift_floor() * t
-    return t, phi_c, phi_q, laser_phase
+    # t * floor is floor * t bit for bit, so t can become the floor.
+    clock_phase = t
+    clock_phase *= noise.clock_drift_floor()
+    phi_q += clock_phase
+    return phi_c, phi_q, laser_phase, clock_phase
 
 
 def click_probability_arrays(mu_a: np.ndarray, mu_b: np.ndarray,

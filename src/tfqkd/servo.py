@@ -45,15 +45,21 @@ PM_RANGE_RAD = TWO_PI
 FS_RANGE_RAD = 60.0
 SLOW_LOOP_STEPS = 100
 BLANK_STEPS = 100
+# Samples per block of the passes over a run's arrays that need a
+# temporary, so the temporary stays small.
+_BLOCK = 65_536
 
 
 @dataclass
 class PIDState:
     """Mutable controller state: actuator value plus PI memory.
 
-    ``unwrapped`` accumulates the correction without actuator wrapping
-    (the quantity used for frequency readout); ``output`` is the
-    physical actuator value after range handling.
+    ``output`` is the physical actuator value after range handling.  The
+    fast loop also keeps ``unwrapped``, its correction accumulated
+    without the modulator's wrapping (the quantity used for frequency
+    readout), and wraps it into ``output``.  The slow loop applies its
+    update to ``output`` and rewinds it there, so its ``unwrapped``
+    stays zero.
     """
 
     output: float = 0.0
@@ -120,19 +126,19 @@ def slow_loop_step(counts: float, state: PIDState) -> bool:
     """One slow-loop iteration on a reference-slot bin count.
 
     Inverts ``counts`` to a mid-fringe phase error and applies the PI
-    update of :func:`fast_loop_span` to the fiber stretcher.  When the
-    stretcher leaves its range it is rewound toward center by a whole
-    number of fringes (phase-invariant).  Returns whether it was, so
-    the caller can blank the affected interval.
+    update of :func:`fast_loop_span` to the fiber stretcher,
+    ``state.output``.  When the stretcher leaves its range it is rewound
+    toward center by a whole number of fringes (phase-invariant).
+    Returns whether it was, so the caller can blank the affected
+    interval.
     """
     err = _fringe_error(counts, SLOW_SETPOINT_COUNTS)
     kp, ki = SLOW_GAINS
     state.integral += err
-    state.unwrapped -= kp * err + ki * state.integral
-    rewound = abs(state.unwrapped) > FS_RANGE_RAD
+    state.output -= kp * err + ki * state.integral
+    rewound = abs(state.output) > FS_RANGE_RAD
     if rewound:
-        state.unwrapped -= TWO_PI * round(state.unwrapped / TWO_PI)
-    state.output = state.unwrapped
+        state.output -= TWO_PI * round(state.output / TWO_PI)
     return rewound
 
 
@@ -209,6 +215,46 @@ def _wrap_fringe(phase_rad: np.ndarray) -> np.ndarray:
     return r
 
 
+def _wrapped_std(phase_rad: np.ndarray, valid: np.ndarray,
+                 offset_rad: np.ndarray | None = None,
+                 out: np.ndarray | None = None) -> float:
+    """``np.std`` of the fringe-wrapped ``(phase_rad + offset_rad)[valid]``.
+
+    The wrapped samples are gathered into the head of ``out``, a new
+    array by default, before ``np.std`` takes them.  The sum, gather and
+    wrap run a block of ``_BLOCK`` samples at a time, so no other
+    full-length temporary is built.  ``out`` may be ``phase_rad`` itself:
+    a block's samples land at or before the block's start, after the
+    block has been read.
+    """
+    if out is None:
+        out = np.empty(np.count_nonzero(valid))
+    j = 0
+    for b in range(0, phase_rad.size, _BLOCK):
+        keep = valid[b:b + _BLOCK]
+        x = phase_rad[b:b + _BLOCK][keep]
+        if offset_rad is not None:
+            x += offset_rad[b:b + _BLOCK][keep]
+        out[j:j + x.size] = _wrap_fringe(x)
+        j += x.size
+    return float(np.std(out[:j]))
+
+
+def clock_limited_drift_rate(noise: NoiseModel) -> float:
+    """Predicted signal-band drift rate (rad/s) under the fast lock.
+
+    A perfect reference lock leaves the signal band the clock-accuracy
+    floor, a constant rate, plus ``1 - band_ratio`` times the reference
+    band's drift, whose 1 ms RMS rate is ``free_drift_rate_std``.  The
+    fiber drift has zero mean rate, so the two add in quadrature.  The
+    laser ramp's share and the fringe-quantized modulator chatter are
+    left out; on sym546 the prediction is 45.24 rad/s (floor 44.43,
+    scaled drift 8.52).
+    """
+    return math.hypot(noise.clock_drift_floor(),
+                      (1.0 - noise.band_ratio) * noise.free_drift_rate_std)
+
+
 def run_stabilization(duration_s: float, noise: NoiseModel,
                       stages: str = "full", seed: int = 0
                       ) -> tuple[StabilizationSummary, dict[str, np.ndarray]]:
@@ -225,6 +271,11 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
     signal band, so shot-noise chatter of the fringe number leaks in at
     2*pi times the band offset fraction per flip).  The slow loop
     removes what is left.  Fiber-stretcher resets blank 1 ms of data.
+
+    Each full-length array is freed before the next one is built: six
+    returned series, the signal-band residual and a mask of the valid
+    samples are all the run holds at once, besides one compressed copy
+    of the valid samples while a statistic is taken.
     """
     if stages not in STAGES:
         raise ValueError(f"stages must be one of {STAGES}")
@@ -235,66 +286,72 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
                          f"fast-loop cycles, got {duration_s!r} s")
     n = round(steps)
     rng = np.random.default_rng(seed)
-    t, phi_c, phi_q_free, laser_phase = free_running_phase(noise, dt, n, rng)
+    phi_c, phi_q_free, laser_phase, resid_q = free_running_phase(noise, dt,
+                                                                 n, rng)
     delta = 1.0 - noise.band_ratio
-    if stages != "none":
-        # Signal-band drift left by a perfect reference lock; after the
-        # loop the same array becomes the signal-band residual.
-        resid_q = noise.clock_drift_floor() * t
+    if stages == "none":
+        del resid_q
+    else:
+        # The clock floor's buffer becomes the signal-band drift left by a
+        # perfect reference lock, and after the loop the signal-band
+        # residual.
         laser_phase *= delta
         resid_q += laser_phase
     del laser_phase
 
     pm = np.zeros(n)
     dc_counts = np.zeros(n)
+    # Only the slow loop writes the stretcher; the other stages leave
+    # its zero pages untouched.
     fs = np.zeros(n)
-    blanked = np.zeros(n, dtype=bool)
+    valid = np.ones(n, dtype=bool)
 
-    if stages != "none":
+    vis = noise.visibility
+    draw = rng.poisson
+    if stages == "fastOnly":
+        fast_loop_span(0, n, phi_c, pm, dc_counts, vis, PIDState(), draw)
+    elif stages == "full":
         fast = PIDState()
         slow = PIDState()
-        vis = noise.visibility
-        draw = rng.poisson
-        span = SLOW_LOOP_STEPS if stages == "full" else n
-        for start in range(0, n, span):
-            stop = min(start + span, n)
+        for start in range(0, n, SLOW_LOOP_STEPS):
+            stop = min(start + SLOW_LOOP_STEPS, n)
             fast_loop_span(start, stop, phi_c, pm, dc_counts, vis, fast, draw)
             fs[start:stop] = slow.output
-            if stages == "full" and stop % SLOW_LOOP_STEPS == 0:
+            if stop % SLOW_LOOP_STEPS == 0:
                 i = stop - 1
                 fringe = round(fast.unwrapped / TWO_PI)
                 resid = resid_q[i] - delta * TWO_PI * fringe
                 counts = draw(SLOW_SETPOINT_COUNTS
                               * (1.0 + vis * math.sin(resid + slow.output)))
                 if slow_loop_step(counts, slow):
-                    blanked[i:i + BLANK_STEPS + 1] = True
+                    valid[i:i + BLANK_STEPS + 1] = False
                 fs[i] = slow.output
-        # The modulator transfers whole reference fringes to the signal band.
-        transferred = pm / TWO_PI
-        np.round(transferred, out=transferred)
-        transferred *= delta * TWO_PI
-        resid_q -= transferred
-        del transferred
+    if stages != "none":
+        # The modulator transfers whole reference fringes to the signal
+        # band.
+        for b in range(0, n, _BLOCK):
+            transferred = pm[b:b + _BLOCK] / TWO_PI
+            np.round(transferred, out=transferred)
+            transferred *= delta * TWO_PI
+            resid_q[b:b + _BLOCK] -= transferred
 
     warm = min(n // 5, int(round(0.2 / dt)))
-    valid = ~blanked
     valid[:warm] = False
 
-    # Each residual array is dropped as soon as its statistic is taken.
     free_rate = drift_rate_rms(phi_q_free, dt)
     if stages == "none":
         locked_rate = free_rate
+        std_c = _wrapped_std(phi_c, valid)
+        std_q = _wrapped_std(phi_q_free, valid)
         freq = -frequency_readout(phi_c, duration_s)
-        std_c = float(np.std(_wrap_fringe(phi_c[valid])))
-        std_q = float(np.std(_wrap_fringe(phi_q_free[valid])))
     else:
         locked_rate = drift_rate_rms(resid_q[warm:], dt)
-        freq = -frequency_readout(pm[warm:], (n - warm) * dt)
-        resid_q += fs
-        std_q = float(np.std(_wrap_fringe(resid_q[valid])))
+        # The residual is gathered into its own buffer, then dropped.
+        std_q = _wrapped_std(resid_q, valid, fs, out=resid_q)
         del resid_q
         # The unwrapped pm tracks -phi_c when locked.
-        std_c = float(np.std(_wrap_fringe(phi_c[valid] + pm[valid])))
+        std_c = _wrapped_std(phi_c, valid, pm)
+        freq = -frequency_readout(pm[warm:], (n - warm) * dt)
 
     summary = StabilizationSummary(
         free_drift_std_rad_per_s=free_rate,
@@ -304,6 +361,9 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
         reduction_factor=free_rate / locked_rate if locked_rate > 0 else math.inf,
         freq_readout_hz=freq,
     )
+    # The same bits as the t free_running_phase built the clock floor from.
+    t = np.arange(1, n + 1, dtype=float)
+    t *= dt
     series = {
         "t_s": t,
         "phiC_rad": phi_c,

@@ -202,27 +202,32 @@ def test_clock_drift_floor():
 def test_free_running_phase_quiet_channel():
     noise = NoiseModel(free_drift_rate_std=0.0, laser_drift_hz_per_hour=0.0,
                        clock_accuracy=0.0)
-    t, phi_c, phi_q, _ = free_running_phase(noise, 1e-5, 100,
-                                            np.random.default_rng(0))
-    assert np.array_equal(t, np.arange(1, 101) * 1e-5)
+    phi_c, phi_q, laser, clock = free_running_phase(
+        noise, 1e-5, 100, np.random.default_rng(0))
     assert not phi_c.any()
     assert not phi_q.any()
+    assert not laser.any()
+    assert not clock.any()
 
 
 def test_free_running_phase_clock_floor_only():
     noise = NoiseModel(free_drift_rate_std=0.0, laser_drift_hz_per_hour=0.0)
-    t, phi_c, phi_q, _ = free_running_phase(noise, 1e-5, 1000,
-                                            np.random.default_rng(0))
+    phi_c, phi_q, _, clock = free_running_phase(noise, 1e-5, 1000,
+                                                np.random.default_rng(0))
+    t = np.arange(1, 1001) * 1e-5
     assert not phi_c.any()
-    # The floor is a constant drift rate in the signal band only.
-    assert np.array_equal(phi_q, noise.clock_drift_floor() * t)
+    # The floor is a constant drift rate in the signal band only, and it
+    # is returned as built.
+    assert np.array_equal(clock, noise.clock_drift_floor() * t)
+    assert np.array_equal(phi_q, clock)
     assert phi_q[-1] / t[-1] == pytest.approx(44.43, abs=0.05)
 
 
 def test_free_running_phase_laser_ramp():
     noise = NoiseModel(free_drift_rate_std=0.0, clock_accuracy=0.0)
-    t, phi_c, phi_q, laser = free_running_phase(noise, 1e-3, 1000,
+    phi_c, phi_q, laser, _ = free_running_phase(noise, 1e-3, 1000,
                                                 np.random.default_rng(0))
+    t = np.arange(1, 1001) * 1e-3
     # Frequency offset ramping from 0 at f_drift: phi = 2 pi (f_drift/2) t^2
     # in both bands, reaching pi * 1777/3600 rad after 1 s.
     expect = 2 * math.pi * 0.5 * (1777.0 / 3600.0) * t ** 2
@@ -241,9 +246,9 @@ def _lfilter_free_running_phase(noise, dt, n, rng):
     f0 = noise.laser_drift_hz_per_hour / 3600.0
     laser_phase = 2.0 * math.pi * (0.5 * f0 * t * t)
     phi_c = fiber_phase + laser_phase
-    phi_q = (noise.band_ratio * fiber_phase + laser_phase
-             + noise.clock_drift_floor() * t)
-    return t, phi_c, phi_q, laser_phase
+    clock_phase = noise.clock_drift_floor() * t
+    phi_q = noise.band_ratio * fiber_phase + laser_phase + clock_phase
+    return phi_c, phi_q, laser_phase, clock_phase
 
 
 @pytest.mark.parametrize("dt", [7e-6, 1e-5, 2e-5], ids=["7us", "10us", "20us"])
@@ -305,7 +310,7 @@ def test_free_running_phase_empirical_drift_rate():
     rng = np.random.default_rng(1)
     mean_squares = []
     for _ in range(40):
-        _, phases, _, _ = free_running_phase(noise, dt, 100_000, rng)
+        phases, _, _, _ = free_running_phase(noise, dt, 100_000, rng)
         rates = np.diff(phases[::m]) / 1e-3
         mean_squares.append(np.mean(rates * rates))
     rms = float(np.sqrt(np.mean(mean_squares)))

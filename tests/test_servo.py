@@ -11,7 +11,8 @@ from tfqkd.optics import free_running_phase
 from tfqkd.presets import PRESETS, NoiseModel
 from tfqkd.servo import (_ERROR_TABLE, FAST_GAINS, FAST_SETPOINT_COUNTS,
                          FAST_STEP_S, FS_RANGE_RAD, SLOW_SETPOINT_COUNTS, STAGES, PIDState,
-                         StabilizationSummary, _wrap_fringe, drift_rate_rms,
+                         StabilizationSummary, _wrap_fringe,
+                         clock_limited_drift_rate, drift_rate_rms,
                          fast_loop_span, frequency_readout, run_stabilization,
                          slow_loop_step)
 
@@ -120,6 +121,8 @@ def test_slow_loop_locks_static_offset():
                                                         + state.output))
         slow_loop_step(counts, state)
     assert state.output == pytest.approx(-0.4, abs=1e-3)
+    # The stretcher value is the only actuator field the slow loop keeps.
+    assert state.unwrapped == 0.0
 
 
 def test_slow_loop_range_reset_flag():
@@ -257,34 +260,50 @@ def test_free_drift_calibration_pooled_over_seeds():
 
 
 def test_run_stabilization_series_shapes():
-    _, series = run_stabilization(0.15, NoiseModel(), stages="fastOnly",
-                                  seed=0)
-    n = series["t_s"].size
-    assert n == 15_000
-    for key in ("phiC_rad", "phiQ_rad", "pm_rad", "fs_rad", "dc_counts"):
-        assert series[key].size == n
+    """Every series has one sample per fast step, at t = dt, ..., n dt.
+
+    The run rebuilds ``t_s`` after its statistics; it must equal the
+    plain product bit for bit.  Only the slow loop writes the stretcher,
+    so without it ``fs_rad`` stays +0.0 throughout.
+    """
+    n = 15_000
+    want_t = np.arange(1, n + 1, dtype=float) * FAST_STEP_S
+    for stages in STAGES:
+        _, series = run_stabilization(0.15, NoiseModel(), stages=stages,
+                                      seed=0)
+        assert series["t_s"].tobytes() == want_t.tobytes(), stages
+        for key in ("phiC_rad", "phiQ_rad", "pm_rad", "fs_rad", "dc_counts"):
+            assert series[key].size == n, (stages, key)
+        if stages != "full":
+            assert series["fs_rad"].tobytes() == bytes(8 * n), stages
 
 
 @pytest.mark.parametrize("stages", STAGES)
 def test_run_stabilization_peak_memory(stages):
-    """A 2 s sym546 run holds at most 10 float64 arrays of its length.
+    """A 2 s sym546 run holds at most 7.5 float64 arrays of its length.
 
     numpy reports its data buffers to ``tracemalloc``, so the traced
     peak counts every array the run allocates, and it does not depend on
     the C library's heap.  Six of the arrays are the returned series.
-    The run peaks at 8.9 arrays (``none``) and 9.4 (locked stages).
-    Building the phases from full-length temporaries and reading the
-    frequency through ``np.polyfit`` peaks at 14.7 and 16.55 arrays.
+    The run peaks at 6.94 arrays (``none``) and 7.06 (locked stages):
+    the signal-band residual, the valid-sample mask and one compressed
+    copy of the valid samples come on top of the series while a
+    statistic is taken.  Keeping ``t``, a second clock-floor product
+    and full-length statistics temporaries alive peaks at 8.39 and 9.39
+    arrays; building the phases from full-length temporaries and reading
+    the frequency through ``np.polyfit`` peaks at 14.7 and 16.55.
     """
     noise = PRESETS["sym546"].noise
     n = round(2.0 / FAST_STEP_S)
+    # numpy loads numpy.random on first use; load it untraced.
+    np.random.default_rng
     tracemalloc.start()
     try:
         run_stabilization(2.0, noise, stages, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * n * 8
+    assert peak <= 7.5 * n * 8
 
 
 def test_fast_lock_drift_pooled_over_seeds():
@@ -292,17 +311,23 @@ def test_fast_lock_drift_pooled_over_seeds():
 
     Each seed runs 2 s of the fast lock against the clock-limited
     reference, the second run of criterion 6, which uses seed 1.  The
+    pooled mean must lie within 4 SEM of the physics, not of a past
+    run: :func:`clock_limited_drift_rate` predicts 45.24 rad/s.  The
     per-seed locked drift has mean 45.2 and SD 1.5 rad/s over seeds
-    0-499, so the 8-seed mean (45.6 here) has an SEM of about 0.53 and
-    lies about 10 SEM above the 40 rad/s floor.  Under a normal
-    approximation of the seed mean a correct program fails with
-    probability below 1e-20; the per-seed check of criterion 6 fails for
-    about 0.4% of seeds.
+    0-499, so the 8-seed mean (45.6 here) has an SEM of about 0.53, and
+    the band is about +-2.1 rad/s.  Under a normal approximation of the
+    seed mean a correct program fails with probability about 6.3e-5
+    (two-sided 4 sigma); on these seeds a servo change that moves the
+    locked drift by 6% either way fails it.  The per-seed check of
+    criterion 6 fails for about 0.4% of seeds.
     """
-    drifts = [run_stabilization(2.0, NoiseModel(), "fastOnly",
+    noise = NoiseModel()
+    drifts = [run_stabilization(2.0, noise, "fastOnly",
                                 seed)[0].fast_locked_drift_std_rad_per_s
               for seed in range(2, 10)]
-    assert 40.0 <= np.mean(drifts) <= 150.0
+    sem = 1.5 / math.sqrt(len(drifts))
+    assert np.mean(drifts) == pytest.approx(clock_limited_drift_rate(noise),
+                                            abs=4 * sem)
 
 
 def _reference_stabilization(duration_s, noise, stages, seed,
@@ -321,7 +346,8 @@ def _reference_stabilization(duration_s, noise, stages, seed,
     slow_rate_hz = 1e3
     n = round(duration_s / dt)
     rng = np.random.default_rng(seed)
-    t, phi_c, phi_q_free, laser_phase = free_running_phase(noise, dt, n, rng)
+    phi_c, phi_q_free, laser_phase, _ = free_running_phase(noise, dt, n, rng)
+    t = np.arange(1, n + 1) * dt
     pm = np.zeros(n)
     dc_counts = np.zeros(n)
     fs = np.zeros(n)
