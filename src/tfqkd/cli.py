@@ -15,6 +15,9 @@ owner and links; a failing command leaves an existing target
 byte-identical and creates none.  The write is not crash-atomic.  Text
 without a path goes to ``sys.stdout``.
 
+``stabilize`` builds its time series only for ``--series-out``; without
+it the run keeps only what its summary needs, which prints the same.
+
 At import this module loads only numpy-free layers: ``config``,
 ``counts``, ``presets`` (which holds the link, detector, noise and run
 settings and the whole ``ExperimentConfig``) and ``ratecore`` (which
@@ -128,10 +131,11 @@ def _cmd_stabilize(args) -> tuple[int, dict[str, list[str]]]:
     try:
         summary, series = run_stabilization(args.duration, cfg.noise,
                                             stages=args.stages,
-                                            seed=cfg.run.seed)
+                                            seed=cfg.run.seed,
+                                            series=bool(args.series_out))
     except ValueError as exc:  # the config is checked; --duration is not
         raise ConfigError(f"--duration: {exc}") from exc
-    except MemoryError as exc:  # the series arrays grow with --duration
+    except MemoryError as exc:  # the run's arrays grow with --duration
         raise ConfigError(f"--duration {args.duration} s is too long: "
                           f"{exc}") from exc
     lines = [f"stages\t{args.stages}", f"duration_s\t{args.duration}"]

@@ -46,20 +46,18 @@ def velocity_step_coeffs(noise: NoiseModel, dt: float) -> tuple[float, float]:
 
 def free_running_phase(noise: NoiseModel, dt: float, n: int,
                        rng: np.random.Generator
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Open-loop differential phases at t = dt, 2 dt, ..., n dt.
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Open-loop phase components at t = dt, 2 dt, ..., n dt.
 
-    Returns ``(phi_c, phi_q, laser_phase, clock_phase)``.  The fiber drift
+    Returns ``(fiber_phase, laser_phase, clock_phase)``.  The fiber drift
     velocity is the AR(1) process of :func:`velocity_step_coeffs`,
     starting at rest and driven by ``n`` standard normals from ``rng``;
-    its integral applies to the reference band ``phi_c`` directly and to
-    the signal band ``phi_q`` scaled by the frequency ratio.  The laser
-    frequency offset ramps from zero at the specified drift rate and
-    adds ``laser_phase`` to both bands.  The clock-accuracy floor
-    ``clock_phase``, ``noise.clock_drift_floor() * t``, affects only the
-    signal band, whose phase is reconstructed from a reference measured
-    against an imperfect timebase.  It is built once, in the buffer of
-    ``t``, and returned for callers that need it again.
+    ``fiber_phase`` is its integral.  The laser frequency offset ramps
+    from zero at the specified drift rate.  ``clock_phase``,
+    ``noise.clock_drift_floor() * t``, is the clock-accuracy floor, built
+    in the buffer of ``t``.  The reference band sees
+    ``fiber_phase + laser_phase``; the signal band sees
+    :func:`signal_band_phase` of the three.
 
     The velocity recurrence ``v = s*x + a*v`` is a Python loop, not
     ``scipy.signal.lfilter([s], [1, -a], x)``: it gives the same array
@@ -84,15 +82,27 @@ def free_running_phase(noise: NoiseModel, dt: float, n: int,
     laser_phase = 0.5 * f0 * t
     laser_phase *= t
     laser_phase *= 2.0 * math.pi
-    phi_c = fiber_phase + laser_phase
-    phi_q = fiber_phase
-    phi_q *= noise.band_ratio
-    phi_q += laser_phase
     # t * floor is floor * t bit for bit, so t can become the floor.
     clock_phase = t
     clock_phase *= noise.clock_drift_floor()
-    phi_q += clock_phase
-    return phi_c, phi_q, laser_phase, clock_phase
+    return fiber_phase, laser_phase, clock_phase
+
+
+def signal_band_phase(fiber_phase: np.ndarray, laser_phase: np.ndarray,
+                      clock_phase: np.ndarray, band_ratio: float
+                      ) -> np.ndarray:
+    """Signal-band phase, ``((fiber * band_ratio) + laser) + clock``.
+
+    The fiber drift reaches the signal band scaled by the frequency
+    ratio of the bands, and the laser ramp adds to both bands.  Only the
+    signal band carries the clock-accuracy floor: its phase is
+    reconstructed from a reference measured against an imperfect
+    timebase.  The arguments may be views, such as every k-th sample.
+    """
+    phase = fiber_phase * band_ratio
+    phase += laser_phase
+    phase += clock_phase
+    return phase
 
 
 def click_probability_arrays(mu_a: np.ndarray, mu_b: np.ndarray,

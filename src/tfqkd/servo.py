@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import RATE_WINDOW_S, free_running_phase
+from .optics import RATE_WINDOW_S, free_running_phase, signal_band_phase
 from .presets import STAGES, NoiseModel
 
 TWO_PI = 2.0 * math.pi
@@ -47,7 +47,7 @@ SLOW_LOOP_STEPS = 100
 BLANK_STEPS = 100
 # Samples per block of the passes over a run's arrays that need a
 # temporary, so the temporary stays small.
-_BLOCK = 65_536
+_BLOCK = 16_384
 
 
 @dataclass
@@ -184,10 +184,20 @@ class StabilizationSummary:
     freq_readout_hz: float
 
 
+def _rate_stride(dt_s: float) -> int:
+    """Samples per ``RATE_WINDOW_S`` drift-rate window of ``dt_s`` steps."""
+    return max(1, int(round(RATE_WINDOW_S / dt_s)))
+
+
 def drift_rate_rms(phase_rad: np.ndarray, dt_s: float) -> float:
-    """RMS drift rate over non-overlapping windows of ``RATE_WINDOW_S``."""
+    """RMS drift rate over non-overlapping windows of ``RATE_WINDOW_S``.
+
+    A series already sampled once per window, at a stride of k steps of
+    ``dt_s``, gives the same bits with ``k * dt_s`` as its step: its
+    stride is then 1 and the rates' divisor is the same ``k * dt_s``.
+    """
     phase = np.asarray(phase_rad, dtype=float)
-    step = max(1, int(round(RATE_WINDOW_S / dt_s)))
+    step = _rate_stride(dt_s)
     sampled = phase[::step]
     if sampled.size < 2:
         raise ValueError("series too short for the requested window")
@@ -215,17 +225,33 @@ def _wrap_fringe(phase_rad: np.ndarray) -> np.ndarray:
     return r
 
 
+def _std_in_place(x: np.ndarray) -> float:
+    """``np.std(x)`` bit for bit, computed in ``x``'s buffer.
+
+    These are the steps of numpy's own ``_var``: the mean is a keepdims
+    sum divided by the count, and the deviations are squared, summed and
+    divided by the count before the square root.  ``np.std`` would
+    allocate the deviations ``x - mean``; here they overwrite ``x``.
+    """
+    count = x.size
+    mean = np.add.reduce(x, keepdims=True)
+    np.true_divide(mean, count, out=mean)
+    np.subtract(x, mean, out=x)
+    np.square(x, out=x)
+    return float(np.sqrt(np.add.reduce(x) / count))
+
+
 def _wrapped_std(phase_rad: np.ndarray, valid: np.ndarray,
                  offset_rad: np.ndarray | None = None,
                  out: np.ndarray | None = None) -> float:
     """``np.std`` of the fringe-wrapped ``(phase_rad + offset_rad)[valid]``.
 
     The wrapped samples are gathered into the head of ``out``, a new
-    array by default, before ``np.std`` takes them.  The sum, gather and
-    wrap run a block of ``_BLOCK`` samples at a time, so no other
-    full-length temporary is built.  ``out`` may be ``phase_rad`` itself:
-    a block's samples land at or before the block's start, after the
-    block has been read.
+    array by default, and their std is taken there in place.  The sum,
+    gather and wrap run a block of ``_BLOCK`` samples at a time, so no
+    other full-length temporary is built.  ``out`` may be ``phase_rad``
+    itself: a block's samples land at or before the block's start, after
+    the block has been read.
     """
     if out is None:
         out = np.empty(np.count_nonzero(valid))
@@ -237,7 +263,7 @@ def _wrapped_std(phase_rad: np.ndarray, valid: np.ndarray,
             x += offset_rad[b:b + _BLOCK][keep]
         out[j:j + x.size] = _wrap_fringe(x)
         j += x.size
-    return float(np.std(out[:j]))
+    return _std_in_place(out[:j])
 
 
 def clock_limited_drift_rate(noise: NoiseModel) -> float:
@@ -256,13 +282,15 @@ def clock_limited_drift_rate(noise: NoiseModel) -> float:
 
 
 def run_stabilization(duration_s: float, noise: NoiseModel,
-                      stages: str = "full", seed: int = 0
-                      ) -> tuple[StabilizationSummary, dict[str, np.ndarray]]:
+                      stages: str = "full", seed: int = 0, series: bool = True
+                      ) -> tuple[StabilizationSummary,
+                                 dict[str, np.ndarray] | None]:
     """Time-stepped simulation of the stabilization chain.
 
-    Returns the summary plus a time-series dict with keys ``t_s``,
-    ``phiC_rad``, ``phiQ_rad``, ``pm_rad``, ``fs_rad``, ``dc_counts``
-    (one sample per fast-loop interval).
+    Returns the summary plus, if ``series`` is true, a time-series dict
+    with keys ``t_s``, ``phiC_rad``, ``phiQ_rad``, ``pm_rad``,
+    ``fs_rad``, ``dc_counts`` (one sample per fast-loop interval), and
+    ``None`` otherwise.  The summary is the same bit for bit either way.
 
     The fast loop locks the reference band; the signal band then sees
     only the band-ratio-scaled residual: the clock-accuracy floor, the
@@ -272,10 +300,11 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
     2*pi times the band offset fraction per flip).  The slow loop
     removes what is left.  Fiber-stretcher resets blank 1 ms of data.
 
-    Each full-length array is freed before the next one is built: six
-    returned series, the signal-band residual and a mask of the valid
-    samples are all the run holds at once, besides one compressed copy
-    of the valid samples while a statistic is taken.
+    Each full-length array is freed or reused once it is dead.  Without
+    series the run builds no ``t_s``: the fast loop writes its counts to
+    one zero-stride element, the modulator and stretcher histories exist
+    only in the stages that write them, and a locked stage builds the
+    free signal band only at the samples its drift rate reads.
     """
     if stages not in STAGES:
         raise ValueError(f"stages must be one of {STAGES}")
@@ -286,24 +315,35 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
                          f"fast-loop cycles, got {duration_s!r} s")
     n = round(steps)
     rng = np.random.default_rng(seed)
-    phi_c, phi_q_free, laser_phase, resid_q = free_running_phase(noise, dt,
-                                                                 n, rng)
-    delta = 1.0 - noise.band_ratio
-    if stages == "none":
-        del resid_q
+    fiber, laser_phase, clock_phase = free_running_phase(noise, dt, n, rng)
+    ratio = noise.band_ratio
+    if series or stages == "none":
+        phi_q_free = signal_band_phase(fiber, laser_phase, clock_phase, ratio)
+        free_rate = drift_rate_rms(phi_q_free, dt)
     else:
+        k = _rate_stride(dt)
+        free_rate = drift_rate_rms(
+            signal_band_phase(fiber[::k], laser_phase[::k],
+                              clock_phase[::k], ratio), k * dt)
+    phi_c = fiber
+    phi_c += laser_phase
+    delta = 1.0 - ratio
+    if stages != "none":
         # The clock floor's buffer becomes the signal-band drift left by a
         # perfect reference lock, and after the loop the signal-band
         # residual.
         laser_phase *= delta
-        resid_q += laser_phase
-    del laser_phase
+        clock_phase += laser_phase
+        resid_q = clock_phase
+    del fiber, laser_phase, clock_phase
 
-    pm = np.zeros(n)
-    dc_counts = np.zeros(n)
-    # Only the slow loop writes the stretcher; the other stages leave
-    # its zero pages untouched.
-    fs = np.zeros(n)
+    # Only the fast loop writes the modulator history and only the slow
+    # loop the stretcher's; without series, a stage that writes neither
+    # builds neither, and every count lands in one zero-stride element.
+    pm = np.zeros(n) if series or stages != "none" else None
+    fs = np.zeros(n) if series or stages == "full" else None
+    dc_counts = (np.zeros(n) if series else np.lib.stride_tricks.as_strided(
+        np.zeros(1), shape=(n,), strides=(0,)))
     valid = np.ones(n, dtype=bool)
 
     vis = noise.visibility
@@ -338,19 +378,22 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
     warm = min(n // 5, int(round(0.2 / dt)))
     valid[:warm] = False
 
-    free_rate = drift_rate_rms(phi_q_free, dt)
     if stages == "none":
         locked_rate = free_rate
-        std_c = _wrapped_std(phi_c, valid)
-        std_q = _wrapped_std(phi_q_free, valid)
+        # Without series the signal band's own buffer gathers the samples
+        # of both statistics.
+        spare = None if series else phi_q_free
+        std_q = _wrapped_std(phi_q_free, valid, out=spare)
+        std_c = _wrapped_std(phi_c, valid, out=spare)
         freq = -frequency_readout(phi_c, duration_s)
     else:
         locked_rate = drift_rate_rms(resid_q[warm:], dt)
-        # The residual is gathered into its own buffer, then dropped.
+        # The residual is gathered into its own buffer, which then
+        # gathers the reference band's samples and is dropped.
         std_q = _wrapped_std(resid_q, valid, fs, out=resid_q)
-        del resid_q
         # The unwrapped pm tracks -phi_c when locked.
-        std_c = _wrapped_std(phi_c, valid, pm)
+        std_c = _wrapped_std(phi_c, valid, pm, out=resid_q)
+        del resid_q
         freq = -frequency_readout(pm[warm:], (n - warm) * dt)
 
     summary = StabilizationSummary(
@@ -361,10 +404,12 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
         reduction_factor=free_rate / locked_rate if locked_rate > 0 else math.inf,
         freq_readout_hz=freq,
     )
+    if not series:
+        return summary, None
     # The same bits as the t free_running_phase built the clock floor from.
     t = np.arange(1, n + 1, dtype=float)
     t *= dt
-    series = {
+    return summary, {
         "t_s": t,
         "phiC_rad": phi_c,
         "phiQ_rad": phi_q_free,
@@ -372,4 +417,3 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
         "fs_rad": fs,
         "dc_counts": dc_counts,
     }
-    return summary, series

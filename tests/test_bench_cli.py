@@ -634,6 +634,25 @@ def test_cli_stabilize_bad_output_path_runs_nothing(tmp_path, monkeypatch,
         main(["stabilize", "--out", str(good)])
 
 
+@pytest.mark.parametrize("series_out", [False, True])
+def test_cli_stabilize_builds_series_only_for_series_out(tmp_path, monkeypatch,
+                                                         series_out):
+    from tfqkd import servo
+    calls = []
+    run = servo.run_stabilization
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("series"))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr("tfqkd.servo.run_stabilization", spy)
+    argv = ["stabilize", "--duration", "0.1", "--out", str(tmp_path / "r.tsv")]
+    if series_out:
+        argv += ["--series-out", str(tmp_path / "s.tsv")]
+    assert main(argv) == 0
+    assert calls == [series_out]
+
+
 @pytest.mark.parametrize("argv, work", [
     (["verify"], "bench.verify"),
     (["keyrate"], "bench.analytic_keyrate"),

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from scipy.signal import lfilter
 
 from tfqkd.optics import (click_probability_arrays, free_running_phase,
-                          velocity_step_coeffs)
+                          signal_band_phase, velocity_step_coeffs)
 from tfqkd.presets import PRESETS, DetectorModel, LinkConfig, NoiseModel
 
 
@@ -199,21 +199,25 @@ def test_clock_drift_floor():
 
 # ------------------------------------------------------ phase process
 
+def _bands(noise, fiber, laser, clock):
+    """The reference and signal bands of ``free_running_phase``'s parts."""
+    return fiber + laser, signal_band_phase(fiber, laser, clock,
+                                            noise.band_ratio)
+
+
 def test_free_running_phase_quiet_channel():
     noise = NoiseModel(free_drift_rate_std=0.0, laser_drift_hz_per_hour=0.0,
                        clock_accuracy=0.0)
-    phi_c, phi_q, laser, clock = free_running_phase(
-        noise, 1e-5, 100, np.random.default_rng(0))
-    assert not phi_c.any()
-    assert not phi_q.any()
-    assert not laser.any()
-    assert not clock.any()
+    parts = free_running_phase(noise, 1e-5, 100, np.random.default_rng(0))
+    for phase in (*parts, *_bands(noise, *parts)):
+        assert not phase.any()
 
 
 def test_free_running_phase_clock_floor_only():
     noise = NoiseModel(free_drift_rate_std=0.0, laser_drift_hz_per_hour=0.0)
-    phi_c, phi_q, _, clock = free_running_phase(noise, 1e-5, 1000,
-                                                np.random.default_rng(0))
+    fiber, laser, clock = free_running_phase(noise, 1e-5, 1000,
+                                             np.random.default_rng(0))
+    phi_c, phi_q = _bands(noise, fiber, laser, clock)
     t = np.arange(1, 1001) * 1e-5
     assert not phi_c.any()
     # The floor is a constant drift rate in the signal band only, and it
@@ -225,8 +229,9 @@ def test_free_running_phase_clock_floor_only():
 
 def test_free_running_phase_laser_ramp():
     noise = NoiseModel(free_drift_rate_std=0.0, clock_accuracy=0.0)
-    phi_c, phi_q, laser, _ = free_running_phase(noise, 1e-3, 1000,
-                                                np.random.default_rng(0))
+    fiber, laser, clock = free_running_phase(noise, 1e-3, 1000,
+                                             np.random.default_rng(0))
+    phi_c, phi_q = _bands(noise, fiber, laser, clock)
     t = np.arange(1, 1001) * 1e-3
     # Frequency offset ramping from 0 at f_drift: phi = 2 pi (f_drift/2) t^2
     # in both bands, reaching pi * 1777/3600 rad after 1 s.
@@ -238,7 +243,11 @@ def test_free_running_phase_laser_ramp():
 
 
 def _lfilter_free_running_phase(noise, dt, n, rng):
-    """``free_running_phase`` as it was with ``scipy.signal.lfilter``."""
+    """``free_running_phase`` as it was with ``scipy.signal.lfilter``.
+
+    Returns the reference and signal bands, then the fiber, laser and
+    clock parts.
+    """
     a, s = velocity_step_coeffs(noise, dt)
     velocity = lfilter([s], [1.0, -a], rng.standard_normal(n))
     fiber_phase = np.cumsum(velocity) * dt
@@ -248,7 +257,7 @@ def _lfilter_free_running_phase(noise, dt, n, rng):
     phi_c = fiber_phase + laser_phase
     clock_phase = noise.clock_drift_floor() * t
     phi_q = noise.band_ratio * fiber_phase + laser_phase + clock_phase
-    return phi_c, phi_q, laser_phase, clock_phase
+    return phi_c, phi_q, fiber_phase, laser_phase, clock_phase
 
 
 @pytest.mark.parametrize("dt", [7e-6, 1e-5, 2e-5], ids=["7us", "10us", "20us"])
@@ -259,13 +268,19 @@ def _lfilter_free_running_phase(noise, dt, n, rng):
 def test_free_running_phase_matches_lfilter(noise, dt):
     # The velocity recurrence is a Python loop; it must reproduce the
     # lfilter it replaced bit for bit, or every servo series changes.
+    # So must the bands built from its parts, whole or at a stride.
     for n in (10_000, 200_000):
         for seed in (0, 3, 17):
-            got = free_running_phase(noise, dt, n, np.random.default_rng(seed))
+            parts = free_running_phase(noise, dt, n,
+                                       np.random.default_rng(seed))
+            got = (*_bands(noise, *parts), *parts)
             want = _lfilter_free_running_phase(noise, dt, n,
                                                np.random.default_rng(seed))
             for g, w in zip(got, want, strict=True):
                 assert g.tobytes() == w.tobytes(), (n, seed)
+            strided = signal_band_phase(*(p[::100] for p in parts),
+                                        noise.band_ratio)
+            assert strided.tobytes() == want[1][::100].tobytes(), (n, seed)
 
 
 def test_drift_rate_calibration_closed_form():
@@ -310,7 +325,8 @@ def test_free_running_phase_empirical_drift_rate():
     rng = np.random.default_rng(1)
     mean_squares = []
     for _ in range(40):
-        phases, _, _, _ = free_running_phase(noise, dt, 100_000, rng)
+        # Without a laser ramp the reference band is the fiber phase.
+        phases, _, _ = free_running_phase(noise, dt, 100_000, rng)
         rates = np.diff(phases[::m]) / 1e-3
         mean_squares.append(np.mean(rates * rates))
     rms = float(np.sqrt(np.mean(mean_squares)))

@@ -11,7 +11,7 @@ from tfqkd.optics import free_running_phase
 from tfqkd.presets import PRESETS, NoiseModel
 from tfqkd.servo import (_ERROR_TABLE, FAST_GAINS, FAST_SETPOINT_COUNTS,
                          FAST_STEP_S, FS_RANGE_RAD, SLOW_SETPOINT_COUNTS, STAGES, PIDState,
-                         StabilizationSummary, _wrap_fringe,
+                         StabilizationSummary, _std_in_place, _wrap_fringe,
                          clock_limited_drift_rate, drift_rate_rms,
                          fast_loop_span, frequency_readout, run_stabilization,
                          slow_loop_step)
@@ -278,32 +278,80 @@ def test_run_stabilization_series_shapes():
             assert series["fs_rad"].tobytes() == bytes(8 * n), stages
 
 
+#: Traced peak of a 2 s sym546 run, in float64 arrays of its length, by
+#: stage and by whether it builds its series.
+_PEAK_ARRAYS = {
+    ("none", True): 6.22, ("fastOnly", True): 6.34, ("full", True): 6.34,
+    ("none", False): 4.02, ("fastOnly", False): 3.34, ("full", False): 4.34,
+}
+
+
 @pytest.mark.parametrize("stages", STAGES)
 def test_run_stabilization_peak_memory(stages):
-    """A 2 s sym546 run holds at most 7.5 float64 arrays of its length.
+    """A 2 s sym546 run holds at most its measured peak + 0.5 arrays.
 
     numpy reports its data buffers to ``tracemalloc``, so the traced
     peak counts every array the run allocates, and it does not depend on
-    the C library's heap.  Six of the arrays are the returned series.
-    The run peaks at 6.94 arrays (``none``) and 7.06 (locked stages):
-    the signal-band residual, the valid-sample mask and one compressed
-    copy of the valid samples come on top of the series while a
-    statistic is taken.  Keeping ``t``, a second clock-floor product
-    and full-length statistics temporaries alive peaks at 8.39 and 9.39
-    arrays; building the phases from full-length temporaries and reading
-    the frequency through ``np.polyfit`` peaks at 14.7 and 16.55.
+    the C library's heap.  With its series the run peaks at 6.22 arrays
+    of n (``none``) and 6.34 (locked stages); six of the arrays are the
+    returned series.  Without them it peaks at 4.02 (``none``: the four
+    phase arrays while the signal band is built), 3.34 (``fastOnly``)
+    and 4.34 (``full``, which keeps the stretcher history its residual
+    needs).  Building the series in every run and taking ``np.std``
+    through a copy of the deviations peaked at 6.94 and 7.06 arrays;
+    keeping ``t``, a second clock-floor product and full-length
+    statistics temporaries alive peaked at 8.39 and 9.39.
     """
     noise = PRESETS["sym546"].noise
     n = round(2.0 / FAST_STEP_S)
     # numpy loads numpy.random on first use; load it untraced.
     np.random.default_rng
-    tracemalloc.start()
-    try:
-        run_stabilization(2.0, noise, stages, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 7.5 * n * 8
+    for series in (True, False):
+        tracemalloc.start()
+        try:
+            run_stabilization(2.0, noise, stages, seed=1, series=series)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (_PEAK_ARRAYS[stages, series] + 0.5) * n * 8, series
+
+
+def _hex_summary(summary):
+    return [float.hex(v) for v in dataclasses.astuple(summary)]
+
+
+@pytest.mark.parametrize("duration_s, fs_range_rad", [
+    pytest.param(0.2, FS_RANGE_RAD, id="default"),
+    # The last slow-loop span is partial: 50 steps.
+    pytest.param(0.2005, FS_RANGE_RAD, id="partial_span"),
+    # Every preset rewinds the stretcher and blanks in a 0.2 s run.
+    pytest.param(0.2, 3.0, id="fs_range_3"),
+])
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("stages", STAGES)
+def test_run_stabilization_summary_without_series(monkeypatch, stages, preset,
+                                                  seed, duration_s,
+                                                  fs_range_rad):
+    """A run without its series gives the same summary bit for bit."""
+    monkeypatch.setattr(servo, "FS_RANGE_RAD", fs_range_rad)
+    noise = PRESETS[preset].noise
+    want, _ = run_stabilization(duration_s, noise, stages, seed)
+    got, series = run_stabilization(duration_s, noise, stages, seed,
+                                    series=False)
+    assert series is None
+    assert _hex_summary(got) == _hex_summary(want)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 127, 128, 129, 1000,
+                                  180_000])
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e8])
+def test_std_in_place_matches_np_std(size, offset):
+    rng = np.random.default_rng(size)
+    for x in (rng.standard_normal(size) + offset,
+              rng.uniform(-math.pi, math.pi, size) + offset):
+        want = np.std(x)
+        assert float.hex(_std_in_place(x)) == float.hex(float(want))
 
 
 def test_fast_lock_drift_pooled_over_seeds():
@@ -346,7 +394,9 @@ def _reference_stabilization(duration_s, noise, stages, seed,
     slow_rate_hz = 1e3
     n = round(duration_s / dt)
     rng = np.random.default_rng(seed)
-    phi_c, phi_q_free, laser_phase, _ = free_running_phase(noise, dt, n, rng)
+    fiber, laser_phase, clock = free_running_phase(noise, dt, n, rng)
+    phi_c = fiber + laser_phase
+    phi_q_free = noise.band_ratio * fiber + laser_phase + clock
     t = np.arange(1, n + 1) * dt
     pm = np.zeros(n)
     dc_counts = np.zeros(n)
