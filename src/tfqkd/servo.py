@@ -385,7 +385,7 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
         spare = None if series else phi_q_free
         std_q = _wrapped_std(phi_q_free, valid, out=spare)
         std_c = _wrapped_std(phi_c, valid, out=spare)
-        freq = -frequency_readout(phi_c, duration_s)
+        freq = -frequency_readout(phi_c, (n - 1) * dt)
     else:
         locked_rate = drift_rate_rms(resid_q[warm:], dt)
         # The residual is gathered into its own buffer, which then
@@ -394,7 +394,7 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
         # The unwrapped pm tracks -phi_c when locked.
         std_c = _wrapped_std(phi_c, valid, pm, out=resid_q)
         del resid_q
-        freq = -frequency_readout(pm[warm:], (n - warm) * dt)
+        freq = -frequency_readout(pm[warm:], (n - warm - 1) * dt)
 
     summary = StabilizationSummary(
         free_drift_std_rad_per_s=free_rate,

@@ -175,6 +175,27 @@ def test_frequency_readout_matches_polyfit(m):
         assert frequency_readout(pm, window) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("stages", STAGES)
+def test_run_stabilization_readout_window_spans_its_samples(monkeypatch,
+                                                            stages):
+    """m correction samples dt apart span a window of (m - 1) dt.
+
+    ``frequency_readout`` spaces its samples over ``window_s / (m - 1)``,
+    so a window of m dt reads every frequency low by (m - 1) / m.
+    """
+    calls = []
+
+    def spy(pm, window_s):
+        calls.append((len(pm), window_s))
+        return frequency_readout(pm, window_s)
+
+    monkeypatch.setattr(servo, "frequency_readout", spy)
+    run_stabilization(0.2, NoiseModel(), stages, seed=0, series=False)
+    assert len(calls) == 1
+    m, window_s = calls[0]
+    assert window_s == (m - 1) * FAST_STEP_S
+
+
 def test_frequency_readout_needs_samples():
     with pytest.raises(ValueError):
         frequency_readout(np.array([1.0]), 1.0)
@@ -454,12 +475,12 @@ def _reference_stabilization(duration_s, noise, stages, seed,
         locked_rate = free_rate
         resid_c = phi_c
         resid_total = phi_q_free
-        freq = -frequency_readout(phi_c, duration_s)
+        freq = -frequency_readout(phi_c, (n - 1) * dt)
     else:
         locked_rate = drift_rate_rms(resid_q[warm:], dt)
         resid_c = phi_c + pm
         resid_total = resid_q + fs
-        freq = -frequency_readout(pm[warm:], (n - warm) * dt)
+        freq = -frequency_readout(pm[warm:], (n - warm - 1) * dt)
     wrap = np.vectorize(math.remainder)
     summary = StabilizationSummary(
         free_drift_std_rad_per_s=free_rate,
