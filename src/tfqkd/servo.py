@@ -300,11 +300,12 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
     2*pi times the band offset fraction per flip).  The slow loop
     removes what is left.  Fiber-stretcher resets blank 1 ms of data.
 
-    Each full-length array is freed or reused once it is dead.  Without
-    series the run builds no ``t_s``: the fast loop writes its counts to
-    one zero-stride element, the modulator and stretcher histories exist
-    only in the stages that write them, and a locked stage builds the
-    free signal band only at the samples its drift rate reads.
+    Each full-length array is freed or reused once it is dead.  The free
+    drift rate reads the signal band only at its 1 ms samples, so the
+    whole band is built only for the series and for ``none``'s
+    statistics.  Without series the run builds no ``t_s``: the fast loop
+    writes its counts to one zero-stride element, and the modulator and
+    stretcher histories exist only in the stages that write them.
     """
     if stages not in STAGES:
         raise ValueError(f"stages must be one of {STAGES}")
@@ -317,14 +318,13 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
     rng = np.random.default_rng(seed)
     fiber, laser_phase, clock_phase = free_running_phase(noise, dt, n, rng)
     ratio = noise.band_ratio
+    # The drift rate reads the free signal band only at its 1 ms samples.
+    k = _rate_stride(dt)
+    free_rate = drift_rate_rms(
+        signal_band_phase(fiber[::k], laser_phase[::k], clock_phase[::k],
+                          ratio), k * dt)
     if series or stages == "none":
         phi_q_free = signal_band_phase(fiber, laser_phase, clock_phase, ratio)
-        free_rate = drift_rate_rms(phi_q_free, dt)
-    else:
-        k = _rate_stride(dt)
-        free_rate = drift_rate_rms(
-            signal_band_phase(fiber[::k], laser_phase[::k],
-                              clock_phase[::k], ratio), k * dt)
     phi_c = fiber
     phi_c += laser_phase
     delta = 1.0 - ratio

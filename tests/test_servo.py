@@ -303,7 +303,7 @@ def test_run_stabilization_series_shapes():
 #: stage and by whether it builds its series.
 _PEAK_ARRAYS = {
     ("none", True): 6.22, ("fastOnly", True): 6.34, ("full", True): 6.34,
-    ("none", False): 4.02, ("fastOnly", False): 3.34, ("full", False): 4.34,
+    ("none", False): 4.00, ("fastOnly", False): 3.34, ("full", False): 4.34,
 }
 
 
@@ -315,7 +315,7 @@ def test_run_stabilization_peak_memory(stages):
     peak counts every array the run allocates, and it does not depend on
     the C library's heap.  With its series the run peaks at 6.22 arrays
     of n (``none``) and 6.34 (locked stages); six of the arrays are the
-    returned series.  Without them it peaks at 4.02 (``none``: the four
+    returned series.  Without them it peaks at 4.00 (``none``: the four
     phase arrays while the signal band is built), 3.34 (``fastOnly``)
     and 4.34 (``full``, which keeps the stretcher history its residual
     needs).  Building the series in every run and taking ``np.std``
