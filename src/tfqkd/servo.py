@@ -142,13 +142,12 @@ def slow_loop_step(counts: float, state: PIDState) -> bool:
     return rewound
 
 
-def frequency_readout(pm_history_rad: np.ndarray, window_s: float) -> float:
+def frequency_readout(pm_history_rad: np.ndarray, dt_s: float) -> float:
     """Frequency offset (Hz) from the phase-modulator correction ramp.
 
-    Least-squares slope of the unwrapped correction history, assumed
-    uniformly sampled over ``window_s``, divided by 2*pi.  For m samples
-    y_i at t_i = i h, with h = window_s / (m - 1), the slope has the
-    closed form sum((i - c) y_i) * 12 (m - 1) / (window_s m (m^2 - 1)),
+    Least-squares slope of the unwrapped correction history, sampled
+    every ``dt_s``, divided by 2*pi.  For m samples y_i at t_i = i dt_s
+    the slope has the closed form sum((i - c) y_i) * 12 / (dt_s m (m^2 - 1)),
     with c = (m - 1) / 2: the first-degree ``np.polyfit`` without its
     Vandermonde matrix.  The weights i - c are exact and sum to zero, so
     a constant offset of the history cancels.
@@ -156,13 +155,12 @@ def frequency_readout(pm_history_rad: np.ndarray, window_s: float) -> float:
     pm = np.asarray(pm_history_rad, dtype=float)
     if pm.size < 2:
         raise ValueError("need at least two correction samples")
-    if window_s <= 0:
-        raise ValueError("window must be positive")
+    if dt_s <= 0:
+        raise ValueError("sample step must be positive")
     m = pm.size
     weights = np.arange(m, dtype=float)
     weights -= 0.5 * (m - 1)
-    slope = (np.dot(weights, pm) * (12.0 * (m - 1))
-             / (window_s * m * (m * m - 1)))
+    slope = np.dot(weights, pm) * 12.0 / (dt_s * m * (m * m - 1))
     return slope / TWO_PI
 
 
@@ -385,7 +383,7 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
         spare = None if series else phi_q_free
         std_q = _wrapped_std(phi_q_free, valid, out=spare)
         std_c = _wrapped_std(phi_c, valid, out=spare)
-        freq = -frequency_readout(phi_c, (n - 1) * dt)
+        freq = -frequency_readout(phi_c, dt)
     else:
         locked_rate = drift_rate_rms(resid_q[warm:], dt)
         # The residual is gathered into its own buffer, which then
@@ -394,7 +392,7 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
         # The unwrapped pm tracks -phi_c when locked.
         std_c = _wrapped_std(phi_c, valid, pm, out=resid_q)
         del resid_q
-        freq = -frequency_readout(pm[warm:], (n - warm - 1) * dt)
+        freq = -frequency_readout(pm[warm:], dt)
 
     summary = StabilizationSummary(
         free_drift_std_rad_per_s=free_rate,

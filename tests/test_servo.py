@@ -139,19 +139,19 @@ def test_slow_loop_range_reset_flag():
 # ------------------------------------------------------------- readouts
 
 def test_frequency_readout_constant():
-    assert frequency_readout(np.zeros(100), 1.0) == pytest.approx(0.0)
+    assert frequency_readout(np.zeros(100), 0.01) == pytest.approx(0.0)
 
 
 def test_frequency_readout_ramp():
     t = np.linspace(0.0, 1.0, 1000)
-    assert frequency_readout(TWO_PI * t, 1.0) == pytest.approx(1.0, rel=1e-9)
+    assert frequency_readout(TWO_PI * t, t[1]) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_frequency_readout_noisy_offset():
     rng = np.random.default_rng(5)
     t = np.linspace(0.0, 10.0, 100_000)
     pm = TWO_PI * 500.0 * t + rng.normal(0.0, 0.3, t.size)
-    assert frequency_readout(pm, 10.0) == pytest.approx(500.0, abs=50.0)
+    assert frequency_readout(pm, t[1]) == pytest.approx(500.0, abs=50.0)
 
 
 @pytest.mark.parametrize("m", [2, 3, 10, 1000, 100_000, 1_000_000])
@@ -172,28 +172,23 @@ def test_frequency_readout_matches_polyfit(m):
     walk = np.cumsum(rng.standard_normal(m)) + 1e4 - TWO_PI * 87.6 * t
     for pm in (ramp, walk):
         want = np.polyfit(t, pm, 1)[0] / TWO_PI
-        assert frequency_readout(pm, window) == pytest.approx(want, rel=1e-12)
+        assert frequency_readout(pm, window / (m - 1)) == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("stages", STAGES)
-def test_run_stabilization_readout_window_spans_its_samples(monkeypatch,
-                                                            stages):
-    """m correction samples dt apart span a window of (m - 1) dt.
+def test_run_stabilization_none_reads_the_laser_ramp():
+    """Without fiber drift the free-running readout is the laser's mean offset.
 
-    ``frequency_readout`` spaces its samples over ``window_s / (m - 1)``,
-    so a window of m dt reads every frequency low by (m - 1) / m.
+    The laser frequency ramps as f0 t, so its phase pi f0 t^2 has the
+    least-squares slope 2 pi f0 (n + 1) dt / 2 over t = dt, ..., n dt.
+    Reading the samples as spread over a window of n dt instead of
+    (n - 1) dt would put the readout low by 1 / n, 5e-5 here.
     """
-    calls = []
-
-    def spy(pm, window_s):
-        calls.append((len(pm), window_s))
-        return frequency_readout(pm, window_s)
-
-    monkeypatch.setattr(servo, "frequency_readout", spy)
-    run_stabilization(0.2, NoiseModel(), stages, seed=0, series=False)
-    assert len(calls) == 1
-    m, window_s = calls[0]
-    assert window_s == (m - 1) * FAST_STEP_S
+    noise = NoiseModel(free_drift_rate_std=0.0)
+    n = round(0.2 / FAST_STEP_S)
+    f0 = noise.laser_drift_hz_per_hour / 3600.0
+    summary, _ = run_stabilization(0.2, noise, "none", seed=0, series=False)
+    want = -f0 * 0.5 * (n + 1) * FAST_STEP_S
+    assert summary.freq_readout_hz == pytest.approx(want, rel=1e-9)
 
 
 def test_frequency_readout_needs_samples():
@@ -475,12 +470,12 @@ def _reference_stabilization(duration_s, noise, stages, seed,
         locked_rate = free_rate
         resid_c = phi_c
         resid_total = phi_q_free
-        freq = -frequency_readout(phi_c, (n - 1) * dt)
+        freq = -frequency_readout(phi_c, dt)
     else:
         locked_rate = drift_rate_rms(resid_q[warm:], dt)
         resid_c = phi_c + pm
         resid_total = resid_q + fs
-        freq = -frequency_readout(pm[warm:], (n - warm - 1) * dt)
+        freq = -frequency_readout(pm[warm:], dt)
     wrap = np.vectorize(math.remainder)
     summary = StabilizationSummary(
         free_drift_std_rad_per_s=free_rate,
