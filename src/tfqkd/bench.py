@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 from .counts import CountsTable
 from .engine import click_outcomes, expected_counts
 from .postproc import ProcessedRun, aopp_phase_error, process
-from .presets import ExperimentConfig, LinkConfig, NoiseModel, get_preset
+from .presets import ExperimentConfig, NoiseModel, get_preset
 from .ratecore import (MAX_BALANCE_DEVIATION, PartySettings,
                        check_sns_constraint, key_rate, phase_misalignment_qber,
                        plob_bound, rate_per_second, sns_balance_rhs)
@@ -55,10 +55,8 @@ def sweep(cfg: ExperimentConfig, distances_km: list[float]
         raise ValueError("distance list must be nondecreasing")
     rows = []
     for d in distances_km:
-        link = LinkConfig(length_a_km=d / 2.0, length_b_km=d / 2.0,
-                          attenuation_db_per_km=cfg.link.attenuation_db_per_km,
-                          extra_loss_a_db=cfg.link.extra_loss_a_db,
-                          extra_loss_b_db=cfg.link.extra_loss_b_db)
+        link = replace(cfg.link, length_a_km=d / 2.0, length_b_km=d / 2.0,
+                       measured_loss_a_db=None, measured_loss_b_db=None)
         cfg_d = replace(cfg, link=link)
         skr, _ = analytic_keyrate(cfg_d)
         fiber_loss = d * cfg.link.attenuation_db_per_km
@@ -84,17 +82,16 @@ def format_sweep(rows: list[dict[str, float]]) -> str:
 # ---------------------------------------------------------------------------
 # Parameter optimization
 
-#: Party-A fields the optimizer may vary (party B's weak decoy is
-#: derived from the intensity-balance condition, and symmetric
-#: templates mirror every change onto party B).
-FREE_PARAMETERS = ("mu_z", "mu2", "mu1", "epsilon_send",
-                   "p_signal_window", "p_mu1")
-
 _BOUNDS = {
     "mu_z": (0.01, 1.0), "mu2": (0.01, 1.0), "mu1": (0.001, 1.0),
     "epsilon_send": (0.01, 0.99), "p_signal_window": (0.05, 0.95),
     "p_mu1": (0.05, 0.9),
 }
+
+#: Party-A fields the optimizer may vary, in search order (party B's
+#: weak decoy is derived from the intensity-balance condition, and
+#: symmetric templates mirror every change onto party B).
+FREE_PARAMETERS = tuple(_BOUNDS)
 
 
 #: Click-outcome tensors (8 KB each) one search keeps, oldest dropped first.
@@ -169,14 +166,14 @@ def optimize(cfg: ExperimentConfig, budget: int = 200) -> OptimizeResult:
     best_skr = score(best_cfg)
     evals = 1
     step = 1.3
-    exhausted = False
     while step > 1.005:
         improved = False
         for name in FREE_PARAMETERS:
             for factor in (step, 1.0 / step):
                 if evals >= budget:
-                    exhausted = True
-                    break
+                    return OptimizeResult(config=best_cfg, skr=best_skr,
+                                          evaluations=evals,
+                                          budget_exhausted=True)
                 cand = _apply(best_cfg, name,
                               getattr(best_cfg.party_a, name) * factor,
                               symmetric)
@@ -187,14 +184,10 @@ def optimize(cfg: ExperimentConfig, budget: int = 200) -> OptimizeResult:
                 if skr > best_skr:
                     best_cfg, best_skr = cand, skr
                     improved = True
-            if exhausted:
-                break
-        if exhausted:
-            break
         if not improved:
             step = math.sqrt(step)
     return OptimizeResult(config=best_cfg, skr=best_skr,
-                          evaluations=evals, budget_exhausted=exhausted)
+                          evaluations=evals, budget_exhausted=False)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,15 @@ def _chernoff_root(m: float, lam: float, x: float) -> float:
         x = nxt
 
 
+def _chernoff_lambda(observed: float, eps: float) -> float:
+    """Check a Chernoff bound's arguments and return ln(1/eps)."""
+    if observed < 0:
+        raise ValueError("observed count must be nonnegative")
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    return -math.log(eps)
+
+
 def chernoff_upper(observed: float, eps: float) -> float:
     """Upper bound on the true mean given an observed count.
 
@@ -46,11 +55,7 @@ def chernoff_upper(observed: float, eps: float) -> float:
     probability at most ``eps``.  For m = 0 the closed form ln(1/eps)
     applies.
     """
-    if observed < 0:
-        raise ValueError("observed count must be nonnegative")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    lam = -math.log(eps)
+    lam = _chernoff_lambda(observed, eps)
     if observed == 0:
         return lam
     m = observed
@@ -66,11 +71,7 @@ def chernoff_lower(observed: float, eps: float) -> float:
     Solves the same equation for x < m; it has no such root, and the
     bound is 0, when m <= ln(1/eps).
     """
-    if observed < 0:
-        raise ValueError("observed count must be nonnegative")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    lam = -math.log(eps)
+    lam = _chernoff_lambda(observed, eps)
     m = observed
     if m <= lam:
         return 0.0
@@ -210,7 +211,6 @@ class PairingResult:
     """
 
     pairs: float
-    survival: float
     surviving_pairs: float
     e_bit_prime: float
     n1_prime: float
@@ -228,15 +228,14 @@ def odd_parity_pairing(z: ZBasisStats, n1a: float, n1b: float) -> PairingResult:
     """
     pairs = min(z.group0, z.group1)
     if pairs == 0:
-        return PairingResult(0, 0.0, 0.0, 0.0, 0.0)
+        return PairingResult(0, 0.0, 0.0, 0.0)
     survival = z.e0 * z.e1 + (1.0 - z.e0) * (1.0 - z.e1)
     surviving = pairs * survival
     e_prime = z.e0 * z.e1 / survival if survival > 0 else 0.0
     big = max(z.group0, z.group1)
     n1p = n1a * n1b / big if big else 0.0
     n1p = min(n1p, surviving)
-    return PairingResult(pairs=pairs, survival=survival,
-                         surviving_pairs=surviving,
+    return PairingResult(pairs=pairs, surviving_pairs=surviving,
                          e_bit_prime=min(e_prime, 0.5), n1_prime=n1p)
 
 

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from .ratecore import (MAX_BALANCE_DEVIATION, PartySettings, SecuritySettings,
                        check_sns_constraint)
 
-TWO_PI = 2.0 * math.pi
-
 #: Servo stages of a stabilization run, as ``stabilize --stages`` takes them.
 STAGES = ("none", "fastOnly", "full")
 
@@ -50,6 +48,11 @@ class LinkConfig:
             raise ValueError("arm lengths must be nonnegative")
         if self.attenuation_db_per_km < 0:
             raise ValueError("attenuation must be nonnegative")
+        for name in ("measured_loss_a_db", "measured_loss_b_db",
+                     "extra_loss_a_db", "extra_loss_b_db"):
+            v = getattr(self, name)
+            if v is not None and v < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
     def arm_loss_db(self, arm: str) -> float:
         """Total loss (dB) of one arm, source to interference node."""
@@ -130,6 +133,8 @@ class NoiseModel:
             raise ValueError("drift rate std must be nonnegative")
         if self.drift_corr_time_s <= 0:
             raise ValueError("drift correlation time must be positive")
+        if self.clock_accuracy < 0 or self.comb_span_hz < 0:
+            raise ValueError("clock accuracy and comb span must be nonnegative")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
         if self.lambda_q_nm <= 0 or self.lambda_c_nm <= 0:
@@ -188,7 +193,7 @@ class ExperimentConfig:
 
 
 def _noise(free_drift_khz: float, residual_std_rad: float) -> NoiseModel:
-    return NoiseModel(free_drift_rate_std=TWO_PI * free_drift_khz * 1e3,
+    return NoiseModel(free_drift_rate_std=math.tau * free_drift_khz * 1e3,
                       residual_phase_std_rad=residual_std_rad)
 
 

@@ -45,6 +45,8 @@ PM_RANGE_RAD = TWO_PI
 FS_RANGE_RAD = 60.0
 SLOW_LOOP_STEPS = 100
 BLANK_STEPS = 100
+# Fast steps per drift-rate window.
+_RATE_STEPS = round(RATE_WINDOW_S / FAST_STEP_S)
 # Samples per block of the passes over a run's arrays that need a
 # temporary, so the temporary stays small.
 _BLOCK = 16_384
@@ -182,24 +184,12 @@ class StabilizationSummary:
     freq_readout_hz: float
 
 
-def _rate_stride(dt_s: float) -> int:
-    """Samples per ``RATE_WINDOW_S`` drift-rate window of ``dt_s`` steps."""
-    return max(1, int(round(RATE_WINDOW_S / dt_s)))
-
-
-def drift_rate_rms(phase_rad: np.ndarray, dt_s: float) -> float:
-    """RMS drift rate over non-overlapping windows of ``RATE_WINDOW_S``.
-
-    A series already sampled once per window, at a stride of k steps of
-    ``dt_s``, gives the same bits with ``k * dt_s`` as its step: its
-    stride is then 1 and the rates' divisor is the same ``k * dt_s``.
-    """
+def drift_rate_rms(phase_rad: np.ndarray, window_s: float) -> float:
+    """RMS drift rate of a phase sampled once per ``window_s`` window."""
     phase = np.asarray(phase_rad, dtype=float)
-    step = _rate_stride(dt_s)
-    sampled = phase[::step]
-    if sampled.size < 2:
-        raise ValueError("series too short for the requested window")
-    rates = np.diff(sampled) / (step * dt_s)
+    if phase.size < 2:
+        raise ValueError("need at least two phase samples")
+    rates = np.diff(phase) / window_s
     return float(np.sqrt(np.mean(rates * rates)))
 
 
@@ -316,8 +306,8 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
     rng = np.random.default_rng(seed)
     fiber, laser_phase, clock_phase = free_running_phase(noise, dt, n, rng)
     ratio = noise.band_ratio
-    # The drift rate reads the free signal band only at its 1 ms samples.
-    k = _rate_stride(dt)
+    # The drift rates read the signal band only at its 1 ms samples.
+    k = _RATE_STEPS
     free_rate = drift_rate_rms(
         signal_band_phase(fiber[::k], laser_phase[::k], clock_phase[::k],
                           ratio), k * dt)
@@ -385,7 +375,7 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
         std_c = _wrapped_std(phi_c, valid, out=spare)
         freq = -frequency_readout(phi_c, dt)
     else:
-        locked_rate = drift_rate_rms(resid_q[warm:], dt)
+        locked_rate = drift_rate_rms(resid_q[warm::k], k * dt)
         # The residual is gathered into its own buffer, which then
         # gathers the reference band's samples and is dropped.
         std_q = _wrapped_std(resid_q, valid, fs, out=resid_q)

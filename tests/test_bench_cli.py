@@ -165,6 +165,22 @@ def test_config_residual_field_and_balance_rule(tmp_path):
                          party_b=cfg.party_b, noise=cfg.noise)
 
 
+@pytest.mark.parametrize("command, body", [
+    ("keyrate", "[link]\nmeasured_loss_a_db = -5\n"),
+    ("keyrate", "[link]\nextra_loss_a_db = -60\n"),
+    ("stabilize", "[noise]\nclock_accuracy = -1\n"),
+    ("stabilize", "[noise]\ncomb_span_hz = -1e11\n"),
+], ids=["measured-loss", "extra-loss", "clock-accuracy", "comb-span"])
+def test_cli_negative_loss_or_clock_setting_exit(tmp_path, capsys, command,
+                                                 body):
+    path = tmp_path / "bad.ini"
+    path.write_text(body)
+    assert main([command, "--preset", "sym546", "--config", str(path)]) == 2
+    section = body[1:body.index("]")]
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: {section}: ")
+
+
 # ----------------------------------------------------------------- sweep
 
 def test_sweep_empty():
@@ -290,6 +306,18 @@ def test_optimize_matches_reference_search(preset, mode, budget):
     cfg = _with_mode(preset, mode)
     assert bench.optimize(cfg, budget=budget) == _reference_optimize(cfg,
                                                                      budget)
+
+
+@pytest.mark.parametrize("preset, mode, evaluations", [
+    ("sym546", "asymptotic", 344), ("sym603", "asymptotic", 306),
+    ("asym452", "asymptotic", 251), ("sym546", "finite", 238),
+    ("sym603", "finite", 72), ("asym452", "finite", 282)])
+def test_optimize_converges_inside_budget(preset, mode, evaluations):
+    cfg = _with_mode(preset, mode)
+    result = bench.optimize(cfg, budget=1000)
+    assert result == _reference_optimize(cfg, 1000)
+    assert result.evaluations == evaluations
+    assert not result.budget_exhausted
 
 
 def _spy(monkeypatch, module, name):

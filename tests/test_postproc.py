@@ -74,6 +74,17 @@ def test_chernoff_tightens_with_eps():
     assert chernoff_lower(1e4, 1e-3) > chernoff_lower(1e4, 1e-10)
 
 
+@pytest.mark.parametrize("bound", [chernoff_upper, chernoff_lower])
+@pytest.mark.parametrize("observed, eps, error", [
+    (-1.0, 1e-3, "observed count must be nonnegative"),
+    (5.0, 0.0, r"eps must lie in \(0, 1\)"),
+    (5.0, 1.0, r"eps must lie in \(0, 1\)"),
+])
+def test_chernoff_rejects_bad_arguments(bound, observed, eps, error):
+    with pytest.raises(ValueError, match=error):
+        bound(observed, eps)
+
+
 def test_chernoff_matches_brentq_reference():
     """Both bounds agree with a tight bracketing solve to rel 1e-9.
 
@@ -124,7 +135,7 @@ def aopp_pair(alice_bits, bob_bits, rng) -> PairingResult:
     ones = [i for i, b in enumerate(bob) if b == 1]
     n_pairs = min(len(zeros), len(ones))
     if n_pairs == 0:
-        return PairingResult(0, 0.0, 0.0, 0.0, 0.0)
+        return PairingResult(0, 0.0, 0.0, 0.0)
     zeros = [zeros[k] for k in rng.permutation(len(zeros))[:n_pairs]]
     ones = [ones[k] for k in rng.permutation(len(ones))[:n_pairs]]
     surviving = 0
@@ -137,8 +148,7 @@ def aopp_pair(alice_bits, bob_bits, rng) -> PairingResult:
         if alice[first] == bob[first]:
             errors += 1
     e_prime = errors / surviving if surviving else 0.0
-    return PairingResult(pairs=n_pairs, survival=surviving / n_pairs,
-                         surviving_pairs=float(surviving),
+    return PairingResult(pairs=n_pairs, surviving_pairs=float(surviving),
                          e_bit_prime=e_prime, n1_prime=0.0)
 
 
