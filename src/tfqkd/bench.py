@@ -46,17 +46,18 @@ def sweep(cfg: ExperimentConfig, distances_km: list[float]
           ) -> list[dict[str, float]]:
     """Key rate across total link distances, split evenly per arm.
 
-    Each distance uses the template's attenuation coefficient (measured
-    per-arm loss overrides are dropped); the PLOB capacity is evaluated
-    at the fiber-only loss.  Returns one row per distance with the
-    :data:`SWEEP_COLUMNS` fields; a zero key rate has ratio 0.
+    Each arm's fiber loss is half the distance times the template's
+    attenuation coefficient, replacing the template's arm losses; the
+    PLOB capacity is evaluated at the fiber-only loss.  Returns one row
+    per distance with the :data:`SWEEP_COLUMNS` fields; a zero key rate
+    has ratio 0.
     """
     if any(b < a for a, b in zip(distances_km, distances_km[1:])):
         raise ValueError("distance list must be nondecreasing")
     rows = []
     for d in distances_km:
-        link = replace(cfg.link, length_a_km=d / 2.0, length_b_km=d / 2.0,
-                       measured_loss_a_db=None, measured_loss_b_db=None)
+        arm_loss = d / 2.0 * cfg.link.attenuation_db_per_km
+        link = replace(cfg.link, loss_a_db=arm_loss, loss_b_db=arm_loss)
         cfg_d = replace(cfg, link=link)
         skr, _ = analytic_keyrate(cfg_d)
         fiber_loss = d * cfg.link.attenuation_db_per_km

@@ -5,8 +5,10 @@ Sections: ``[link]``, ``[detectors]``, ``[protocol]``, ``[noise]``,
 corresponding types; ``[protocol]`` keys carry an ``a_``/``b_`` prefix
 per party.  A file overrides a base configuration (the run's preset) key
 by key; an empty file therefore yields the base unchanged.  Each value
-is parsed by its field's type: numbers must be finite, and ``none`` is
-accepted only where a field may be None.  Unknown keys are rejected.
+is parsed by its field's type and numbers must be finite; no field is
+optional, so ``none`` is not a value.  ``[link]`` gives each arm by its
+loss in dB (``loss_a_db``, ``loss_b_db``), not by a length.  Unknown
+keys are rejected.
 :func:`override_config` applies these rules to keys given another way,
 such as the CLI's ``--windows``, ``--seed`` and ``--mode``.
 """
@@ -39,10 +41,6 @@ def _parse(text: str, typ):
     text = text.strip()
     if typ is str:
         return text
-    if text.lower() == "none":
-        if type(None) not in typing.get_args(typ):
-            raise ValueError("none is not allowed for this key")
-        return None
     val = int(text) if typ is int else float(text)
     if not math.isfinite(val):
         raise ValueError(f"{text!r} is not a finite number")
@@ -115,8 +113,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
             parser[sec] = {}
         part = getattr(cfg, attr)
         for f in dataclasses.fields(part):
-            v = getattr(part, f.name)
-            parser[sec][prefix + f.name] = "none" if v is None else str(v)
+            parser[sec][prefix + f.name] = str(getattr(part, f.name))
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()

@@ -65,7 +65,7 @@ _GH_WEIGHTS = np.array([
 #: Offsets and weights of the average when there is no residual phase.
 _NO_RESIDUAL = (np.zeros(1), np.ones(1))
 #: Phase of each slice difference, a column against the quadrature nodes.
-_SLICE_PHASES = (2.0 * math.pi * np.arange(N_SLICES) / N_SLICES)[:, None]
+_SLICE_PHASES = (math.tau * np.arange(N_SLICES) / N_SLICES)[:, None]
 
 #: Intensity index of user A and of user B in each of the 16 distinct
 #: (A intensity, B intensity) pairs; pair ``k`` is ``(k // 4, k % 4)``.

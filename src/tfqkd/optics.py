@@ -81,7 +81,7 @@ def free_running_phase(noise: NoiseModel, dt: float, n: int,
     f0 = noise.laser_drift_hz_per_hour / 3600.0
     laser_phase = 0.5 * f0 * t
     laser_phase *= t
-    laser_phase *= 2.0 * math.pi
+    laser_phase *= math.tau
     # t * floor is floor * t bit for bit, so t can become the floor.
     clock_phase = t
     clock_phase *= noise.clock_drift_floor()

@@ -6,12 +6,15 @@ and everything it imports load no numpy, so commands that only read or
 print settings start without it.
 
 ``sym546`` and ``sym603`` are symmetric links; ``asym452`` has unequal
-arms and per-party source settings.  Link losses are the measured
-values; ``extra_loss_db`` absorbs the insertion loss of the measurement
-node, calibrated so the analytic pipeline reproduces the recorded
-detection statistics.  Each link's noise model carries its closed-loop
-signal-band phase residual, calibrated against the measured decoy-basis
-error rates.
+arms and per-party source settings.  The field trial's arms are
+273.48 + 273.13 km (sym546), 298.71 + 305.16 km (sym603) and
+248.24 + 204.22 km (asym452, a 44 km asymmetry); they enter the key
+rate only through their losses.  ``loss_a_db``/``loss_b_db`` hold each
+arm's measured fiber loss; ``extra_loss_{a,b}_db`` absorb the insertion
+loss of the measurement node, calibrated so the analytic pipeline
+reproduces the recorded detection statistics.  Each link's noise model
+carries its closed-loop signal-band phase residual, calibrated against
+the measured decoy-basis error rates.
 """
 from __future__ import annotations
 
@@ -29,46 +32,33 @@ STAGES = ("none", "fastOnly", "full")
 class LinkConfig:
     """Two fiber arms meeting at the measurement node.
 
-    If a measured loss (dB) is given for an arm it overrides the
-    length * attenuation product.  ``extra_loss_a_db``/``extra_loss_b_db``
-    model per-arm insertion loss of the measurement node, before the
-    detectors.
+    ``loss_a_db``/``loss_b_db`` are each arm's fiber loss (dB), source
+    to measurement node; ``extra_loss_a_db``/``extra_loss_b_db`` model
+    per-arm insertion loss of the measurement node, before the
+    detectors.  ``attenuation_db_per_km`` is read only by
+    :func:`bench.sweep`, which turns each distance into arm losses and
+    evaluates the PLOB capacity at the fiber loss.
     """
 
-    length_a_km: float
-    length_b_km: float
+    loss_a_db: float
+    loss_b_db: float
     attenuation_db_per_km: float = 0.183
-    measured_loss_a_db: float | None = None
-    measured_loss_b_db: float | None = None
     extra_loss_a_db: float = 0.0
     extra_loss_b_db: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.length_a_km < 0 or self.length_b_km < 0:
-            raise ValueError("arm lengths must be nonnegative")
-        if self.attenuation_db_per_km < 0:
-            raise ValueError("attenuation must be nonnegative")
-        for name in ("measured_loss_a_db", "measured_loss_b_db",
+        for name in ("loss_a_db", "loss_b_db", "attenuation_db_per_km",
                      "extra_loss_a_db", "extra_loss_b_db"):
-            v = getattr(self, name)
-            if v is not None and v < 0:
+            if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
     def arm_loss_db(self, arm: str) -> float:
-        """Total loss (dB) of one arm, source to interference node."""
+        """Total loss (dB) of one arm, source to detectors."""
         if arm == "a":
-            base = self.measured_loss_a_db
-            if base is None:
-                base = self.length_a_km * self.attenuation_db_per_km
-            extra = self.extra_loss_a_db
-        elif arm == "b":
-            base = self.measured_loss_b_db
-            if base is None:
-                base = self.length_b_km * self.attenuation_db_per_km
-            extra = self.extra_loss_b_db
-        else:
-            raise ValueError("arm must be 'a' or 'b'")
-        return base + extra
+            return self.loss_a_db + self.extra_loss_a_db
+        if arm == "b":
+            return self.loss_b_db + self.extra_loss_b_db
+        raise ValueError("arm must be 'a' or 'b'")
 
     def arm_transmittance(self, arm: str) -> float:
         """Linear transmittance of one arm (detector efficiency excluded)."""
@@ -151,7 +141,7 @@ class NoiseModel:
 
     def clock_drift_floor(self) -> float:
         """Irreducible phase drift rate (rad/s) from the two clock offsets."""
-        return 2.0 * math.pi * math.sqrt(2.0) * self.clock_accuracy * self.comb_span_hz
+        return math.tau * math.sqrt(2.0) * self.clock_accuracy * self.comb_span_hz
 
 
 @dataclass(frozen=True)
@@ -234,9 +224,8 @@ _RESIDUAL_STD = {"sym546": 0.5676, "sym603": 0.5221, "asym452": 0.4595}
 
 PRESETS: dict[str, ExperimentConfig] = {
     "sym546": ExperimentConfig(
-        link=LinkConfig(length_a_km=273.48, length_b_km=273.13,
+        link=LinkConfig(loss_a_db=50.50, loss_b_db=49.63,
                         attenuation_db_per_km=0.18318,
-                        measured_loss_a_db=50.50, measured_loss_b_db=49.63,
                         extra_loss_a_db=_EXTRA_LOSS_DB["sym546"][0],
                         extra_loss_b_db=_EXTRA_LOSS_DB["sym546"][1]),
         detectors=DetectorModel(efficiency_d0=0.83, efficiency_d1=0.49,
@@ -247,9 +236,8 @@ PRESETS: dict[str, ExperimentConfig] = {
         run=RunSettings(n_windows=2.772e13),
     ),
     "sym603": ExperimentConfig(
-        link=LinkConfig(length_a_km=298.71, length_b_km=305.16,
+        link=LinkConfig(loss_a_db=54.74, loss_b_db=53.85,
                         attenuation_db_per_km=0.17982,
-                        measured_loss_a_db=54.74, measured_loss_b_db=53.85,
                         extra_loss_a_db=_EXTRA_LOSS_DB["sym603"][0],
                         extra_loss_b_db=_EXTRA_LOSS_DB["sym603"][1]),
         detectors=DetectorModel(efficiency_d0=0.70, efficiency_d1=0.47,
@@ -260,9 +248,8 @@ PRESETS: dict[str, ExperimentConfig] = {
         run=RunSettings(n_windows=4.05e12),
     ),
     "asym452": ExperimentConfig(
-        link=LinkConfig(length_a_km=248.24, length_b_km=204.22,
+        link=LinkConfig(loss_a_db=46.85, loss_b_db=37.77,
                         attenuation_db_per_km=0.18702,
-                        measured_loss_a_db=46.85, measured_loss_b_db=37.77,
                         extra_loss_a_db=_EXTRA_LOSS_DB["asym452"][0],
                         extra_loss_b_db=_EXTRA_LOSS_DB["asym452"][1]),
         detectors=DetectorModel(efficiency_d0=0.83, efficiency_d1=0.49,

@@ -32,8 +32,6 @@ import numpy as np
 from .optics import RATE_WINDOW_S, free_running_phase, signal_band_phase
 from .presets import STAGES, NoiseModel
 
-TWO_PI = 2.0 * math.pi
-
 # 10.0 * 1e-6 is 9.999999999999999e-06, one ulp below 1e-5; the fast set
 # point and every seeded series depend on that float.
 FAST_STEP_S = 10.0 * 1e-6
@@ -41,7 +39,7 @@ FAST_SETPOINT_COUNTS = 6e6 * FAST_STEP_S
 SLOW_SETPOINT_COUNTS = 100.0
 FAST_GAINS = (0.8, 0.05)
 SLOW_GAINS = (0.8, 0.3)
-PM_RANGE_RAD = TWO_PI
+PM_RANGE_RAD = math.tau
 FS_RANGE_RAD = 60.0
 SLOW_LOOP_STEPS = 100
 BLANK_STEPS = 100
@@ -140,7 +138,7 @@ def slow_loop_step(counts: float, state: PIDState) -> bool:
     state.output -= kp * err + ki * state.integral
     rewound = abs(state.output) > FS_RANGE_RAD
     if rewound:
-        state.output -= TWO_PI * round(state.output / TWO_PI)
+        state.output -= math.tau * round(state.output / math.tau)
     return rewound
 
 
@@ -163,7 +161,7 @@ def frequency_readout(pm_history_rad: np.ndarray, dt_s: float) -> float:
     weights = np.arange(m, dtype=float)
     weights -= 0.5 * (m - 1)
     slope = np.dot(weights, pm) * 12.0 / (dt_s * m * (m * m - 1))
-    return slope / TWO_PI
+    return slope / math.tau
 
 
 @dataclass(frozen=True)
@@ -194,7 +192,7 @@ def drift_rate_rms(phase_rad: np.ndarray, window_s: float) -> float:
 
 
 def _wrap_fringe(phase_rad: np.ndarray) -> np.ndarray:
-    """Elementwise ``math.remainder(phase, TWO_PI)``, bit for bit.
+    """Elementwise ``math.remainder(phase, math.tau)``, bit for bit.
 
     Interference only sees the phase modulo one fringe.  ``fmod`` is
     exact, and moving a remainder beyond half a fringe by one fringe is
@@ -204,12 +202,12 @@ def _wrap_fringe(phase_rad: np.ndarray) -> np.ndarray:
     shifts are made in place in the ``fmod`` result, so no other float
     array of the input's length is allocated.
     """
-    r = np.fmod(phase_rad, TWO_PI)
+    r = np.fmod(phase_rad, math.tau)
     ties = np.flatnonzero((r == math.pi) | (r == -math.pi))
-    odd = ties[np.abs(np.fmod(phase_rad[ties], 2.0 * TWO_PI)) >= TWO_PI]
-    np.subtract(r, TWO_PI, out=r, where=r > math.pi)
-    np.add(r, TWO_PI, out=r, where=r < -math.pi)
-    r[odd] -= np.copysign(TWO_PI, r[odd])
+    odd = ties[np.abs(np.fmod(phase_rad[ties], 2.0 * math.tau)) >= math.tau]
+    np.subtract(r, math.tau, out=r, where=r > math.pi)
+    np.add(r, math.tau, out=r, where=r < -math.pi)
+    r[odd] -= np.copysign(math.tau, r[odd])
     return r
 
 
@@ -347,8 +345,8 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
             fs[start:stop] = slow.output
             if stop % SLOW_LOOP_STEPS == 0:
                 i = stop - 1
-                fringe = round(fast.unwrapped / TWO_PI)
-                resid = resid_q[i] - delta * TWO_PI * fringe
+                fringe = round(fast.unwrapped / math.tau)
+                resid = resid_q[i] - delta * math.tau * fringe
                 counts = draw(SLOW_SETPOINT_COUNTS
                               * (1.0 + vis * math.sin(resid + slow.output)))
                 if slow_loop_step(counts, slow):
@@ -358,9 +356,9 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
         # The modulator transfers whole reference fringes to the signal
         # band.
         for b in range(0, n, _BLOCK):
-            transferred = pm[b:b + _BLOCK] / TWO_PI
+            transferred = pm[b:b + _BLOCK] / math.tau
             np.round(transferred, out=transferred)
-            transferred *= delta * TWO_PI
+            transferred *= delta * math.tau
             resid_q[b:b + _BLOCK] -= transferred
 
     warm = min(n // 5, int(round(0.2 / dt)))

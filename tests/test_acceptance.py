@@ -264,8 +264,7 @@ def test_criterion_12_decoy_bound_validity():
             epsilon_send=float(rng.uniform(0.15, 0.4)),
             p_mu0=0.1, p_mu1=0.6, p_mu2=0.3)
         loss = float(rng.uniform(10.0, 45.0))
-        link = LinkConfig(length_a_km=0.0, length_b_km=0.0,
-                          measured_loss_a_db=loss, measured_loss_b_db=loss)
+        link = LinkConfig(loss_a_db=loss, loss_b_db=loss)
         det = DetectorModel(efficiency_d0=float(rng.uniform(0.4, 0.9)),
                             efficiency_d1=float(rng.uniform(0.4, 0.9)),
                             dark_rate_d0_hz=float(rng.uniform(0.0, 100.0)),

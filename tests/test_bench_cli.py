@@ -1,4 +1,5 @@
 """Configuration ingestion, presets, sweeps, optimizer, and the CLI."""
+import configparser
 import dataclasses
 import hashlib
 import math
@@ -31,8 +32,7 @@ def test_preset_names():
 def test_preset_total_loss():
     cfg = get_preset("sym546")
     link = cfg.link
-    assert link.measured_loss_a_db + link.measured_loss_b_db == pytest.approx(
-        100.13, abs=0.01)
+    assert link.loss_a_db + link.loss_b_db == pytest.approx(100.13, abs=0.01)
 
 
 def test_presets_satisfy_balance():
@@ -93,20 +93,27 @@ def test_config_bad_probabilities(tmp_path):
     assert "p_mu" in str(err.value) or "prob" in str(err.value).lower()
 
 
+# An arm is given by its loss alone: its length and the old measured-loss
+# keys are not part of the schema.
 @pytest.mark.parametrize("section, key", [("link", "lenght_a_km"),
+                                          ("link", "length_a_km"),
+                                          ("link", "measured_loss_a_db"),
                                           ("protocol", "c_mu_z"),
                                           ("run", "n_window"),
                                           ("noise", "timing_jitter_ps")])
-def test_config_unknown_key(tmp_path, section, key):
+def test_config_unknown_key(tmp_path, capsys, section, key):
     path = tmp_path / "typo.ini"
     path.write_text(f"[{section}]\n{key} = 0.4\n")
     with pytest.raises(ConfigError, match="unknown key"):
         _load(path)
+    assert main(["keyrate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: unknown key(s): {section}.{key}\n")
 
 
 @pytest.mark.parametrize("section, key, value", [
     ("protocol", "a_mu_z", "nan"),
-    ("link", "length_b_km", "inf"),
+    ("link", "loss_b_db", "inf"),
     ("noise", "residual_phase_std_rad", "nan"),
 ])
 def test_config_non_finite_number(tmp_path, section, key, value):
@@ -116,16 +123,19 @@ def test_config_non_finite_number(tmp_path, section, key, value):
         _load(path)
 
 
-def test_config_none_only_where_optional(tmp_path):
+def test_config_none_rejected_for_every_key(tmp_path, capsys):
+    # No settings field is optional, so ``none`` is a bad value for every
+    # key preset show writes; the error names the key.
     path = tmp_path / "none.ini"
-    path.write_text("[link]\nmeasured_loss_a_db = none\n")
-    assert _load(path).link.measured_loss_a_db is None
-    for body in ("[link]\nattenuation_db_per_km = none\n",
-                 "[run]\nseed = none\n"):
-        path.write_text(body)
-        with pytest.raises(ConfigError, match="none"):
-            _load(path)
-        assert main(["keyrate", "--config", str(path)]) == 2
+    schema = configparser.ConfigParser()
+    schema.read_string(serialize_config(get_preset("sym546")))
+    for section in schema.sections():
+        for key in schema[section]:
+            path.write_text(f"[{section}]\n{key} = none\n")
+            assert main(["keyrate", "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"configuration error: {section}")
+            assert key in err
 
 
 @pytest.mark.parametrize("body, error", [
@@ -166,11 +176,13 @@ def test_config_residual_field_and_balance_rule(tmp_path):
 
 
 @pytest.mark.parametrize("command, body", [
-    ("keyrate", "[link]\nmeasured_loss_a_db = -5\n"),
+    ("keyrate", "[link]\nloss_a_db = -5\n"),
+    ("keyrate", "[link]\nattenuation_db_per_km = -0.2\n"),
     ("keyrate", "[link]\nextra_loss_a_db = -60\n"),
     ("stabilize", "[noise]\nclock_accuracy = -1\n"),
     ("stabilize", "[noise]\ncomb_span_hz = -1e11\n"),
-], ids=["measured-loss", "extra-loss", "clock-accuracy", "comb-span"])
+], ids=["arm-loss", "attenuation", "extra-loss", "clock-accuracy",
+        "comb-span"])
 def test_cli_negative_loss_or_clock_setting_exit(tmp_path, capsys, command,
                                                  body):
     path = tmp_path / "bad.ini"
@@ -220,6 +232,27 @@ def test_sweep_crossing_at_546():
     row = bench.sweep(cfg, [546.61])[0]
     assert row["skr_bit_per_signal"] > row["skc0_bit_per_signal"]
     assert row["ratio"] > 1.0
+
+
+@pytest.mark.parametrize("preset", ["sym546", "sym603", "asym452"])
+def test_sweep_row_is_keyrate_of_equal_arm_losses(preset):
+    """A sweep row at distance d is, bit for bit, the key rate of the
+    template with both arm losses set to d/2 times its attenuation, and
+    its fiber-only loss is d times the attenuation.  The conversion from
+    length to loss lives only in ``sweep``."""
+    cfg = get_preset(preset)
+    att = cfg.link.attenuation_db_per_km
+    distances = [0.0, 100.0, 452.0, 546.61, 650.0]
+    for mode in ("asymptotic", "finite"):
+        cfg_m = dataclasses.replace(cfg, security=dataclasses.replace(
+            cfg.security, mode=mode))
+        for d, row in zip(distances, bench.sweep(cfg_m, distances)):
+            link = dataclasses.replace(cfg.link, loss_a_db=d / 2.0 * att,
+                                       loss_b_db=d / 2.0 * att)
+            skr, _ = bench.analytic_keyrate(
+                dataclasses.replace(cfg_m, link=link))
+            assert row["skr_bit_per_signal"] == skr
+            assert row["total_loss_db"] == d * att
 
 
 def test_format_sweep_header():

@@ -106,8 +106,7 @@ def test_expected_counts_dark_limited(cfg546):
     # Opaque link: every heralded event is a dark count, so each
     # category expectation is N * P(category) * (pd0 + pd1) to first
     # order.
-    link = dataclasses.replace(cfg546.link, measured_loss_a_db=300.0,
-                               measured_loss_b_db=300.0)
+    link = dataclasses.replace(cfg546.link, loss_a_db=300.0, loss_b_db=300.0)
     s = dataclasses.replace(cfg546, link=link)
     n = 1e9
     table = expected_counts(s, n)
@@ -272,8 +271,7 @@ def test_per_window_oracle_matches_expectation(preset):
     7e-3.
     """
     cfg = get_preset(preset)
-    link = dataclasses.replace(cfg.link, measured_loss_a_db=10.0,
-                               measured_loss_b_db=12.0)
+    link = dataclasses.replace(cfg.link, loss_a_db=10.0, loss_b_db=12.0)
     cfg = dataclasses.replace(cfg, link=link)
     n = 2_000_000
     observed = _table_entries(_per_window_counts(cfg, n, seed=0))
@@ -388,8 +386,8 @@ def _random_config(rng: np.random.Generator, mu0: float | None,
         residual_phase_std_rad=rng.uniform(0.0, 0.6) if sigma is None
         else sigma)
     link = dataclasses.replace(base.link,
-                               measured_loss_a_db=rng.uniform(0.0, 60.0),
-                               measured_loss_b_db=rng.uniform(0.0, 60.0))
+                               loss_a_db=rng.uniform(0.0, 60.0),
+                               loss_b_db=rng.uniform(0.0, 60.0))
     return _EngineParts(
         link=link, detectors=base.detectors,
         party_a=_random_party(rng, mu0s[0]),

@@ -15,35 +15,34 @@ from tfqkd.presets import PRESETS, DetectorModel, LinkConfig, NoiseModel
 # --------------------------------------------------------- transmittance
 
 def test_transmittance_unit_link():
-    link = LinkConfig(length_a_km=0.0, length_b_km=0.0)
+    link = LinkConfig(loss_a_db=0.0, loss_b_db=0.0)
     det = DetectorModel(1.0, 1.0, 0.0, 0.0)
     assert link.arm_transmittance("a") * det.efficiency_d0 == 1.0
 
 
 def test_transmittance_fiber_only():
-    link = LinkConfig(length_a_km=100.0, length_b_km=0.0,
-                      attenuation_db_per_km=0.183)
+    # 100 km at 0.183 dB/km, with no node insertion loss.
+    link = LinkConfig(loss_a_db=18.3, loss_b_db=0.0)
     det = DetectorModel(1.0, 1.0, 0.0, 0.0)
     assert link.arm_transmittance("a") * det.efficiency_d0 == pytest.approx(
         0.01479, rel=1e-3)
 
 
-def test_transmittance_measured_loss_override():
-    link = LinkConfig(length_a_km=273.48, length_b_km=0.0,
-                      measured_loss_a_db=50.50)
+def test_transmittance_measured_arm_loss():
+    # sym546's measured 273.48 km arm.
+    link = LinkConfig(loss_a_db=50.50, loss_b_db=0.0)
     det = DetectorModel(0.66, 0.66, 0.0, 0.0)
     assert link.arm_transmittance("a") * det.efficiency_d1 == pytest.approx(
         5.88e-6, rel=2e-3)
 
 
-@given(st.floats(min_value=0.0, max_value=500.0),
+@given(st.floats(min_value=0.0, max_value=91.5),
        st.floats(min_value=0.1, max_value=50.0))
-def test_transmittance_decreases_with_length_and_extra(length, extra):
+def test_transmittance_decreases_with_loss_and_extra(loss, extra):
     det = DetectorModel(1.0, 1.0, 0.0, 0.0)
-    base = LinkConfig(length_a_km=length, length_b_km=0.0)
-    longer = LinkConfig(length_a_km=length + 1.0, length_b_km=0.0)
-    lossy = LinkConfig(length_a_km=length, length_b_km=0.0,
-                       extra_loss_a_db=extra)
+    base = LinkConfig(loss_a_db=loss, loss_b_db=0.0)
+    longer = LinkConfig(loss_a_db=loss + 0.183, loss_b_db=0.0)
+    lossy = LinkConfig(loss_a_db=loss, loss_b_db=0.0, extra_loss_a_db=extra)
     t = base.arm_transmittance("a") * det.efficiency_d0
     assert longer.arm_transmittance("a") * det.efficiency_d0 < t
     assert lossy.arm_transmittance("a") * det.efficiency_d0 < t
@@ -110,7 +109,7 @@ def _fock_click_probs(mu_a, mu_b, delta, visibility, pd0, pd1, nmax=20):
 
 
 #: No loss, unit efficiencies: the source means arrive at the ports.
-_LOSSLESS = LinkConfig(length_a_km=0.0, length_b_km=0.0)
+_LOSSLESS = LinkConfig(loss_a_db=0.0, loss_b_db=0.0)
 
 
 def _clicks(mu_a, mu_b, delta, visibility, det=DetectorModel(1.0, 1.0, 0.0, 0.0)):
@@ -167,7 +166,7 @@ def test_click_arrays_match_scalar():
     # Lossy arms and unequal detectors, element by element against the
     # Fock oracle: each port sees the arriving means mu * t_arm scaled by
     # its own detection efficiency.
-    link = LinkConfig(length_a_km=100.0, length_b_km=120.0,
+    link = LinkConfig(loss_a_db=18.3, loss_b_db=21.96,
                       extra_loss_a_db=2.0, extra_loss_b_db=3.0)
     det = DetectorModel(0.83, 0.49, 7.8, 1.77, window_s=2e-9)
     noise = NoiseModel()
