@@ -605,14 +605,15 @@ def test_cli_file_reports_match_golden_files(tmp_path, golden, argv):
     assert text == (GOLDEN / golden).read_text()
 
 
-def test_cli_series_matches_golden_hash(tmp_path):
-    """The 0.2 s ``full`` series (about 2 MB) is pinned by its sha256."""
+@pytest.mark.parametrize("stages", ["none", "fastOnly", "full"])
+def test_cli_series_matches_golden_hash(tmp_path, stages):
+    """Each stage's 0.2 s series (about 2 MB) is pinned by its sha256."""
     series = tmp_path / "series.tsv"
-    assert main(_STABILIZE + ["full", "--out", str(tmp_path / "report"),
+    assert main(_STABILIZE + [stages, "--out", str(tmp_path / "report"),
                               "--series-out", str(series)]) == 0
     digest = hashlib.sha256(series.read_bytes()).hexdigest()
     assert digest + "\n" == (
-        GOLDEN / "stabilize_sym546_full_series.sha256").read_text()
+        GOLDEN / f"stabilize_sym546_{stages}_series.sha256").read_text()
 
 
 def test_cli_sweep(tmp_path, capsys):
