@@ -48,8 +48,9 @@ if TYPE_CHECKING:
     from .postproc import ProcessedRun
 
 #: Rows of the ``--series-out`` text formatted per block: one block's
-#: ``tolist()`` copies and row strings stay small next to the text.
-_SERIES_BLOCK_ROWS = 4096
+#: ``tolist()`` copies and row strings stay small next to the text, and
+#: next to the run's arrays.
+_SERIES_BLOCK_ROWS = 512
 
 
 def _preset(name: str) -> ExperimentConfig:

@@ -44,20 +44,15 @@ def velocity_step_coeffs(noise: NoiseModel, dt: float) -> tuple[float, float]:
     return a, s
 
 
-def free_running_phase(noise: NoiseModel, dt: float, n: int,
-                       rng: np.random.Generator
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Open-loop phase components at t = dt, 2 dt, ..., n dt.
+def fiber_phase(noise: NoiseModel, dt: float, n: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """Open-loop fiber phase at t = dt, 2 dt, ..., n dt.
 
-    Returns ``(fiber_phase, laser_phase, clock_phase)``.  The fiber drift
-    velocity is the AR(1) process of :func:`velocity_step_coeffs`,
-    starting at rest and driven by ``n`` standard normals from ``rng``;
-    ``fiber_phase`` is its integral.  The laser frequency offset ramps
-    from zero at the specified drift rate.  ``clock_phase``,
-    ``noise.clock_drift_floor() * t``, is the clock-accuracy floor, built
-    in the buffer of ``t``.  The reference band sees
-    ``fiber_phase + laser_phase``; the signal band sees
-    :func:`signal_band_phase` of the three.
+    The drift velocity is the AR(1) process of
+    :func:`velocity_step_coeffs`, starting at rest and driven by ``n``
+    standard normals from ``rng``; the phase is its integral.  The
+    reference band sees this phase plus the laser ramp of
+    :func:`ramp_phases`; the signal band sees :func:`signal_band_phase`.
 
     The velocity recurrence ``v = s*x + a*v`` is a Python loop, not
     ``scipy.signal.lfilter([s], [1, -a], x)``: it gives the same array
@@ -68,24 +63,36 @@ def free_running_phase(noise: NoiseModel, dt: float, n: int,
     # The velocity overwrites the normals that drive it, then the phase
     # overwrites the velocity.  The recurrence keeps lfilter's order of
     # operations, so the result is bit-identical.
-    fiber_phase = rng.standard_normal(n)
-    buf = memoryview(fiber_phase)
+    phase = rng.standard_normal(n)
+    buf = memoryview(phase)
     v = 0.0
     for i, x in enumerate(buf):
         v = s * x + a * v
         buf[i] = v
-    np.cumsum(fiber_phase, out=fiber_phase)
-    fiber_phase *= dt
-    t = np.arange(1, n + 1, dtype=float)
-    t *= dt
+    np.cumsum(phase, out=phase)
+    phase *= dt
+    return phase
+
+
+def ramp_phases(noise: NoiseModel, t: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form phases ``(laser, clock)`` at the times ``t`` (s).
+
+    The laser frequency offset ramps from zero at the specified drift
+    rate, adding ``2*pi * (f0 / 2) * t**2`` to both bands.  ``clock``,
+    ``noise.clock_drift_floor() * t``, is the clock-accuracy floor of
+    the signal band, built in the buffer of ``t``.  Each sample depends
+    only on its own time, so any subset of times, such as one block or
+    every k-th sample, gives the same bits as the whole run.
+    """
     f0 = noise.laser_drift_hz_per_hour / 3600.0
-    laser_phase = 0.5 * f0 * t
-    laser_phase *= t
-    laser_phase *= math.tau
+    laser = 0.5 * f0 * t
+    laser *= t
+    laser *= math.tau
     # t * floor is floor * t bit for bit, so t can become the floor.
-    clock_phase = t
-    clock_phase *= noise.clock_drift_floor()
-    return fiber_phase, laser_phase, clock_phase
+    clock = t
+    clock *= noise.clock_drift_floor()
+    return laser, clock
 
 
 def signal_band_phase(fiber_phase: np.ndarray, laser_phase: np.ndarray,

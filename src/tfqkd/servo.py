@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import RATE_WINDOW_S, free_running_phase, signal_band_phase
+from .optics import (RATE_WINDOW_S, fiber_phase, ramp_phases,
+                     signal_band_phase)
 from .presets import STAGES, NoiseModel
 
 # 10.0 * 1e-6 is 9.999999999999999e-06, one ulp below 1e-5; the fast set
@@ -227,29 +228,64 @@ def _std_in_place(x: np.ndarray) -> float:
     return float(np.sqrt(np.add.reduce(x) / count))
 
 
-def _wrapped_std(phase_rad: np.ndarray, valid: np.ndarray,
-                 offset_rad: np.ndarray | None = None,
+def _wrapped_std(phase_block, n: int, valid: np.ndarray,
                  out: np.ndarray | None = None) -> float:
-    """``np.std`` of the fringe-wrapped ``(phase_rad + offset_rad)[valid]``.
+    """``np.std`` of the fringe-wrapped phase of the ``valid`` samples.
 
-    The wrapped samples are gathered into the head of ``out``, a new
-    array by default, and their std is taken there in place.  The sum,
-    gather and wrap run a block of ``_BLOCK`` samples at a time, so no
-    other full-length temporary is built.  ``out`` may be ``phase_rad``
-    itself: a block's samples land at or before the block's start, after
-    the block has been read.
+    ``phase_block(b, e)`` returns the phase of samples ``b`` to ``e - 1``
+    of ``n``.  The wrapped samples are gathered into the head of ``out``,
+    a new array by default, and their std is taken there in place.  The
+    phase, gather and wrap run a block of ``_BLOCK`` samples at a time,
+    so no other full-length temporary is built.  ``out`` may be an array
+    that ``phase_block`` reads: a block's samples land at or before the
+    block's start, after the block has been read.
     """
     if out is None:
         out = np.empty(np.count_nonzero(valid))
     j = 0
-    for b in range(0, phase_rad.size, _BLOCK):
-        keep = valid[b:b + _BLOCK]
-        x = phase_rad[b:b + _BLOCK][keep]
-        if offset_rad is not None:
-            x += offset_rad[b:b + _BLOCK][keep]
+    for b in range(0, n, _BLOCK):
+        e = min(b + _BLOCK, n)
+        x = phase_block(b, e)[valid[b:e]]
         out[j:j + x.size] = _wrap_fringe(x)
         j += x.size
     return _std_in_place(out[:j])
+
+
+def _sample_times(start: int, stop: int, step: int = 1) -> np.ndarray:
+    """Times (s) of samples ``start, start + step, ...`` below ``stop``.
+
+    Sample ``i`` is at ``(i + 1) * FAST_STEP_S``.  The integers are exact
+    in float64, so every sample has the same bits whatever the slice.
+    """
+    t = np.arange(start + 1, stop + 1, step, dtype=float)
+    t *= FAST_STEP_S
+    return t
+
+
+def _lock_drift(noise: NoiseModel, start: int, stop: int, step: int = 1
+                ) -> np.ndarray:
+    """Signal-band drift a perfect reference lock leaves at the samples
+    of :func:`_sample_times`: the clock floor plus ``1 - band_ratio``
+    times the laser ramp, built in the floor's buffer."""
+    laser, drift = ramp_phases(noise, _sample_times(start, stop, step))
+    laser *= 1.0 - noise.band_ratio
+    drift += laser
+    return drift
+
+
+def _stretcher_levels(levels: np.ndarray, start: int, stop: int
+                      ) -> np.ndarray:
+    """Fiber-stretcher output at samples ``start`` to ``stop - 1``.
+
+    ``levels[j]`` is the output after the j-th slow step (``levels[0]``
+    the initial zero), and the j-th step runs at the end of sample
+    ``j * SLOW_LOOP_STEPS - 1``, so sample ``i`` sees
+    ``levels[(i + 1) // SLOW_LOOP_STEPS]``.
+    """
+    lo = (start + 1) // SLOW_LOOP_STEPS
+    run = np.repeat(levels[lo:stop // SLOW_LOOP_STEPS + 1], SLOW_LOOP_STEPS)
+    head = lo * SLOW_LOOP_STEPS - 1
+    return run[start - head:stop - head]
 
 
 def clock_limited_drift_rate(noise: NoiseModel) -> float:
@@ -286,12 +322,14 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
     2*pi times the band offset fraction per flip).  The slow loop
     removes what is left.  Fiber-stretcher resets blank 1 ms of data.
 
-    Each full-length array is freed or reused once it is dead.  The free
-    drift rate reads the signal band only at its 1 ms samples, so the
-    whole band is built only for the series and for ``none``'s
-    statistics.  Without series the run builds no ``t_s``: the fast loop
-    writes its counts to one zero-stride element, and the modulator and
-    stretcher histories exist only in the stages that write them.
+    Without series, only two float arrays of the run's length exist:
+    the reference band and, in the locked stages, the modulator history
+    (in ``none``, the free signal band, which its statistic reads).
+    The laser ramp and the clock floor have closed forms, so they are
+    built a block at a time, or at the strided samples the drift rates
+    and the slow loop read.  The stretcher keeps one level per slow
+    step.  The fast loop writes its counts to one zero-stride element,
+    and no ``t_s`` is built.
     """
     if stages not in STAGES:
         raise ValueError(f"stages must be one of {STAGES}")
@@ -302,85 +340,109 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
                          f"fast-loop cycles, got {duration_s!r} s")
     n = round(steps)
     rng = np.random.default_rng(seed)
-    fiber, laser_phase, clock_phase = free_running_phase(noise, dt, n, rng)
+    # The fiber phase, which becomes the reference band below.
+    phi_c = fiber_phase(noise, dt, n, rng)
     ratio = noise.band_ratio
+    delta = 1.0 - ratio
     # The drift rates read the signal band only at its 1 ms samples.
     k = _RATE_STEPS
+    laser, clock = ramp_phases(noise, _sample_times(0, n, k))
     free_rate = drift_rate_rms(
-        signal_band_phase(fiber[::k], laser_phase[::k], clock_phase[::k],
-                          ratio), k * dt)
-    if series or stages == "none":
-        phi_q_free = signal_band_phase(fiber, laser_phase, clock_phase, ratio)
-    phi_c = fiber
-    phi_c += laser_phase
-    delta = 1.0 - ratio
-    if stages != "none":
-        # The clock floor's buffer becomes the signal-band drift left by a
-        # perfect reference lock, and after the loop the signal-band
-        # residual.
-        laser_phase *= delta
-        clock_phase += laser_phase
-        resid_q = clock_phase
-    del fiber, laser_phase, clock_phase
+        signal_band_phase(phi_c[::k], laser, clock, ratio), k * dt)
+    # One pass adds the laser ramp to the fiber phase, after building the
+    # free signal band from both where it is read.
+    phi_q = np.empty(n) if series or stages == "none" else None
+    for b in range(0, n, _BLOCK):
+        e = min(b + _BLOCK, n)
+        laser, clock = ramp_phases(noise, _sample_times(b, e))
+        if phi_q is not None:
+            phi_q[b:e] = signal_band_phase(phi_c[b:e], laser, clock, ratio)
+        phi_c[b:e] += laser
+    del laser, clock
 
-    # Only the fast loop writes the modulator history and only the slow
-    # loop the stretcher's; without series, a stage that writes neither
-    # builds neither, and every count lands in one zero-stride element.
+    # Only the fast loop writes the modulator history; without series,
+    # ``none`` builds none, and every count lands in one zero-stride
+    # element.
     pm = np.zeros(n) if series or stages != "none" else None
-    fs = np.zeros(n) if series or stages == "full" else None
     dc_counts = (np.zeros(n) if series else np.lib.stride_tricks.as_strided(
         np.zeros(1), shape=(n,), strides=(0,)))
     valid = np.ones(n, dtype=bool)
 
     vis = noise.visibility
     draw = rng.poisson
+    # The stretcher output after each slow step, from its initial zero.
+    levels = np.zeros(n // SLOW_LOOP_STEPS + 1)
     if stages == "fastOnly":
         fast_loop_span(0, n, phi_c, pm, dc_counts, vis, PIDState(), draw)
     elif stages == "full":
         fast = PIDState()
         slow = PIDState()
+        # The drift the slow loop reads, at the end of each 1 ms span.
+        drift = _lock_drift(noise, SLOW_LOOP_STEPS - 1, n, SLOW_LOOP_STEPS)
         for start in range(0, n, SLOW_LOOP_STEPS):
             stop = min(start + SLOW_LOOP_STEPS, n)
             fast_loop_span(start, stop, phi_c, pm, dc_counts, vis, fast, draw)
-            fs[start:stop] = slow.output
             if stop % SLOW_LOOP_STEPS == 0:
-                i = stop - 1
                 fringe = round(fast.unwrapped / math.tau)
-                resid = resid_q[i] - delta * math.tau * fringe
+                resid = (drift[start // SLOW_LOOP_STEPS]
+                         - delta * math.tau * fringe)
                 counts = draw(SLOW_SETPOINT_COUNTS
                               * (1.0 + vis * math.sin(resid + slow.output)))
                 if slow_loop_step(counts, slow):
-                    valid[i:i + BLANK_STEPS + 1] = False
-                fs[i] = slow.output
-    if stages != "none":
-        # The modulator transfers whole reference fringes to the signal
-        # band.
-        for b in range(0, n, _BLOCK):
-            transferred = pm[b:b + _BLOCK] / math.tau
-            np.round(transferred, out=transferred)
-            transferred *= delta * math.tau
-            resid_q[b:b + _BLOCK] -= transferred
+                    valid[stop - 1:stop + BLANK_STEPS] = False
+                levels[stop // SLOW_LOOP_STEPS] = slow.output
 
     warm = min(n // 5, int(round(0.2 / dt)))
     valid[:warm] = False
 
+    def residual(b, e, step=1):
+        """Signal-band residual before the stretcher: the drift left by
+        the lock minus the whole reference fringes the modulator
+        transfers to the signal band."""
+        resid = _lock_drift(noise, b, e, step)
+        fringes = pm[b:e:step] / math.tau
+        np.round(fringes, out=fringes)
+        fringes *= delta * math.tau
+        resid -= fringes
+        return resid
+
     if stages == "none":
         locked_rate = free_rate
-        # Without series the signal band's own buffer gathers the samples
-        # of both statistics.
-        spare = None if series else phi_q_free
-        std_q = _wrapped_std(phi_q_free, valid, out=spare)
-        std_c = _wrapped_std(phi_c, valid, out=spare)
-        freq = -frequency_readout(phi_c, dt)
+
+        def phase_c(b, e):
+            return phi_c[b:e]
+
+        def phase_q(b, e):
+            return phi_q[b:e]
     else:
-        locked_rate = drift_rate_rms(resid_q[warm::k], k * dt)
-        # The residual is gathered into its own buffer, which then
-        # gathers the reference band's samples and is dropped.
-        std_q = _wrapped_std(resid_q, valid, fs, out=resid_q)
-        # The unwrapped pm tracks -phi_c when locked.
-        std_c = _wrapped_std(phi_c, valid, pm, out=resid_q)
-        del resid_q
-        freq = -frequency_readout(pm[warm:], dt)
+        locked_rate = drift_rate_rms(residual(warm, n, k), k * dt)
+
+        def phase_c(b, e):
+            # The unwrapped pm tracks -phi_c when locked.
+            return phi_c[b:e] + pm[b:e]
+
+        def phase_q(b, e):
+            resid = residual(b, e)
+            resid += _stretcher_levels(levels, b, e)
+            return resid
+
+    if series:
+        std_c = _wrapped_std(phase_c, n, valid)
+        std_q = _wrapped_std(phase_q, n, valid)
+    elif stages == "none":
+        # The signal band, which only std_q reads, gathers both
+        # statistics and is dropped before the readout.
+        std_q = _wrapped_std(phase_q, n, valid, out=phi_q)
+        std_c = _wrapped_std(phase_c, n, valid, out=phi_q)
+        del phi_q
+    else:
+        # The reference band, which only std_c reads, gathers both
+        # statistics and is dropped before the readout.
+        std_c = _wrapped_std(phase_c, n, valid, out=phi_c)
+        std_q = _wrapped_std(phase_q, n, valid, out=phi_c)
+        del phi_c
+    del valid
+    freq = -frequency_readout(phi_c if stages == "none" else pm[warm:], dt)
 
     summary = StabilizationSummary(
         free_drift_std_rad_per_s=free_rate,
@@ -392,14 +454,11 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
     )
     if not series:
         return summary, None
-    # The same bits as the t free_running_phase built the clock floor from.
-    t = np.arange(1, n + 1, dtype=float)
-    t *= dt
     return summary, {
-        "t_s": t,
+        "t_s": _sample_times(0, n),
         "phiC_rad": phi_c,
-        "phiQ_rad": phi_q_free,
+        "phiQ_rad": phi_q,
         "pm_rad": pm,
-        "fs_rad": fs,
+        "fs_rad": _stretcher_levels(levels, 0, n),
         "dc_counts": dc_counts,
     }

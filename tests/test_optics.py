@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.signal import lfilter
 
-from tfqkd.optics import (click_probability_arrays, free_running_phase,
+from tfqkd.optics import (click_probability_arrays, fiber_phase, ramp_phases,
                           signal_band_phase, velocity_step_coeffs)
 from tfqkd.presets import PRESETS, DetectorModel, LinkConfig, NoiseModel
 
@@ -198,8 +198,16 @@ def test_clock_drift_floor():
 
 # ------------------------------------------------------ phase process
 
+def _free_running_parts(noise, dt, n, rng):
+    """The fiber, laser and clock phases at t = dt, 2 dt, ..., n dt."""
+    fiber = fiber_phase(noise, dt, n, rng)
+    t = np.arange(1, n + 1, dtype=float)
+    t *= dt
+    return (fiber, *ramp_phases(noise, t))
+
+
 def _bands(noise, fiber, laser, clock):
-    """The reference and signal bands of ``free_running_phase``'s parts."""
+    """The reference and signal bands of the free-running phase parts."""
     return fiber + laser, signal_band_phase(fiber, laser, clock,
                                             noise.band_ratio)
 
@@ -207,15 +215,15 @@ def _bands(noise, fiber, laser, clock):
 def test_free_running_phase_quiet_channel():
     noise = NoiseModel(free_drift_rate_std=0.0, laser_drift_hz_per_hour=0.0,
                        clock_accuracy=0.0)
-    parts = free_running_phase(noise, 1e-5, 100, np.random.default_rng(0))
+    parts = _free_running_parts(noise, 1e-5, 100, np.random.default_rng(0))
     for phase in (*parts, *_bands(noise, *parts)):
         assert not phase.any()
 
 
 def test_free_running_phase_clock_floor_only():
     noise = NoiseModel(free_drift_rate_std=0.0, laser_drift_hz_per_hour=0.0)
-    fiber, laser, clock = free_running_phase(noise, 1e-5, 1000,
-                                             np.random.default_rng(0))
+    fiber, laser, clock = _free_running_parts(noise, 1e-5, 1000,
+                                              np.random.default_rng(0))
     phi_c, phi_q = _bands(noise, fiber, laser, clock)
     t = np.arange(1, 1001) * 1e-5
     assert not phi_c.any()
@@ -228,8 +236,8 @@ def test_free_running_phase_clock_floor_only():
 
 def test_free_running_phase_laser_ramp():
     noise = NoiseModel(free_drift_rate_std=0.0, clock_accuracy=0.0)
-    fiber, laser, clock = free_running_phase(noise, 1e-3, 1000,
-                                             np.random.default_rng(0))
+    fiber, laser, clock = _free_running_parts(noise, 1e-3, 1000,
+                                              np.random.default_rng(0))
     phi_c, phi_q = _bands(noise, fiber, laser, clock)
     t = np.arange(1, 1001) * 1e-3
     # Frequency offset ramping from 0 at f_drift: phi = 2 pi (f_drift/2) t^2
@@ -242,7 +250,7 @@ def test_free_running_phase_laser_ramp():
 
 
 def _lfilter_free_running_phase(noise, dt, n, rng):
-    """``free_running_phase`` as it was with ``scipy.signal.lfilter``.
+    """The free-running phase as it was built with ``scipy.signal.lfilter``.
 
     Returns the reference and signal bands, then the fiber, laser and
     clock parts.
@@ -270,8 +278,8 @@ def test_free_running_phase_matches_lfilter(noise, dt):
     # So must the bands built from its parts, whole or at a stride.
     for n in (10_000, 200_000):
         for seed in (0, 3, 17):
-            parts = free_running_phase(noise, dt, n,
-                                       np.random.default_rng(seed))
+            parts = _free_running_parts(noise, dt, n,
+                                        np.random.default_rng(seed))
             got = (*_bands(noise, *parts), *parts)
             want = _lfilter_free_running_phase(noise, dt, n,
                                                np.random.default_rng(seed))
@@ -325,7 +333,7 @@ def test_free_running_phase_empirical_drift_rate():
     mean_squares = []
     for _ in range(40):
         # Without a laser ramp the reference band is the fiber phase.
-        phases, _, _ = free_running_phase(noise, dt, 100_000, rng)
+        phases = fiber_phase(noise, dt, 100_000, rng)
         rates = np.diff(phases[::m]) / 1e-3
         mean_squares.append(np.mean(rates * rates))
     rms = float(np.sqrt(np.mean(mean_squares)))

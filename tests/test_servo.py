@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tfqkd import servo
-from tfqkd.optics import free_running_phase
+from tfqkd.optics import fiber_phase, ramp_phases
 from tfqkd.presets import PRESETS, NoiseModel
 from tfqkd.servo import (_ERROR_TABLE, FAST_GAINS, FAST_SETPOINT_COUNTS,
                          FAST_STEP_S, FS_RANGE_RAD, SLOW_SETPOINT_COUNTS, STAGES, PIDState,
@@ -298,8 +298,8 @@ def test_run_stabilization_series_shapes():
 #: Traced peak of a 2 s sym546 run, in float64 arrays of its length, by
 #: stage and by whether it builds its series.
 _PEAK_ARRAYS = {
-    ("none", True): 6.22, ("fastOnly", True): 6.34, ("full", True): 6.34,
-    ("none", False): 4.00, ("fastOnly", False): 3.34, ("full", False): 4.34,
+    ("none", True): 6.01, ("fastOnly", True): 6.01, ("full", True): 6.02,
+    ("none", False): 2.33, ("fastOnly", False): 2.39, ("full", False): 2.39,
 }
 
 
@@ -309,15 +309,17 @@ def test_run_stabilization_peak_memory(stages):
 
     numpy reports its data buffers to ``tracemalloc``, so the traced
     peak counts every array the run allocates, and it does not depend on
-    the C library's heap.  With its series the run peaks at 6.22 arrays
-    of n (``none``) and 6.34 (locked stages); six of the arrays are the
-    returned series.  Without them it peaks at 4.00 (``none``: the four
-    phase arrays while the signal band is built), 3.34 (``fastOnly``)
-    and 4.34 (``full``, which keeps the stretcher history its residual
-    needs).  Building the series in every run and taking ``np.std``
-    through a copy of the deviations peaked at 6.94 and 7.06 arrays;
-    keeping ``t``, a second clock-floor product and full-length
-    statistics temporaries alive peaked at 8.39 and 9.39.
+    the C library's heap.  With its series the run peaks at 6.01 arrays
+    of n (6.02 in ``full``): the six returned series.  Without them it
+    holds two full-length float arrays, the reference band and the
+    modulator history (in ``none``, the free signal band), and peaks at
+    2.33 to 2.39 with the blanking mask, the stretcher levels and the
+    block temporaries.
+    Keeping the laser ramp, the clock floor and the stretcher history
+    at full length, and building ``none``'s signal band beside all
+    three, peaked at 3.34 to 4.34 arrays without series and 6.22 to
+    6.34 with them; keeping ``t``, a second clock-floor product and
+    full-length statistics temporaries alive peaked at 8.39 and 9.39.
     """
     noise = PRESETS["sym546"].noise
     n = round(2.0 / FAST_STEP_S)
@@ -331,6 +333,51 @@ def test_run_stabilization_peak_memory(stages):
         finally:
             tracemalloc.stop()
         assert peak <= (_PEAK_ARRAYS[stages, series] + 0.5) * n * 8, series
+
+
+#: Block edges of a 2 s run: its ends and both sides of the first
+#: ``_BLOCK`` boundary (16384 samples).
+_EDGES = (0, 1, 16383, 16384, 16385, 199_999, 200_000)
+
+
+@pytest.mark.parametrize("noise", [
+    *(PRESETS[name].noise for name in sorted(PRESETS)),
+    dataclasses.replace(PRESETS["sym546"].noise, clock_accuracy=0.0),
+], ids=[*sorted(PRESETS), "ideal_clock"])
+def test_ramp_phases_by_block_match_whole_run(noise):
+    """The closed-form phases of any slice equal the whole run's, bit for bit.
+
+    The run builds the laser ramp, the clock floor and the drift left by
+    the lock a block at a time, and at the strided samples the drift
+    rates (from sample 0) and the slow loop (from sample 99) read.
+    """
+    n = _EDGES[-1]
+    t = np.arange(1, n + 1, dtype=float)
+    t *= FAST_STEP_S
+    laser, clock = ramp_phases(noise, t)
+    drift = clock + laser * (1.0 - noise.band_ratio)
+    slices = [*zip(_EDGES, _EDGES[1:], [1] * len(_EDGES)),
+              *((b, min(b + servo._BLOCK, n), 1) for b in _EDGES[:-1]),
+              (0, n, 100), (99, n, 100)]
+    for start, stop, step in slices:
+        part = slice(start, stop, step)
+        got = ramp_phases(noise, servo._sample_times(start, stop, step))
+        assert got[0].tobytes() == laser[part].tobytes(), part
+        assert got[1].tobytes() == clock[part].tobytes(), part
+        assert (servo._lock_drift(noise, start, stop, step).tobytes()
+                == drift[part].tobytes()), part
+
+
+@pytest.mark.parametrize("n", [200_000, 200_050])
+def test_stretcher_levels_by_block(n):
+    """Sample i sees the stretcher level after slow step (i + 1) // 100."""
+    levels = np.random.default_rng(n).standard_normal(n // 100 + 1)
+    want = levels[np.arange(1, n + 1) // 100]
+    edges = (*_EDGES[:-1], n - 50, n)
+    for start, stop in [*zip(edges, edges[1:]), (0, n), (99, 100),
+                        (98, 201)]:
+        got = servo._stretcher_levels(levels, start, stop)
+        assert got.tobytes() == want[start:stop].tobytes(), (start, stop)
 
 
 def _hex_summary(summary):
@@ -411,7 +458,9 @@ def _reference_stabilization(duration_s, noise, stages, seed,
     slow_rate_hz = 1e3
     n = round(duration_s / dt)
     rng = np.random.default_rng(seed)
-    fiber, laser_phase, clock = free_running_phase(noise, dt, n, rng)
+    fiber = fiber_phase(noise, dt, n, rng)
+    laser_phase, clock = ramp_phases(noise,
+                                     np.arange(1, n + 1, dtype=float) * dt)
     phi_c = fiber + laser_phase
     phi_q_free = noise.band_ratio * fiber + laser_phase + clock
     t = np.arange(1, n + 1) * dt
