@@ -314,12 +314,12 @@ def test_run_stabilization_peak_memory(stages):
     holds two full-length float arrays, the reference band and the
     modulator history (in ``none``, the free signal band), and peaks at
     2.33 to 2.39 with the blanking mask, the stretcher levels and the
-    block temporaries.
-    Keeping the laser ramp, the clock floor and the stretcher history
-    at full length, and building ``none``'s signal band beside all
-    three, peaked at 3.34 to 4.34 arrays without series and 6.22 to
-    6.34 with them; keeping ``t``, a second clock-floor product and
-    full-length statistics temporaries alive peaked at 8.39 and 9.39.
+    block temporaries.  Keeping the laser ramp, the clock floor and the
+    stretcher history at full length, and building ``none``'s signal
+    band beside all three, peaked at 3.34 to 4.34 arrays without series
+    and 6.22 to 6.34 with them; keeping ``t``, a second clock-floor
+    product and full-length statistics temporaries alive peaked at 8.39
+    and 9.39.
     """
     noise = PRESETS["sym546"].noise
     n = round(2.0 / FAST_STEP_S)
@@ -373,7 +373,7 @@ def test_stretcher_levels_by_block(n):
     """Sample i sees the stretcher level after slow step (i + 1) // 100."""
     levels = np.random.default_rng(n).standard_normal(n // 100 + 1)
     want = levels[np.arange(1, n + 1) // 100]
-    edges = (*_EDGES[:-1], n - 50, n)
+    edges = sorted({*_EDGES[:-1], n - 50, n})
     for start, stop in [*zip(edges, edges[1:]), (0, n), (99, 100),
                         (98, 201)]:
         got = servo._stretcher_levels(levels, start, stop)
