@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .counts import CountsTable
-from .engine import click_outcomes, expected_counts
+from .engine import expected_counts
 from .postproc import ProcessedRun, aopp_phase_error, process
 from .presets import ExperimentConfig, NoiseModel, get_preset
 from .ratecore import (MAX_BALANCE_DEVIATION, PartySettings,
@@ -31,15 +31,9 @@ def keyrate_from_counts(cfg: ExperimentConfig, table: CountsTable
     return key_rate(run.inputs, cfg.security), run
 
 
-def analytic_keyrate(cfg: ExperimentConfig, outcomes=None
-                     ) -> tuple[float, ProcessedRun]:
-    """Key rate (bit/signal) from the expected-counts pipeline.
-
-    ``outcomes`` is :func:`engine.click_outcomes` of ``cfg`` when the
-    caller already has it.
-    """
-    return keyrate_from_counts(
-        cfg, expected_counts(cfg, cfg.run.n_windows, outcomes))
+def analytic_keyrate(cfg: ExperimentConfig) -> tuple[float, ProcessedRun]:
+    """Key rate (bit/signal) from the expected-counts pipeline."""
+    return keyrate_from_counts(cfg, expected_counts(cfg, cfg.run.n_windows))
 
 
 def sweep(cfg: ExperimentConfig, distances_km: list[float]
@@ -95,10 +89,6 @@ _BOUNDS = {
 FREE_PARAMETERS = tuple(_BOUNDS)
 
 
-#: Click-outcome tensors (8 KB each) one search keeps, oldest dropped first.
-_OUTCOMES_KEPT = 4
-
-
 @dataclass(frozen=True)
 class OptimizeResult:
     config: ExperimentConfig
@@ -144,22 +134,16 @@ def optimize(cfg: ExperimentConfig, budget: int = 200) -> OptimizeResult:
     read back from the ones scored earlier in this call, but the visit
     still counts toward the budget, so the search path and evaluation
     count are those of a search that recomputes it.  Most steps leave
-    the intensities as they are, so the click-outcome tensor of the last
-    few intensity pairs is kept and reused.
+    the intensities as they are, and then :func:`engine.click_outcomes`
+    returns the tensor it kept for them.
     """
     # Candidates differ only in their parties.
     scored: dict[tuple[PartySettings, PartySettings], float] = {}
-    outcomes: dict = {}  # (A intensities, B intensities) -> tensor
 
     def score(c: ExperimentConfig) -> float:
         key = (c.party_a, c.party_b)
         if key not in scored:
-            mus = (c.party_a.intensities, c.party_b.intensities)
-            if mus not in outcomes:
-                if len(outcomes) == _OUTCOMES_KEPT:
-                    del outcomes[next(iter(outcomes))]
-                outcomes[mus] = click_outcomes(c)
-            scored[key], _ = analytic_keyrate(c, outcomes[mus])
+            scored[key], _ = analytic_keyrate(c)
         return scored[key]
 
     symmetric = cfg.party_a == cfg.party_b

@@ -14,7 +14,6 @@ such as the CLI's ``--windows``, ``--seed`` and ``--mode``.
 """
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import functools
 import io
@@ -93,6 +92,7 @@ def override_config(cfg: ExperimentConfig,
 
 def load_config(path: str, base: ExperimentConfig) -> ExperimentConfig:
     """Read an INI config file, filling gaps from ``base``."""
+    import configparser  # only INI input and output load it (cold start)
     parser = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -107,6 +107,7 @@ def load_config(path: str, base: ExperimentConfig) -> ExperimentConfig:
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Render a config as INI text; load(serialize(x)) round-trips."""
+    import configparser
     parser = configparser.ConfigParser()
     for sec, attr, prefix in _LAYOUT:
         if sec not in parser:

@@ -16,10 +16,13 @@ same way.
 The cells are built in two parts.  :func:`click_outcomes` is the costly
 one: a ``(16, 16, 4)`` tensor over (intensity pair, slice difference,
 outcome) that depends only on the two parties' intensity tuples, the
-link, the detectors and the noise model, so a caller that scores many
-configs with the same intensities can compute it once and pass it in.
-:func:`cell_probabilities` gathers it into category order and applies
-the cheap category weights.  Two rules hold for the kernel:
+link, the detectors and the noise model.  It keeps the last
+:data:`_OUTCOMES_KEPT` tensors it built, read-only, keyed by those five
+inputs, so every caller that evaluates the same click setting again in
+one process (``optimize`` candidates that change only window or decoy
+probabilities, repeated ``simulate`` or ``keyrate`` runs) skips the
+click model.  :func:`cell_probabilities` gathers it into category order
+and applies the cheap category weights.  Two rules hold for the kernel:
 
 - Every array it returns is C-contiguous.  :func:`_project` sums over
   axes, and the same cells stored in another memory order are added in
@@ -30,13 +33,14 @@ the cheap category weights.  Two rules hold for the kernel:
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .counts import CATEGORIES, CountsTable
 from .optics import click_probability_arrays
-from .presets import ExperimentConfig
+from .presets import DetectorModel, ExperimentConfig, LinkConfig, NoiseModel
 from .ratecore import PartySettings
 
 #: Number of discrete phase-slice values per window.
@@ -92,23 +96,34 @@ def _class_probs(p: PartySettings) -> np.ndarray:
                      px * p.p_mu0, px * p.p_mu1, px * p.p_mu2])
 
 
+#: Click-outcome tensors (8 KB each) :func:`click_outcomes` keeps.
+_OUTCOMES_KEPT = 4
+
+
 def click_outcomes(cfg: ExperimentConfig) -> np.ndarray:
     """Outcome probabilities of each intensity pair and slice difference.
 
-    Returns the ``(16, 16, 4)`` C-contiguous tensor described in the
-    module docstring.  It reads only the two parties' intensity tuples,
-    the link, the detectors and the noise model, so configs that differ
-    only in window or decoy probabilities share it.
+    Returns the read-only ``(16, 16, 4)`` tensor described in the module
+    docstring; configs that differ only in window or decoy probabilities
+    share it.
     """
-    sigma = cfg.noise.residual_phase_std_rad
+    return _click_outcomes(cfg.party_a.intensities, cfg.party_b.intensities,
+                           cfg.link, cfg.detectors, cfg.noise)
+
+
+@functools.lru_cache(maxsize=_OUTCOMES_KEPT)
+def _click_outcomes(mu_a: tuple[float, ...], mu_b: tuple[float, ...],
+                    link: LinkConfig, detectors: DetectorModel,
+                    noise: NoiseModel) -> np.ndarray:
+    sigma = noise.residual_phase_std_rad
     if sigma > 0:
         offsets, weights = _GH_NODES * sigma, _GH_WEIGHTS
     else:
         offsets, weights = _NO_RESIDUAL
-    mu_a = np.asarray(cfg.party_a.intensities)[_PAIR_IA][:, None, None]
-    mu_b = np.asarray(cfg.party_b.intensities)[_PAIR_IB][:, None, None]
-    p0, p1 = click_probability_arrays(mu_a, mu_b, _SLICE_PHASES + offsets,
-                                      cfg.link, cfg.detectors, cfg.noise)
+    p0, p1 = click_probability_arrays(
+        np.asarray(mu_a)[_PAIR_IA][:, None, None],
+        np.asarray(mu_b)[_PAIR_IB][:, None, None], _SLICE_PHASES + offsets,
+        link, detectors, noise)
     q0, q1 = 1.0 - p0, 1.0 - p1
     # One product buffer serves all four outcomes, and each average
     # writes its column of the result directly.  A buffer holding all
@@ -121,23 +136,21 @@ def click_outcomes(cfg: ExperimentConfig) -> np.ndarray:
     for k, (a, b) in enumerate(((q0, q1), (p0, q1), (q0, p1), (p0, p1))):
         np.multiply(a, b, out=product)
         np.matmul(rows, weights, out=columns[:, k])
+    outcomes.flags.writeable = False
     return outcomes
 
 
-def cell_probabilities(cfg: ExperimentConfig,
-                       outcomes: np.ndarray | None = None) -> np.ndarray:
+def cell_probabilities(cfg: ExperimentConfig) -> np.ndarray:
     """Probability of every (category, slice difference, outcome) cell.
 
     Returns a ``(25, 16, 4)`` array laid out as described in the module
     docstring.  The two slice indices are independent and uniform, so
-    every slice difference has probability 1/16.  ``outcomes`` is
-    :func:`click_outcomes` of ``cfg``, computed here when not given; it
-    is gathered into category order before the category weights apply.
+    every slice difference has probability 1/16.  :func:`click_outcomes`
+    is gathered into a fresh array in category order before the category
+    weights apply.
     """
-    if outcomes is None:
-        outcomes = click_outcomes(cfg)
     cat_prob = _class_probs(cfg.party_a)[_CA] * _class_probs(cfg.party_b)[_CB]
-    cells = outcomes[_PAIR]
+    cells = click_outcomes(cfg)[_PAIR]
     cells *= (cat_prob / N_SLICES)[:, None, None]
     return cells
 
@@ -174,13 +187,11 @@ def simulate(cfg: ExperimentConfig, n_windows: int,
     return _project(counts.reshape(p.shape), int(n_windows))
 
 
-def expected_counts(cfg: ExperimentConfig, n_windows: float,
-                    outcomes: np.ndarray | None = None) -> CountsTable:
+def expected_counts(cfg: ExperimentConfig, n_windows: float) -> CountsTable:
     """Analytic expectation of every :class:`CountsTable` entry.
 
-    Entries are expected values and stay floats.  ``outcomes`` is
-    passed on to :func:`cell_probabilities`.
+    Entries are expected values and stay floats.
     """
-    cells = cell_probabilities(cfg, outcomes)
+    cells = cell_probabilities(cfg)
     cells *= n_windows
     return _project(cells, n_windows)

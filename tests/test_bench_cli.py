@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -382,7 +383,10 @@ def test_optimize_reuses_click_outcomes(monkeypatch, preset, mode, most):
     click model at most 105 and 146 times.  Scoring each candidate afresh
     runs it 161 and 168 times; once per distinct pair of intensity tuples
     would be 88 and 115.  The lower bound is that distinct count, so the
-    check cannot pass by skipping the click model."""
+    check cannot pass by skipping the click model; the engine's kept
+    tensors are cleared first, so tensors that earlier tests left there
+    cannot satisfy it."""
+    engine._click_outcomes.cache_clear()
     scored = _spy(monkeypatch, bench, "analytic_keyrate")
     clicks = _spy(monkeypatch, engine, "click_probability_arrays")
     result = bench.optimize(_with_mode(preset, mode), budget=200)
@@ -921,6 +925,13 @@ runs = {
          ["optimize", "--mode", "finite", "--budget", "200"]),
         ("verify.txt", ["verify"]),
     ],
+    "configparser": [
+        ("preset_list.txt", ["preset", "list"]),
+        ("keyrate_sym546_finite.tsv", ["keyrate", "--mode", "finite"]),
+        ("simulate_sym546.tsv", ["simulate", "--windows", "1e6", "--seed", "3"]),
+        ("stabilize_sym546_full.tsv",
+         ["stabilize", "--duration", "0.2", "--seed", "3", "--stages", "full"]),
+    ],
 }[sys.argv[1]]
 for name, argv in runs:
     try:
@@ -946,6 +957,7 @@ for name, argv in runs:
     "numpy",
     "tfqkd.engine,tfqkd.postproc,tfqkd.bench",
     "tfqkd.servo",
+    "configparser",
 ])
 def test_cli_subcommands_load_only_their_layers(tmp_path, blocked):
     """Each subcommand imports only the layers it runs.
@@ -954,7 +966,9 @@ def test_cli_subcommands_load_only_their_layers(tmp_path, blocked):
     list``, ``preset show`` and ``--help`` run without numpy;
     ``stabilize`` without the engine, post-processing and bench layers;
     ``keyrate``, ``simulate``, ``sweep``, ``optimize`` and ``verify``
-    without the servo.  Each report still matches its golden file.
+    without the servo; ``preset list``, ``keyrate``, ``simulate`` and
+    ``stabilize`` without ``--config`` read no INI, so they run without
+    ``configparser``.  Each report still matches its golden file.
     """
     env = dict(os.environ,
                PYTHONPATH=str(Path(tfqkd.__file__).resolve().parents[1]))
@@ -962,3 +976,38 @@ def test_cli_subcommands_load_only_their_layers(tmp_path, blocked):
                            str(GOLDEN)], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+_COLD_WARM = [
+    *(["keyrate", "--preset", p, "--mode", m]
+      for p in ("sym546", "sym603", "asym452")
+      for m in ("asymptotic", "finite")),
+    *(["simulate", "--preset", p, "--windows", "1e6", "--seed", "3"]
+      for p in ("sym546", "sym603", "asym452")),
+]
+
+
+def test_cli_reports_same_cold_and_warm(tmp_path, capsys):
+    """A command prints the same full report whether its process has
+    evaluated the click setting before or not.
+
+    Cold: each command runs in a fresh interpreter, whose engine keeps
+    no click-outcome tensor yet.  Warm: all of them run twice in this
+    process, in shuffled order, so every run after the first per preset
+    reads a kept tensor.  Raw counts are compared too.
+    """
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(tfqkd.__file__).resolve().parents[1]))
+    cold = [subprocess.run([sys.executable, "-m", "tfqkd.cli", *argv],
+                           env=env, cwd=tmp_path, capture_output=True,
+                           text=True, timeout=300, check=True).stdout
+            for argv in _COLD_WARM]
+    order = 2 * list(range(len(_COLD_WARM)))
+    random.Random(0).shuffle(order)
+    before = engine._click_outcomes.cache_info()
+    for i in order:
+        assert main(_COLD_WARM[i]) == 0
+        assert capsys.readouterr().out == cold[i], _COLD_WARM[i]
+    after = engine._click_outcomes.cache_info()
+    assert after.misses - before.misses <= 3
+    assert after.hits - before.hits >= len(order) - 3

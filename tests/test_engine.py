@@ -9,10 +9,11 @@ import pytest
 from scipy.stats import norm, poisson
 
 from tfqkd.counts import CATEGORIES, CountsTable
-from tfqkd.engine import (_GH_NODES, _GH_WEIGHTS, N_SLICES, cell_probabilities,
-                          click_outcomes, expected_counts, simulate)
+from tfqkd.engine import (_GH_NODES, _GH_WEIGHTS, N_SLICES, _click_outcomes,
+                          cell_probabilities, click_outcomes, expected_counts,
+                          simulate)
 from tfqkd.optics import click_probability_arrays
-from tfqkd.presets import PRESETS, ExperimentConfig, get_preset
+from tfqkd.presets import PRESETS, DetectorModel, ExperimentConfig, get_preset
 from tfqkd.ratecore import PartySettings
 
 
@@ -411,15 +412,44 @@ def test_cell_probabilities_match_per_category_oracle(mu0, sigma):
         _assert_same_cells(_random_config(rng, mu0, sigma))
 
 
-def test_cell_probabilities_reuse_given_outcomes():
-    # Configs with equal intensities share the outcome tensor: a search
-    # that passes it in gets the cells it would have computed.
+#: Every input the click model reads, as (settings attribute, field):
+#: the eight intensities, the four arm losses, each detector field, and
+#: the two noise fields of the interference.
+_CLICK_INPUTS = (
+    *((party, mu) for party in ("party_a", "party_b")
+      for mu in ("mu0", "mu1", "mu2", "mu_z")),
+    *(("link", f) for f in ("loss_a_db", "loss_b_db", "extra_loss_a_db",
+                            "extra_loss_b_db")),
+    *(("detectors", f.name)
+      for f in dataclasses.fields(DetectorModel)),
+    ("noise", "visibility"), ("noise", "residual_phase_std_rad"))
+
+
+def test_click_outcomes_cached_by_click_inputs():
+    """The kept tensor is shared by configs that differ only outside the
+    click model, is read-only, and is never served for another input:
+    a 1% change of any one click input gives a new tensor, equal byte
+    for byte to the uncached computation."""
     cfg = get_preset("asym452")
+    base = click_outcomes(cfg)
     party = dataclasses.replace(cfg.party_a, p_signal_window=0.5, p_mu1=0.5,
                                 p_mu2=1.0 - 0.5 - cfg.party_a.p_mu0)
-    other = dataclasses.replace(cfg, party_a=party)
-    shared = cell_probabilities(other, click_outcomes(cfg))
-    assert shared.tobytes() == cell_probabilities(other).tobytes()
+    other = dataclasses.replace(cfg, party_a=party, run=dataclasses.replace(
+        cfg.run, seed=cfg.run.seed + 1))
+    assert click_outcomes(other) is base
+    with pytest.raises(ValueError):
+        base[0, 0, 0] = 0.5
+    for attr, name in _CLICK_INPUTS:
+        part = getattr(cfg, attr)
+        changed = dataclasses.replace(
+            cfg, **{attr: dataclasses.replace(
+                part, **{name: getattr(part, name) * 1.01})})
+        got = click_outcomes(changed)
+        want = _click_outcomes.__wrapped__(
+            changed.party_a.intensities, changed.party_b.intensities,
+            changed.link, changed.detectors, changed.noise)
+        assert got.tobytes() != base.tobytes(), (attr, name)
+        assert got.tobytes() == want.tobytes(), (attr, name)
 
 
 @pytest.mark.parametrize("shape, delta_shape",
