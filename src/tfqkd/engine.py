@@ -96,7 +96,9 @@ def _class_probs(p: PartySettings) -> np.ndarray:
                      px * p.p_mu0, px * p.p_mu1, px * p.p_mu2])
 
 
-#: Click-outcome tensors (8 KB each) :func:`click_outcomes` keeps.
+#: Click-outcome tensors (8 KB each) :func:`click_outcomes` keeps: the
+#: three presets fit, and so do the intensity pairs an optimize pass
+#: steps between.
 _OUTCOMES_KEPT = 4
 
 
