@@ -9,11 +9,11 @@ called any number of times in one process.
 Each ``_cmd_*`` writes nothing: it returns its exit code and, by output
 dest, the list of text chunks to write, and only :func:`main` writes.
 It opens every given path before the work without truncating it, so a
-bad path exits 2 at once.  Once the command returns (exit 1 included) it
-overwrites each target in place with ``writelines``, keeping its mode,
-owner and links; a failing command leaves an existing target
-byte-identical and creates none.  The write is not crash-atomic.  Text
-without a path goes to ``sys.stdout``.
+bad path, or one file given to both outputs, exits 2 at once.  Once the
+command returns (exit 1 included) it overwrites each target in place
+with ``writelines``, keeping mode, owner and links; a failing command
+leaves an existing target byte-identical and creates none.  The write
+is not crash-atomic.  Text without a path goes to ``sys.stdout``.
 
 ``stabilize`` builds its time series only for ``--series-out``; without
 it the run keeps only what its summary needs, which prints the same.
@@ -36,16 +36,12 @@ import dataclasses
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from .config import (ConfigError, load_config, override_config,
                      serialize_config)
 from .counts import CATEGORIES
 from .presets import STAGES, ExperimentConfig, get_preset, preset_names
 from .ratecore import rate_per_second
-
-if TYPE_CHECKING:
-    from .postproc import ProcessedRun
 
 #: Rows of the ``--series-out`` text formatted per block: one block's
 #: ``tolist()`` copies and row strings stay small next to the text, and
@@ -73,8 +69,8 @@ def _resolve_config(args) -> ExperimentConfig:
     return override_config(cfg, raw)
 
 
-def format_run_report(cfg: ExperimentConfig, run: ProcessedRun,
-                      skr: float) -> str:
+def format_run_report(cfg: ExperimentConfig, run, skr: float) -> str:
+    """The report of a :class:`postproc.ProcessedRun` and its key rate."""
     table = run.table
     lines = [
         f"n_windows\t{table.n_windows}",
@@ -271,6 +267,9 @@ def main(argv: list[str] | None = None) -> int:
                     files[dest] = os.path.lexists(path), open(path, "a")
                 except OSError as exc:
                     raise ConfigError(f"{flag}: {exc}") from exc
+        stats = [os.fstat(fh.fileno()) for _, fh in files.values()]
+        if len({(st.st_dev, st.st_ino) for st in stats}) < len(stats):
+            raise ConfigError("--out and --series-out name the same file")
         code, texts = args.func(args)
     except BaseException as exc:
         for existed, fh in files.values():  # "a" has not touched old bytes

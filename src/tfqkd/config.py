@@ -12,13 +12,9 @@ keys are rejected.
 :func:`override_config` applies these rules to keys given another way,
 such as the CLI's ``--windows``, ``--seed`` and ``--mode``.
 """
-from __future__ import annotations
-
 import dataclasses
-import functools
 import io
 import math
-import typing
 
 from .presets import ExperimentConfig
 
@@ -36,7 +32,7 @@ _SECTIONS = tuple(dict.fromkeys(sec for sec, _, _ in _LAYOUT))
 
 
 def _parse(text: str, typ):
-    """Convert one INI value to a field's resolved type."""
+    """Convert one INI value to a field's type."""
     text = text.strip()
     if typ is str:
         return text
@@ -46,20 +42,14 @@ def _parse(text: str, typ):
     return val
 
 
-@functools.cache
-def _field_types(cls) -> dict:
-    """Resolved field types of a settings class (evaluating them is slow)."""
-    return typing.get_type_hints(cls)
-
-
 def _build(section: str, raw: dict, defaults, prefix: str = ""):
     """Override ``defaults`` with the keys of ``raw`` it knows (popped)."""
     kwargs = {}
-    for name, typ in _field_types(type(defaults)).items():
-        key = prefix + name
+    for f in dataclasses.fields(defaults):
+        key = prefix + f.name
         if key in raw:
             try:
-                kwargs[name] = _parse(raw.pop(key), typ)
+                kwargs[f.name] = _parse(raw.pop(key), f.type)
             except ValueError as exc:
                 raise ConfigError(f"{section}.{key}: {exc}") from exc
     try:

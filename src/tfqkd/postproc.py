@@ -89,6 +89,7 @@ class DecoyBounds:
     bounds; ``n1``: untagged-bit estimate in the signal windows and its
     per-side split; ``e1_upper``: single-photon phase-error upper bound.
     ``clamped`` flags a negative intermediate that was clipped to 0.
+    ``ledger``: each finite-mode bound's ``(name, direction, eps share)``.
     """
 
     y1a_lower: float
@@ -98,6 +99,22 @@ class DecoyBounds:
     n1b: float
     e1_upper: float
     clamped: bool
+    ledger: tuple[tuple[str, str, float], ...]
+
+
+def _estimate(sec: SecuritySettings, *counts: tuple[str, str, float]):
+    """Each ``(name, direction, count)`` as it enters a bound, and a ledger.
+
+    Finite mode takes each count's ``"lower"`` or ``"upper"`` Chernoff
+    bound (Zhang et al., PRA 95, 012333 (2017)) at an even share of
+    ``eps_est``, and ledgers each as ``(name, direction, share)``.
+    """
+    if sec.mode != "finite":
+        return [count for _, _, count in counts], ()
+    share = sec.eps_est / len(counts)
+    bound = {"lower": chernoff_lower, "upper": chernoff_upper}
+    return ([bound[way](count, share) for _, way, count in counts],
+            tuple((name, way, share) for name, way, _ in counts))
 
 
 def _y1_lower(s0: float, s1: float, s2: float, mu1: float, mu2: float) -> float:
@@ -115,8 +132,9 @@ def decoy_bounds(table: CountsTable, pa: PartySettings, pb: PartySettings,
     a decoy state and Bob's signal window stayed dark (categories
     ``XZ*0``), and symmetrically for Bob (``ZX0*``).  The phase-error
     bound uses the phase-matched same-decoy windows with the vacuum
-    (dark-count) contribution subtracted.  In finite mode the three
-    statistical estimates each consume ``eps_est / 3`` of the budget.
+    (dark-count) contribution subtracted.  ``n1a``, ``n1b`` and
+    ``x11_errors`` enter through :func:`_estimate`, whose ledger on the
+    result says what share of ``eps_est`` each spends in finite mode.
     """
     clamped = False
 
@@ -136,17 +154,12 @@ def decoy_bounds(table: CountsTable, pa: PartySettings, pb: PartySettings,
     n1b = (n * pz_both * pb.epsilon_send * (1.0 - pa.epsilon_send)
            * pb.mu_z * math.exp(-pb.mu_z) * y1b)
 
+    (n1a, n1b, x11_errors), ledger = _estimate(
+        sec, ("n1a", "lower", n1a), ("n1b", "lower", n1b),
+        ("x11_errors", "upper", table.x11_errors))
     # Phase-matched decoy-1 windows: total and error yields.
     matched_windows = table.windows["XX11"] / 8.0  # 2 of 16 slice pairings
-    t_matched = table.x11_errors / matched_windows if matched_windows > 0 else 0.0
-
-    err_counts = float(table.x11_errors)
-    if sec.mode == "finite":
-        eps = sec.eps_est / 3.0
-        n1a = chernoff_lower(n1a, eps)
-        n1b = chernoff_lower(n1b, eps)
-        if matched_windows > 0:
-            t_matched = chernoff_upper(err_counts, eps) / matched_windows
+    t_matched = x11_errors / matched_windows if matched_windows > 0 else 0.0
 
     mu_sum = pa.mu1 + pb.mu1
     y1_min = min(y1a, y1b)
@@ -159,8 +172,8 @@ def decoy_bounds(table: CountsTable, pa: PartySettings, pb: PartySettings,
     else:
         e1, clamped = 0.5, True
 
-    return DecoyBounds(y1a_lower=y1a, y1b_lower=y1b, n1=n1a + n1b,
-                       n1a=n1a, n1b=n1b, e1_upper=e1, clamped=clamped)
+    return DecoyBounds(y1a_lower=y1a, y1b_lower=y1b, n1=n1a + n1b, n1a=n1a,
+                       n1b=n1b, e1_upper=e1, clamped=clamped, ledger=ledger)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,9 @@ rate only through their losses.  ``loss_a_db``/``loss_b_db`` hold each
 arm's measured fiber loss; ``extra_loss_{a,b}_db`` absorb the insertion
 loss of the measurement node, calibrated so the analytic pipeline
 reproduces the recorded detection statistics.  Each link's noise model
-carries its closed-loop signal-band phase residual, calibrated against
-the measured decoy-basis error rates.
+carries an effective interference-phase spread, fitted to the measured
+decoy-basis error rates.
 """
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 
@@ -105,7 +103,8 @@ class NoiseModel:
     drift rate measured over 1 ms intervals with all loops open.
     ``drift_corr_time_s`` sets how long the drift velocity stays
     correlated; together they fix the velocity-process parameters.
-    ``residual_phase_std_rad`` is the closed-loop signal-band residual.
+    ``residual_phase_std_rad`` is an effective phase spread fitted to the
+    decoy-basis error rates; ``stabilize`` neither reads nor computes it.
     """
 
     free_drift_rate_std: float = 1.65e4
@@ -213,7 +212,7 @@ _ASYM452_B = PartySettings(
 
 # Calibrated per link against the recorded detection statistics:
 # per-arm measurement-node insertion loss, the effective dark-count
-# gate, and the closed-loop signal-band phase residual (least-squares
+# gate, and the effective interference-phase spread (least-squares
 # fit of the analytic expected counts to the measured per-category
 # yields and decoy-basis error rates).
 _EXTRA_LOSS_DB = {"sym546": (2.867, 4.030), "sym603": (2.154, 2.705),

@@ -2,8 +2,6 @@
 
 All functions here are stateless and safe for concurrent use.
 """
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 
@@ -72,8 +70,8 @@ class SecuritySettings:
     """Error-correction efficiency and failure-probability budget.
 
     ``eps_est`` is the total failure probability allotted to the
-    statistical (Chernoff) estimation steps in finite mode; it is split
-    evenly across the individual bound applications.
+    statistical (Chernoff) estimation steps in finite mode;
+    ``DecoyBounds.ledger`` shows how the steps share it.
     """
 
     f: float = 1.1

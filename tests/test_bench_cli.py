@@ -505,6 +505,18 @@ def test_cli_negative_seed_exit(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_cli_seed_is_read_as_an_int(tmp_path, capsys):
+    # The seed's field type is int: a float is rejected from the flag and
+    # from [run], and a parsed seed is an int, not a whole float.
+    assert type(override_config(get_preset("sym546"),
+                                {"run": {"seed": "7"}}).run.seed) is int
+    ini = tmp_path / "seed.ini"
+    ini.write_text("[run]\nseed = 1.5\n")
+    for argv in (["--seed", "1.5"], ["--config", str(ini)]):
+        assert main(["simulate", "--windows", "1e3"] + argv) == 2
+        assert "run.seed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("windows", ["nan", "inf", "-5", "abc", "1.5",
                                      "9.3e18"])
 def test_cli_bad_config_window_count_exit(tmp_path, windows):
@@ -698,6 +710,33 @@ def test_cli_stabilize_bad_output_path_runs_nothing(tmp_path, monkeypatch,
     assert not good.exists()
     with pytest.raises(AssertionError, match="run_stabilization was called"):
         main(["stabilize", "--out", str(good)])
+
+
+@pytest.mark.parametrize("series_out", ["same-path", "other-spelling",
+                                        "link-to-existing"])
+def test_cli_out_and_series_out_on_one_file_exit(tmp_path, monkeypatch,
+                                                 capsys, series_out):
+    # One file given to both outputs exits 2 before the servo runs, and
+    # leaves the directory as it found it.
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_stabilization was called")
+
+    monkeypatch.setattr("tfqkd.servo.run_stabilization", no_run)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "s.tsv"
+    if series_out == "link-to-existing":
+        out.write_bytes(b"an earlier report\n")
+        os.symlink("s.tsv", "link.tsv")
+    other = {"same-path": str(out), "other-spelling": "./s.tsv",
+             "link-to-existing": "link.tsv"}[series_out]
+    assert main(["stabilize", "--duration", "0.1", "--out", str(out),
+                 "--series-out", other]) == 2
+    assert "--out and --series-out" in capsys.readouterr().err
+    if series_out == "link-to-existing":
+        assert out.read_bytes() == b"an earlier report\n"
+        assert sorted(os.listdir()) == ["link.tsv", "s.tsv"]
+    else:
+        assert os.listdir() == []
 
 
 @pytest.mark.parametrize("series_out", [False, True])

@@ -1,5 +1,6 @@
 """Post-processing: decoy bounds, Chernoff intervals, sifting, pairing."""
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from tfqkd.counts import CountsTable
-from tfqkd.engine import expected_counts
+from tfqkd.engine import expected_counts, simulate
 from tfqkd.postproc import (PairingResult, ZBasisStats, aopp_phase_error,
                             chernoff_lower, chernoff_upper, decoy_bounds,
                             odd_parity_pairing, process, z_basis_stats)
@@ -348,6 +349,62 @@ def test_decoy_finite_mode_is_conservative():
     fin = decoy_bounds(table, party, party, SecuritySettings(mode="finite"))
     assert fin.n1 <= asym.n1
     assert fin.e1_upper >= asym.e1_upper
+
+
+@functools.cache
+def _preset_table(name, source):
+    """A preset's counts at its window count: expected, or one seed-0 draw."""
+    cfg = get_preset(name)
+    if source == "expected":
+        return expected_counts(cfg, cfg.run.n_windows)
+    return simulate(cfg, int(cfg.run.n_windows), seed=0)
+
+
+_PRESET_TABLES = pytest.mark.parametrize(
+    "name, source", list(itertools.product(("sym546", "sym603", "asym452"),
+                                           ("expected", "simulated"))))
+
+
+@_PRESET_TABLES
+def test_decoy_ledger_spends_eps_est_evenly(name, source):
+    cfg = get_preset(name)
+    table = _preset_table(name, source)
+    fin_sec = dataclasses.replace(cfg.security, mode="finite")
+    fin = decoy_bounds(table, cfg.party_a, cfg.party_b, fin_sec)
+    asym = decoy_bounds(table, cfg.party_a, cfg.party_b,
+                        dataclasses.replace(fin_sec, mode="asymptotic"))
+    s = fin_sec.eps_est / 3
+    assert fin.ledger == (("n1a", "lower", s), ("n1b", "lower", s),
+                          ("x11_errors", "upper", s))
+    assert math.fsum(share for _, _, share in fin.ledger) == fin_sec.eps_est
+    assert asym.ledger == ()
+    # Each bounded count is the Chernoff bound of its asymptotic value.
+    assert fin.n1a == chernoff_lower(asym.n1a, s)
+    assert fin.n1b == chernoff_lower(asym.n1b, s)
+
+
+def _swap_users(table):
+    """The same table with the users' roles exchanged: ``ABij`` -> ``BAji``."""
+    def swap(counts):
+        return {c[1] + c[0] + c[3] + c[2]: v for c, v in counts.items()}
+
+    return dataclasses.replace(table, windows=swap(table.windows),
+                               heralds=swap(table.heralds))
+
+
+@_PRESET_TABLES
+@pytest.mark.parametrize("mode", ["asymptotic", "finite"])
+def test_decoy_bounds_swap_symmetric(name, source, mode):
+    """Swapping the users swaps the per-side bounds, bit for bit."""
+    cfg = get_preset(name)
+    table = _preset_table(name, source)
+    sec = dataclasses.replace(cfg.security, mode=mode)
+    b = decoy_bounds(table, cfg.party_a, cfg.party_b, sec)
+    w = decoy_bounds(_swap_users(table), cfg.party_b, cfg.party_a, sec)
+    assert (w.y1a_lower, w.y1b_lower) == (b.y1b_lower, b.y1a_lower)
+    assert (w.n1a, w.n1b) == (b.n1b, b.n1a)
+    assert (w.n1, w.e1_upper, w.clamped, w.ledger) == (b.n1, b.e1_upper,
+                                                       b.clamped, b.ledger)
 
 
 # ----------------------------------------------------------- integration
