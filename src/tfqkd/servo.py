@@ -322,6 +322,10 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
     2*pi times the band offset fraction per flip).  The slow loop
     removes what is left.  Fiber-stretcher resets blank 1 ms of data.
 
+    All three stages take one path.  ``fastOnly`` runs ``full``'s lock
+    loop as one span with no slow step; ``none`` runs no loop, so its
+    modulator history stays zero.
+
     Without series, only two float arrays of the run's length exist:
     the reference band and, in the locked stages, the modulator history
     (in ``none``, the free signal band, which its statistic reads).
@@ -329,7 +333,8 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
     built a block at a time, or at the strided samples the drift rates
     and the slow loop read.  The stretcher keeps one level per slow
     step.  The fast loop writes its counts to one zero-stride element,
-    and no ``t_s`` is built.
+    which also stands for ``none``'s modulator history, and no ``t_s``
+    is built.
     """
     if stages not in STAGES:
         raise ValueError(f"stages must be one of {STAGES}")
@@ -360,29 +365,31 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
         phi_c[b:e] += laser
     del laser, clock
 
-    # Only the fast loop writes the modulator history; without series,
-    # ``none`` builds none, and every count lands in one zero-stride
-    # element.
-    pm = np.zeros(n) if series or stages != "none" else None
+    # Only the fast loop writes the modulator history.  Without series,
+    # every count lands in one zero-stride element, which is also
+    # ``none``'s modulator history.
     dc_counts = (np.zeros(n) if series else np.lib.stride_tricks.as_strided(
         np.zeros(1), shape=(n,), strides=(0,)))
+    pm = np.zeros(n) if series or stages != "none" else dc_counts
     valid = np.ones(n, dtype=bool)
+    # The series in column order; ``t_s`` and ``fs_rad`` are built last.
+    traces = dict(t_s=None, phiC_rad=phi_c, phiQ_rad=phi_q, pm_rad=pm,
+                  fs_rad=None, dc_counts=dc_counts) if series else None
 
     vis = noise.visibility
     draw = rng.poisson
     # The stretcher output after each slow step, from its initial zero.
     levels = np.zeros(n // SLOW_LOOP_STEPS + 1)
-    if stages == "fastOnly":
-        fast_loop_span(0, n, phi_c, pm, dc_counts, vis, PIDState(), draw)
-    elif stages == "full":
-        fast = PIDState()
-        slow = PIDState()
-        # The drift the slow loop reads, at the end of each 1 ms span.
-        drift = _lock_drift(noise, SLOW_LOOP_STEPS - 1, n, SLOW_LOOP_STEPS)
-        for start in range(0, n, SLOW_LOOP_STEPS):
-            stop = min(start + SLOW_LOOP_STEPS, n)
+    if stages != "none":
+        fast, slow = PIDState(), PIDState()
+        span = SLOW_LOOP_STEPS if stages == "full" else n
+        if stages == "full":
+            # The drift the slow loop reads, at the end of each 1 ms span.
+            drift = _lock_drift(noise, SLOW_LOOP_STEPS - 1, n, SLOW_LOOP_STEPS)
+        for start in range(0, n, span):
+            stop = min(start + span, n)
             fast_loop_span(start, stop, phi_c, pm, dc_counts, vis, fast, draw)
-            if stop % SLOW_LOOP_STEPS == 0:
+            if stages == "full" and stop % SLOW_LOOP_STEPS == 0:
                 fringe = round(fast.unwrapped / math.tau)
                 resid = (drift[start // SLOW_LOOP_STEPS]
                          - delta * math.tau * fringe)
@@ -406,43 +413,31 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
         resid -= fringes
         return resid
 
+    def phase_c(b, e):
+        # The unwrapped pm tracks -phi_c when locked, and is zero in none.
+        return phi_c[b:e] + pm[b:e]
+
+    def phase_q(b, e):
+        resid = residual(b, e)
+        resid += _stretcher_levels(levels, b, e)
+        return resid
+
+    # Without series, the band that only the first statistic reads
+    # gathers both, and is dropped before the readout.
     if stages == "none":
         locked_rate = free_rate
-
-        def phase_c(b, e):
-            return phi_c[b:e]
-
-        def phase_q(b, e):
-            return phi_q[b:e]
+        out = None if series else phi_q
+        std_q = _wrapped_std(lambda b, e: phi_q[b:e], n, valid, out)
+        std_c = _wrapped_std(phase_c, n, valid, out)
+        del out, phi_q, valid
+        freq = -frequency_readout(phi_c, dt)
     else:
         locked_rate = drift_rate_rms(residual(warm, n, k), k * dt)
-
-        def phase_c(b, e):
-            # The unwrapped pm tracks -phi_c when locked.
-            return phi_c[b:e] + pm[b:e]
-
-        def phase_q(b, e):
-            resid = residual(b, e)
-            resid += _stretcher_levels(levels, b, e)
-            return resid
-
-    if series:
-        std_c = _wrapped_std(phase_c, n, valid)
-        std_q = _wrapped_std(phase_q, n, valid)
-    elif stages == "none":
-        # The signal band, which only std_q reads, gathers both
-        # statistics and is dropped before the readout.
-        std_q = _wrapped_std(phase_q, n, valid, out=phi_q)
-        std_c = _wrapped_std(phase_c, n, valid, out=phi_q)
-        del phi_q
-    else:
-        # The reference band, which only std_c reads, gathers both
-        # statistics and is dropped before the readout.
-        std_c = _wrapped_std(phase_c, n, valid, out=phi_c)
-        std_q = _wrapped_std(phase_q, n, valid, out=phi_c)
-        del phi_c
-    del valid
-    freq = -frequency_readout(phi_c if stages == "none" else pm[warm:], dt)
+        out = None if series else phi_c
+        std_c = _wrapped_std(phase_c, n, valid, out)
+        std_q = _wrapped_std(phase_q, n, valid, out)
+        del out, phi_c, valid
+        freq = -frequency_readout(pm[warm:], dt)
 
     summary = StabilizationSummary(
         free_drift_std_rad_per_s=free_rate,
@@ -452,13 +447,7 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
         reduction_factor=free_rate / locked_rate if locked_rate > 0 else math.inf,
         freq_readout_hz=freq,
     )
-    if not series:
-        return summary, None
-    return summary, {
-        "t_s": _sample_times(0, n),
-        "phiC_rad": phi_c,
-        "phiQ_rad": phi_q,
-        "pm_rad": pm,
-        "fs_rad": _stretcher_levels(levels, 0, n),
-        "dc_counts": dc_counts,
-    }
+    if series:
+        traces.update(t_s=_sample_times(0, n),
+                      fs_rad=_stretcher_levels(levels, 0, n))
+    return summary, traces
