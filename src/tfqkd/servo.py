@@ -324,7 +324,9 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
 
     All three stages take one path.  ``fastOnly`` runs ``full``'s lock
     loop as one span with no slow step; ``none`` runs no loop, so its
-    modulator history stays zero.
+    modulator history stays zero.  Every stage reads the frequency as
+    the reference band's slope: ``none`` from the band itself, the
+    locked stages from the negated modulator history after the warm-up.
 
     Without series, only two float arrays of the run's length exist:
     the reference band and, in the locked stages, the modulator history
@@ -333,8 +335,7 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
     built a block at a time, or at the strided samples the drift rates
     and the slow loop read.  The stretcher keeps one level per slow
     step.  The fast loop writes its counts to one zero-stride element,
-    which also stands for ``none``'s modulator history, and no ``t_s``
-    is built.
+    which is also ``none``'s modulator history, and no ``t_s`` is built.
     """
     if stages not in STAGES:
         raise ValueError(f"stages must be one of {STAGES}")
@@ -430,7 +431,7 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
         std_q = _wrapped_std(lambda b, e: phi_q[b:e], n, valid, out)
         std_c = _wrapped_std(phase_c, n, valid, out)
         del out, phi_q, valid
-        freq = -frequency_readout(phi_c, dt)
+        freq = frequency_readout(phi_c, dt)
     else:
         locked_rate = drift_rate_rms(residual(warm, n, k), k * dt)
         out = None if series else phi_c
