@@ -182,8 +182,21 @@ def test_config_residual_field_and_balance_rule(tmp_path):
     ("keyrate", "[link]\nextra_loss_a_db = -60\n"),
     ("stabilize", "[noise]\nclock_accuracy = -1\n"),
     ("stabilize", "[noise]\ncomb_span_hz = -1e11\n"),
+    ("keyrate", "[detectors]\nefficiency_d0 = 1.5\n"),
+    ("keyrate", "[detectors]\ndark_rate_d1_hz = -1\n"),
+    ("keyrate", "[detectors]\nwindow_s = 0\n"),
+    ("stabilize", "[noise]\nfree_drift_rate_std = -1\n"),
+    ("stabilize", "[noise]\ndrift_corr_time_s = 0\n"),
+    ("stabilize", "[noise]\nvisibility = 1.5\n"),
+    ("stabilize", "[noise]\nlambda_q_nm = 0\n"),
+    ("keyrate", "[protocol]\na_mu_z = 0\n"),
+    ("keyrate", "[protocol]\na_p_signal_window = 1.5\n"),
+    ("keyrate", "[security]\nf = 0.9\n"),
+    ("keyrate", "[security]\neps_pa = 1\n"),
 ], ids=["arm-loss", "attenuation", "extra-loss", "clock-accuracy",
-        "comb-span"])
+        "comb-span", "efficiency", "dark-rate", "gate-window", "drift-std",
+        "drift-corr-time", "visibility", "wavelength", "mu-z",
+        "signal-window", "ec-efficiency", "eps-pa"])
 def test_cli_negative_loss_or_clock_setting_exit(tmp_path, capsys, command,
                                                  body):
     path = tmp_path / "bad.ini"
