@@ -19,6 +19,13 @@ CATEGORIES = (
     "XX00", "XX01", "XX02", "XX10", "XX11", "XX12", "XX20", "XX21", "XX22",
 )
 
+#: Number of discrete phase-slice values per window.
+N_SLICES = 16
+#: The phase-matched slice differences ``(sA - sB) mod N_SLICES``: equal
+#: phases, where D0 is the right detector, and half a turn apart, where
+#: D1 is.
+MATCHED_SLICE_DIFFS = (0, N_SLICES // 2)
+
 
 @dataclass(frozen=True)
 class CountsTable:
@@ -28,8 +35,9 @@ class CountsTable:
     ``heralds[cat]`` those where exactly one detector fired.  The
     ``x11_*``/``x22_*`` fields track phase-matched decoy windows (both
     users chose the same decoy intensity and their phase-slice indices
-    differ by 0 or 8 out of 16): totals are heralded matched windows,
-    errors those where the wrong detector fired for the slice pairing.
+    differ by one of :data:`MATCHED_SLICE_DIFFS`): totals are heralded
+    matched windows, errors those where the wrong detector fired for
+    the slice pairing.
     A sampled session holds ints; an expectation holds floats.
     """
 

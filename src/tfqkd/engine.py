@@ -38,13 +38,10 @@ import math
 
 import numpy as np
 
-from .counts import CATEGORIES, CountsTable
+from .counts import CATEGORIES, MATCHED_SLICE_DIFFS, N_SLICES, CountsTable
 from .optics import click_probability_arrays
 from .presets import DetectorModel, ExperimentConfig, LinkConfig, NoiseModel
 from .ratecore import PartySettings
-
-#: Number of discrete phase-slice values per window.
-N_SLICES = 16
 
 #: Gauss-Hermite nodes and normalized weights of the residual-phase
 #: average: ``hermegauss(17)`` with the weights divided by their sum,
@@ -161,18 +158,20 @@ def _project(cells: np.ndarray, n_windows) -> CountsTable:
     """Collapse a cell array (counts or expectations) into a CountsTable.
 
     Heralds are the only-D0 and only-D1 cells.  Phase-matched decoy
-    windows have slice difference 0 (targets D0) or 8 (targets D1); an
-    error is a herald on the other detector.
+    windows have one of the :data:`MATCHED_SLICE_DIFFS`, the first
+    targeting D0 and the second D1; an error is a herald on the other
+    detector.
     """
+    d0, d1 = MATCHED_SLICE_DIFFS
     heralds = cells[:, :, 1] + cells[:, :, 2]
     return CountsTable(
         n_windows=n_windows,
         windows=dict(zip(CATEGORIES, cells.sum(axis=(1, 2)).tolist())),
         heralds=dict(zip(CATEGORIES, heralds.sum(axis=1).tolist())),
-        x11_total=(heralds[_XX11, 0] + heralds[_XX11, 8]).item(),
-        x11_errors=(cells[_XX11, 0, 2] + cells[_XX11, 8, 1]).item(),
-        x22_total=(heralds[_XX22, 0] + heralds[_XX22, 8]).item(),
-        x22_errors=(cells[_XX22, 0, 2] + cells[_XX22, 8, 1]).item())
+        x11_total=(heralds[_XX11, d0] + heralds[_XX11, d1]).item(),
+        x11_errors=(cells[_XX11, d0, 2] + cells[_XX11, d1, 1]).item(),
+        x22_total=(heralds[_XX22, d0] + heralds[_XX22, d1]).item(),
+        x22_errors=(cells[_XX22, d0, 2] + cells[_XX22, d1, 1]).item())
 
 
 def simulate(cfg: ExperimentConfig, n_windows: int,

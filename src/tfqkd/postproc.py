@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .counts import CountsTable
+from .counts import MATCHED_SLICE_DIFFS, N_SLICES, CountsTable
 from .ratecore import KeyRateInputs, PartySettings, SecuritySettings
 
 
@@ -157,8 +157,10 @@ def decoy_bounds(table: CountsTable, pa: PartySettings, pb: PartySettings,
     (n1a, n1b, x11_errors), ledger = _estimate(
         sec, ("n1a", "lower", n1a), ("n1b", "lower", n1b),
         ("x11_errors", "upper", table.x11_errors))
-    # Phase-matched decoy-1 windows: total and error yields.
-    matched_windows = table.windows["XX11"] / 8.0  # 2 of 16 slice pairings
+    # Phase-matched decoy-1 windows: total and error yields.  The slice
+    # difference is uniform, so one XX11 window in N_SLICES / 2 matches.
+    per_matched = N_SLICES / len(MATCHED_SLICE_DIFFS)
+    matched_windows = table.windows["XX11"] / per_matched
     t_matched = x11_errors / matched_windows if matched_windows > 0 else 0.0
 
     mu_sum = pa.mu1 + pb.mu1
