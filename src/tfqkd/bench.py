@@ -103,11 +103,7 @@ def _apply(cfg: ExperimentConfig, name: str, value: float,
     if not lo <= value <= hi:
         return None
     try:
-        if name == "p_mu1":
-            a = replace(cfg.party_a, p_mu1=value,
-                        p_mu2=1.0 - value - cfg.party_a.p_mu0)
-        else:
-            a = replace(cfg.party_a, **{name: value})
+        a = replace(cfg.party_a, **{name: value})
         # Enforce the intensity-balance condition by deriving b.mu1.  A
         # symmetric candidate meets it as it stands: its right-hand side
         # divides two identical products and is exactly 1.  Most steps

@@ -132,9 +132,11 @@ def decoy_bounds(table: CountsTable, pa: PartySettings, pb: PartySettings,
     a decoy state and Bob's signal window stayed dark (categories
     ``XZ*0``), and symmetrically for Bob (``ZX0*``).  The phase-error
     bound uses the phase-matched same-decoy windows with the vacuum
-    (dark-count) contribution subtracted.  ``n1a``, ``n1b`` and
-    ``x11_errors`` enter through :func:`_estimate`, whose ledger on the
-    result says what share of ``eps_est`` each spends in finite mode.
+    (dark-count) contribution subtracted; with no ``XX11`` windows it
+    bounds nothing, and ``e1_upper`` is 0.5.  ``n1a``, ``n1b`` and any
+    bounded ``x11_errors`` enter through :func:`_estimate`, whose ledger
+    on the result says what share of ``eps_est`` each spends in finite
+    mode.
     """
     clamped = False
 
@@ -154,18 +156,18 @@ def decoy_bounds(table: CountsTable, pa: PartySettings, pb: PartySettings,
     n1b = (n * pz_both * pb.epsilon_send * (1.0 - pa.epsilon_send)
            * pb.mu_z * math.exp(-pb.mu_z) * y1b)
 
-    (n1a, n1b, x11_errors), ledger = _estimate(
-        sec, ("n1a", "lower", n1a), ("n1b", "lower", n1b),
-        ("x11_errors", "upper", table.x11_errors))
-    # Phase-matched decoy-1 windows: total and error yields.  The slice
-    # difference is uniform, so one XX11 window in N_SLICES / 2 matches.
-    per_matched = N_SLICES / len(MATCHED_SLICE_DIFFS)
-    matched_windows = table.windows["XX11"] / per_matched
-    t_matched = x11_errors / matched_windows if matched_windows > 0 else 0.0
+    counts = [("n1a", "lower", n1a), ("n1b", "lower", n1b)]
+    if table.windows["XX11"] > 0:
+        counts.append(("x11_errors", "upper", table.x11_errors))
+    (n1a, n1b, *x11_errors), ledger = _estimate(sec, *counts)
 
     mu_sum = pa.mu1 + pb.mu1
     y1_min = min(y1a, y1b)
-    if y1_min > 0 and mu_sum > 0:
+    if x11_errors and y1_min > 0 and mu_sum > 0:
+        # Phase-matched decoy-1 windows: total and error yields.  The slice
+        # difference is uniform, so one XX11 window in N_SLICES / 2 matches.
+        per_matched = N_SLICES / len(MATCHED_SLICE_DIFFS)
+        t_matched = x11_errors[0] / (table.windows["XX11"] / per_matched)
         num = t_matched - 0.5 * math.exp(-mu_sum) * table.yield_of("XX00")
         if num < 0:
             num, clamped = 0.0, True

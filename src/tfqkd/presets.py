@@ -189,25 +189,25 @@ def _noise(free_drift_khz: float, residual_std_rad: float) -> NoiseModel:
 _SYM546_PARTY = PartySettings(
     mu_z=0.493, mu2=0.493, mu1=0.090, mu0=0.0002,
     p_signal_window=0.735, epsilon_send=0.269,
-    p_mu0=0.078, p_mu1=0.606, p_mu2=0.316,
+    p_mu0=0.078, p_mu1=0.606,
 )
 
 _SYM603_PARTY = PartySettings(
     mu_z=0.423, mu2=0.252, mu1=0.056, mu0=0.0002,
     p_signal_window=0.735, epsilon_send=0.269,
-    p_mu0=0.078, p_mu1=0.606, p_mu2=0.316,
+    p_mu0=0.078, p_mu1=0.606,
 )
 
 _ASYM452_A = PartySettings(
     mu_z=0.493, mu2=0.493, mu1=0.113, mu0=0.0002,
     p_signal_window=0.735, epsilon_send=0.405,
-    p_mu0=0.078, p_mu1=0.606, p_mu2=0.316,
+    p_mu0=0.078, p_mu1=0.606,
 )
 
 _ASYM452_B = PartySettings(
     mu_z=0.247, mu2=0.077, mu1=0.018, mu0=0.0002,
     p_signal_window=0.735, epsilon_send=0.141,
-    p_mu0=0.078, p_mu1=0.606, p_mu2=0.316,
+    p_mu0=0.078, p_mu1=0.606,
 )
 
 # Calibrated per link against the recorded detection statistics:

@@ -34,7 +34,9 @@ class PartySettings:
     Intensities are mean photon numbers at the transmitter output.
     ``p_signal_window`` is the probability of declaring a signal (Z)
     window; ``epsilon_send`` is the in-signal-window send probability.
-    ``p_mu0/p_mu1/p_mu2`` are the decoy-window source probabilities.
+    A decoy window sends ``mu0`` with probability ``p_mu0``, ``mu1``
+    with ``p_mu1``, and the strong decoy ``mu2`` with the rest,
+    :attr:`p_mu2`.
     """
 
     mu_z: float
@@ -45,19 +47,23 @@ class PartySettings:
     epsilon_send: float
     p_mu0: float
     p_mu1: float
-    p_mu2: float
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.mu0 < self.mu1 < self.mu2):
             raise ValueError("require 0 <= mu0 < mu1 < mu2")
         if self.mu_z <= 0.0:
             raise ValueError("mu_z must be positive")
-        for name in ("p_signal_window", "epsilon_send", "p_mu0", "p_mu1", "p_mu2"):
+        for name in ("p_signal_window", "epsilon_send", "p_mu0", "p_mu1"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if abs(self.p_mu0 + self.p_mu1 + self.p_mu2 - 1.0) > _PROB_TOL:
-            raise ValueError("decoy source probabilities must sum to 1")
+        if self.p_mu0 + self.p_mu1 > 1.0 + _PROB_TOL:
+            raise ValueError("decoy probabilities p_mu0 + p_mu1 exceed 1")
+
+    @property
+    def p_mu2(self) -> float:
+        """Strong-decoy probability: what p_mu0 and p_mu1 leave of 1."""
+        return max(0.0, 1.0 - self.p_mu1 - self.p_mu0)
 
     @property
     def intensities(self) -> tuple[float, float, float, float]:

@@ -262,7 +262,7 @@ def test_criterion_12_decoy_bound_validity():
             mu0=0.0,
             p_signal_window=float(rng.uniform(0.5, 0.8)),
             epsilon_send=float(rng.uniform(0.15, 0.4)),
-            p_mu0=0.1, p_mu1=0.6, p_mu2=0.3)
+            p_mu0=0.1, p_mu1=0.6)
         loss = float(rng.uniform(10.0, 45.0))
         link = LinkConfig(loss_a_db=loss, loss_b_db=loss)
         det = DetectorModel(efficiency_d0=float(rng.uniform(0.4, 0.9)),

@@ -88,17 +88,32 @@ def test_config_empty_file_gives_defaults(tmp_path):
 
 def test_config_bad_probabilities(tmp_path):
     path = tmp_path / "bad.ini"
-    path.write_text("[protocol]\na_p_mu0 = 0.1\na_p_mu1 = 0.5\na_p_mu2 = 0.3\n")
+    path.write_text("[protocol]\na_p_mu0 = 0.5\na_p_mu1 = 0.6\n")
     with pytest.raises(ConfigError) as err:
         _load(path)
     assert "p_mu" in str(err.value) or "prob" in str(err.value).lower()
 
 
+def test_config_decoy_probabilities_leave_the_strong_decoy_the_rest(tmp_path):
+    # A decoy window's strong-decoy probability is what p_mu0 and p_mu1
+    # leave, so a file that moves p_mu1 alone is valid as it stands.
+    path = tmp_path / "pmu.ini"
+    path.write_text("[protocol]\na_p_mu1 = 0.5\nb_p_mu1 = 0.5\n")
+    base = get_preset("sym546")
+    cfg = _load(path)
+    assert cfg == dataclasses.replace(
+        base, party_a=dataclasses.replace(base.party_a, p_mu1=0.5),
+        party_b=dataclasses.replace(base.party_b, p_mu1=0.5))
+    assert "p_mu2" not in serialize_config(cfg)
+
+
 # An arm is given by its loss alone: its length and the old measured-loss
-# keys are not part of the schema.
+# keys are not part of the schema, and neither is the strong-decoy
+# probability, which p_mu0 and p_mu1 fix.
 @pytest.mark.parametrize("section, key", [("link", "lenght_a_km"),
                                           ("link", "length_a_km"),
                                           ("link", "measured_loss_a_db"),
+                                          ("protocol", "a_p_mu2"),
                                           ("protocol", "c_mu_z"),
                                           ("run", "n_window"),
                                           ("noise", "timing_jitter_ps")])
@@ -662,6 +677,24 @@ def test_cli_optimize_output_loads(tmp_path):
     assert "allow_unbalanced" not in text
     ini.write_text(text)
     assert serialize_config(_load(ini)) == text
+
+
+@pytest.mark.parametrize("argv", [["--preset", "asym452"],
+                                  ["--preset", "sym546", "--mode", "finite"]])
+def test_cli_optimized_config_reproduces_its_rate(tmp_path, argv):
+    """``keyrate`` on the printed INI of a full search gives the rate the
+    search reports.  Both searches step ``p_mu1``, so the reload also
+    holds the derived strong-decoy probability."""
+    out = tmp_path / "opt.txt"
+    assert main(["optimize", *argv, "--budget", "200", "--out",
+                 str(out)]) == 0
+    lines = out.read_text().splitlines(True)
+    ini = tmp_path / "opt.ini"
+    ini.write_text("".join(lines[3:]))
+    report = tmp_path / "keyrate.tsv"
+    assert main(["keyrate", "--config", str(ini), "--out", str(report)]) == 0
+    assert lines[0].startswith("skr_bit_per_signal\t")
+    assert lines[0] in report.read_text().splitlines(True)
 
 
 @pytest.mark.parametrize("argv", [

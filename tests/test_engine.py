@@ -361,7 +361,7 @@ def _random_party(rng: np.random.Generator, mu0: float) -> PartySettings:
     return PartySettings(mu_z=rng.uniform(0.01, 1.0), mu2=mu2, mu1=mu1,
                          mu0=mu0, p_signal_window=rng.uniform(0.05, 0.95),
                          epsilon_send=rng.uniform(0.01, 0.99), p_mu0=p_mu0,
-                         p_mu1=p_mu1, p_mu2=1.0 - p_mu0 - p_mu1)
+                         p_mu1=p_mu1)
 
 
 class _EngineParts(NamedTuple):
@@ -432,8 +432,7 @@ def test_click_outcomes_cached_by_click_inputs():
     for byte to the uncached computation."""
     cfg = get_preset("asym452")
     base = click_outcomes(cfg)
-    party = dataclasses.replace(cfg.party_a, p_signal_window=0.5, p_mu1=0.5,
-                                p_mu2=1.0 - 0.5 - cfg.party_a.p_mu0)
+    party = dataclasses.replace(cfg.party_a, p_signal_window=0.5, p_mu1=0.5)
     other = dataclasses.replace(cfg, party_a=party, run=dataclasses.replace(
         cfg.run, seed=cfg.run.seed + 1))
     assert click_outcomes(other) is base

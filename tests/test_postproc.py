@@ -318,7 +318,7 @@ def _pure_loss_table(eta, party, n=10**12):
 def test_decoy_pure_loss_oracle():
     party = PartySettings(mu_z=0.5, mu2=0.3, mu1=0.1, mu0=0.0,
                           p_signal_window=0.7, epsilon_send=0.3,
-                          p_mu0=0.1, p_mu1=0.6, p_mu2=0.3)
+                          p_mu0=0.1, p_mu1=0.6)
     table = _pure_loss_table(0.01, party)
     sec = SecuritySettings(mode="asymptotic")
     bounds = decoy_bounds(table, party, party, sec)
@@ -330,7 +330,7 @@ def test_decoy_pure_loss_oracle():
 def test_decoy_zero_counts():
     party = PartySettings(mu_z=0.5, mu2=0.3, mu1=0.1, mu0=0.0,
                           p_signal_window=0.7, epsilon_send=0.3,
-                          p_mu0=0.1, p_mu1=0.6, p_mu2=0.3)
+                          p_mu0=0.1, p_mu1=0.6)
     t = CountsTable(n_windows=1000)
     for cat in t.windows:
         t.windows[cat] = 10
@@ -341,7 +341,7 @@ def test_decoy_zero_counts():
 def test_decoy_finite_mode_is_conservative():
     party = PartySettings(mu_z=0.5, mu2=0.3, mu1=0.1, mu0=0.0,
                           p_signal_window=0.7, epsilon_send=0.3,
-                          p_mu0=0.1, p_mu1=0.6, p_mu2=0.3)
+                          p_mu0=0.1, p_mu1=0.6)
     table = dataclasses.replace(_pure_loss_table(0.01, party), x11_errors=1000)
     table.windows["XX11"] = 10**8
     table.windows["XX00"] = 10**6
@@ -381,6 +381,32 @@ def test_decoy_ledger_spends_eps_est_evenly(name, source):
     # Each bounded count is the Chernoff bound of its asymptotic value.
     assert fin.n1a == chernoff_lower(asym.n1a, s)
     assert fin.n1b == chernoff_lower(asym.n1b, s)
+
+
+@pytest.mark.parametrize("name", ["sym546", "sym603", "asym452"])
+@pytest.mark.parametrize("mode", ["asymptotic", "finite"])
+def test_decoy_bounds_without_xx11_windows_bound_nothing(name, mode):
+    """No phase-matched windows give no phase-error bound: ``e1_upper``
+    is 0.5, flagged ``clamped``, and the ledger books only ``n1a`` and
+    ``n1b``, at half of ``eps_est`` each."""
+    cfg = get_preset(name)
+    full = _preset_table(name, "expected")
+    table = dataclasses.replace(full, windows={**full.windows, "XX11": 0.0},
+                                heralds={**full.heralds, "XX11": 0.0},
+                                x11_total=0.0, x11_errors=0.0)
+    sec = dataclasses.replace(cfg.security, mode=mode)
+    b = decoy_bounds(table, cfg.party_a, cfg.party_b, sec)
+    assert b.e1_upper == 0.5 and b.clamped
+    s = sec.eps_est / 2
+    assert b.ledger == ((("n1a", "lower", s), ("n1b", "lower", s))
+                        if mode == "finite" else ())
+    # The per-side yields and their estimates do not read XX11.
+    ref = decoy_bounds(full, cfg.party_a, cfg.party_b,
+                       dataclasses.replace(sec, mode="asymptotic"))
+    assert (b.y1a_lower, b.y1b_lower) == (ref.y1a_lower, ref.y1b_lower)
+    if mode == "finite":
+        assert b.n1a == chernoff_lower(ref.n1a, s)
+        assert b.n1b == chernoff_lower(ref.n1b, s)
 
 
 def _swap_users(table):

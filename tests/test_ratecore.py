@@ -1,4 +1,5 @@
 """Key-rate math: entropy, rate formula, bounds, and protocol constraints."""
+import dataclasses
 import math
 
 import pytest
@@ -131,7 +132,7 @@ def test_plob_decreasing(loss):
 def _party(mu_z, mu2, mu1, eps):
     return PartySettings(mu_z=mu_z, mu2=mu2, mu1=mu1, mu0=0.0002,
                          p_signal_window=0.735, epsilon_send=eps,
-                         p_mu0=0.078, p_mu1=0.606, p_mu2=0.316)
+                         p_mu0=0.078, p_mu1=0.606)
 
 
 def test_balance_symmetric_is_exact():
@@ -157,7 +158,17 @@ def test_party_settings_validation():
     with pytest.raises(ValueError):
         PartySettings(mu_z=0.5, mu2=0.5, mu1=0.1, mu0=0.0,
                       p_signal_window=0.7, epsilon_send=0.3,
-                      p_mu0=0.5, p_mu1=0.6, p_mu2=0.3)  # probs != 1
+                      p_mu0=0.5, p_mu1=0.6)  # probs > 1
+
+
+def test_strong_decoy_probability_is_the_rest():
+    # Subtracting p_mu1 first gives the presets' 0.316 exactly.
+    assert _party(0.493, 0.493, 0.090, 0.269).p_mu2 == 0.316
+    # 1 - 0.9 - 0.1 is -2.8e-17 in floating point; the rest is 0.
+    p = dataclasses.replace(_party(0.493, 0.493, 0.090, 0.269),
+                            p_mu0=0.1, p_mu1=0.9)
+    assert p.p_mu2 == 0.0
+    assert "p_mu2" not in {f.name for f in dataclasses.fields(p)}
 
 
 # ----------------------------------------------------- misalignment QBER
