@@ -88,7 +88,8 @@ class DecoyBounds:
     ``y1a_lower``/``y1b_lower``: per-side single-photon yield lower
     bounds; ``n1``: untagged-bit estimate in the signal windows and its
     per-side split; ``e1_upper``: single-photon phase-error upper bound.
-    ``clamped`` flags a negative intermediate that was clipped to 0.
+    ``clamped`` flags a bound that was clipped into its range or that
+    had no windows to bound from.
     ``ledger``: each finite-mode bound's ``(name, direction, eps share)``.
     """
 
@@ -117,11 +118,25 @@ def _estimate(sec: SecuritySettings, *counts: tuple[str, str, float]):
             tuple((name, way, share) for name, way, _ in counts))
 
 
-def _y1_lower(s0: float, s1: float, s2: float, mu1: float, mu2: float) -> float:
-    num = (mu2 * mu2 * math.exp(mu1) * s1
-           - mu1 * mu1 * math.exp(mu2) * s2
-           - (mu2 * mu2 - mu1 * mu1) * s0)
-    return num / (mu1 * mu2 * (mu2 - mu1))
+def _y1_lower(table: CountsTable, cats: tuple[str, str, str],
+              party: PartySettings) -> tuple[float, bool]:
+    """One side's single-photon yield lower bound and whether it is clamped.
+
+    ``cats`` are the side's vacuum, ``mu1`` and ``mu2`` decoy categories.
+    A yield is a probability, so the bound is clipped to [0, 1]; a side
+    with a category that has no windows bounds nothing and gets 0.
+    """
+    c0, c1, c2 = cats
+    if not (table.windows[c0] and table.windows[c1] and table.windows[c2]):
+        return 0.0, True
+    mu1, mu2 = party.mu1, party.mu2
+    num = (mu2 * mu2 * math.exp(mu1) * table.yield_of(c1)
+           - mu1 * mu1 * math.exp(mu2) * table.yield_of(c2)
+           - (mu2 * mu2 - mu1 * mu1) * table.yield_of(c0))
+    y1 = num / (mu1 * mu2 * (mu2 - mu1))
+    if 0.0 <= y1 <= 1.0:
+        return y1, False
+    return min(max(y1, 0.0), 1.0), True
 
 
 def decoy_bounds(table: CountsTable, pa: PartySettings, pb: PartySettings,
@@ -130,24 +145,18 @@ def decoy_bounds(table: CountsTable, pa: PartySettings, pb: PartySettings,
 
     Alice's single-photon yield is estimated from windows where she sent
     a decoy state and Bob's signal window stayed dark (categories
-    ``XZ*0``), and symmetrically for Bob (``ZX0*``).  The phase-error
-    bound uses the phase-matched same-decoy windows with the vacuum
-    (dark-count) contribution subtracted; with no ``XX11`` windows it
-    bounds nothing, and ``e1_upper`` is 0.5.  ``n1a``, ``n1b`` and any
+    ``XZ*0``), and symmetrically for Bob (``ZX0*``); a side with an empty
+    decoy category bounds nothing, and each bound lies in [0, 1].  The
+    phase-error bound uses the phase-matched same-decoy windows with the
+    vacuum (dark-count) contribution subtracted; with no ``XX11`` windows
+    it bounds nothing, and ``e1_upper`` is 0.5.  ``n1a``, ``n1b`` and any
     bounded ``x11_errors`` enter through :func:`_estimate`, whose ledger
     on the result says what share of ``eps_est`` each spends in finite
     mode.
     """
-    clamped = False
-
-    y1a = _y1_lower(table.yield_of("XZ00"), table.yield_of("XZ10"),
-                    table.yield_of("XZ20"), pa.mu1, pa.mu2)
-    y1b = _y1_lower(table.yield_of("ZX00"), table.yield_of("ZX01"),
-                    table.yield_of("ZX02"), pb.mu1, pb.mu2)
-    if y1a < 0:
-        y1a, clamped = 0.0, True
-    if y1b < 0:
-        y1b, clamped = 0.0, True
+    y1a, clamped_a = _y1_lower(table, ("XZ00", "XZ10", "XZ20"), pa)
+    y1b, clamped_b = _y1_lower(table, ("ZX00", "ZX01", "ZX02"), pb)
+    clamped = clamped_a or clamped_b
 
     n = table.n_windows
     pz_both = pa.p_signal_window * pb.p_signal_window

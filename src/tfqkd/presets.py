@@ -105,13 +105,14 @@ class NoiseModel:
     correlated; together they fix the velocity-process parameters.
     ``residual_phase_std_rad`` is an effective phase spread fitted to the
     decoy-basis error rates; ``stabilize`` neither reads nor computes it.
+    The wavelengths fix the band gap of :meth:`clock_drift_floor`, so a
+    ``comb_span_hz`` INI key is unknown (exit 2).
     """
 
     free_drift_rate_std: float = 1.65e4
     drift_corr_time_s: float = 0.03
     laser_drift_hz_per_hour: float = 1777.0
     clock_accuracy: float = 5e-11
-    comb_span_hz: float = 1e11
     lambda_q_nm: float = 1550.495
     lambda_c_nm: float = 1549.694
     visibility: float = 0.9795
@@ -122,8 +123,8 @@ class NoiseModel:
             raise ValueError("drift rate std must be nonnegative")
         if self.drift_corr_time_s <= 0:
             raise ValueError("drift correlation time must be positive")
-        if self.clock_accuracy < 0 or self.comb_span_hz < 0:
-            raise ValueError("clock accuracy and comb span must be nonnegative")
+        if self.clock_accuracy < 0:
+            raise ValueError("clock accuracy must be nonnegative")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
         if self.lambda_q_nm <= 0 or self.lambda_c_nm <= 0:
@@ -139,8 +140,10 @@ class NoiseModel:
         return self.lambda_c_nm / self.lambda_q_nm
 
     def clock_drift_floor(self) -> float:
-        """Irreducible phase drift rate (rad/s) from the two clock offsets."""
-        return math.tau * math.sqrt(2.0) * self.clock_accuracy * self.comb_span_hz
+        """Irreducible phase drift rate (rad/s) from the two clock offsets:
+        the clock accuracy times the band gap c/lambda_c - c/lambda_q."""
+        span_hz = 299_792_458.0e9 * abs(1.0 / self.lambda_c_nm - 1.0 / self.lambda_q_nm)
+        return math.tau * math.sqrt(2.0) * self.clock_accuracy * span_hz
 
 
 @dataclass(frozen=True)

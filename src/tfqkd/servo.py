@@ -296,7 +296,7 @@ def clock_limited_drift_rate(noise: NoiseModel) -> float:
     band's drift, whose 1 ms RMS rate is ``free_drift_rate_std``.  The
     fiber drift has zero mean rate, so the two add in quadrature.  The
     laser ramp's share and the fringe-quantized modulator chatter are
-    left out; on sym546 the prediction is 45.24 rad/s (floor 44.43,
+    left out; on sym546 the prediction is 45.21 rad/s (floor 44.40,
     scaled drift 8.52).
     """
     return math.hypot(noise.clock_drift_floor(),

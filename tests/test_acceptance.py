@@ -90,11 +90,11 @@ def test_criterion_06_fast_lock_reduction():
     """Two seeded 2 s fast-lock runs; about a 0.4% false alarm per seed.
 
     With both runs on the same seed, 2 of seeds 0-499 fail this check,
-    both on a clock-limited locked drift just under 40 rad/s (39.9 and
-    39.3; mean 45.2, SD 1.5 over the seeds).  The reduction factor
-    stayed in 1835-2148, well inside its band.  Seed 1 passes (1912,
-    44.2 rad/s).  Any change to the servo's draw order re-rolls the
-    outcome for this seed.
+    both on a clock-limited locked drift just under 40 rad/s (seeds 386
+    and 456 at 39.89 and 39.27; mean 45.16, SD 1.48 over the seeds).
+    The reduction factor stayed in 1835-2148, well inside its band.
+    Seed 1 passes (1912, 44.13 rad/s).  Any change to the servo's draw
+    order re-rolls the outcome for this seed.
     """
     ideal = NoiseModel(clock_accuracy=0.0)
     s_ideal, _ = run_stabilization(2.0, ideal, stages="fastOnly", seed=1)
@@ -115,7 +115,7 @@ def test_criterion_07_full_pipeline_residual():
     None of seeds 0-499 fails this check.  The largest residual was
     0.121 rad, and each link's residual has mean 0.115 rad and SD
     0.002 rad over the seeds, so the 0.30 rad bound sits about 90 SD
-    above the mean.  Seed 2 passes (0.114, 0.116, 0.113 rad).
+    above the mean.  Seed 2 passes (0.114, 0.111, 0.115 rad).
     """
     results = {}
     for name, drift in TABLE_DRIFTS.items():

@@ -109,11 +109,13 @@ def test_config_decoy_probabilities_leave_the_strong_decoy_the_rest(tmp_path):
 
 # An arm is given by its loss alone: its length and the old measured-loss
 # keys are not part of the schema, and neither is the strong-decoy
-# probability, which p_mu0 and p_mu1 fix.
+# probability, which p_mu0 and p_mu1 fix, nor the comb span, which the
+# two wavelengths fix.
 @pytest.mark.parametrize("section, key", [("link", "lenght_a_km"),
                                           ("link", "length_a_km"),
                                           ("link", "measured_loss_a_db"),
                                           ("protocol", "a_p_mu2"),
+                                          ("noise", "comb_span_hz"),
                                           ("protocol", "c_mu_z"),
                                           ("run", "n_window"),
                                           ("noise", "timing_jitter_ps")])
@@ -196,7 +198,6 @@ def test_config_residual_field_and_balance_rule(tmp_path):
     ("keyrate", "[link]\nattenuation_db_per_km = -0.2\n"),
     ("keyrate", "[link]\nextra_loss_a_db = -60\n"),
     ("stabilize", "[noise]\nclock_accuracy = -1\n"),
-    ("stabilize", "[noise]\ncomb_span_hz = -1e11\n"),
     ("keyrate", "[detectors]\nefficiency_d0 = 1.5\n"),
     ("keyrate", "[detectors]\ndark_rate_d1_hz = -1\n"),
     ("keyrate", "[detectors]\nwindow_s = 0\n"),
@@ -209,7 +210,7 @@ def test_config_residual_field_and_balance_rule(tmp_path):
     ("keyrate", "[security]\nf = 0.9\n"),
     ("keyrate", "[security]\neps_pa = 1\n"),
 ], ids=["arm-loss", "attenuation", "extra-loss", "clock-accuracy",
-        "comb-span", "efficiency", "dark-rate", "gate-window", "drift-std",
+        "efficiency", "dark-rate", "gate-window", "drift-std",
         "drift-corr-time", "visibility", "wavelength", "mu-z",
         "signal-window", "ec-efficiency", "eps-pa"])
 def test_cli_negative_loss_or_clock_setting_exit(tmp_path, capsys, command,

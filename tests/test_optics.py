@@ -193,7 +193,25 @@ def test_equal_wavelengths_rejected():
 
 
 def test_clock_drift_floor():
-    assert NoiseModel().clock_drift_floor() == pytest.approx(44.43, abs=0.05)
+    assert NoiseModel().clock_drift_floor() == pytest.approx(44.40, abs=0.05)
+
+
+def test_clock_drift_floor_follows_the_band_gap():
+    """The floor scales the clock accuracy by c/lambda_c - c/lambda_q.
+
+    The preset wavelengths, 1549.694 and 1550.495 nm, are 99.94 GHz
+    apart.  Only the gap counts, so swapping the bands keeps the floor.
+    """
+    noise = NoiseModel()
+    assert noise.clock_drift_floor() == 44.401921828575986
+    swapped = NoiseModel(lambda_q_nm=noise.lambda_c_nm,
+                         lambda_c_nm=noise.lambda_q_nm)
+    assert swapped.clock_drift_floor() == noise.clock_drift_floor()
+    moved = NoiseModel(lambda_c_nm=1549.0)
+    gap_hz = 299_792_458.0e9 * (1.0 / 1549.0 - 1.0 / noise.lambda_q_nm)
+    assert gap_hz == pytest.approx(186.6e9, rel=1e-3)
+    assert moved.clock_drift_floor() == pytest.approx(
+        math.tau * math.sqrt(2.0) * noise.clock_accuracy * gap_hz, rel=1e-12)
 
 
 # ------------------------------------------------------ phase process
@@ -231,7 +249,7 @@ def test_free_running_phase_clock_floor_only():
     # is returned as built.
     assert np.array_equal(clock, noise.clock_drift_floor() * t)
     assert np.array_equal(phi_q, clock)
-    assert phi_q[-1] / t[-1] == pytest.approx(44.43, abs=0.05)
+    assert phi_q[-1] / t[-1] == pytest.approx(44.40, abs=0.05)
 
 
 def test_free_running_phase_laser_ramp():

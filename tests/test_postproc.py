@@ -409,6 +409,42 @@ def test_decoy_bounds_without_xx11_windows_bound_nothing(name, mode):
         assert b.n1b == chernoff_lower(ref.n1b, s)
 
 
+@pytest.mark.parametrize("name", ["sym546", "sym603", "asym452"])
+@pytest.mark.parametrize("mode", ["asymptotic", "finite"])
+def test_decoy_bounds_without_vacuum_decoy_windows_bound_nothing(name, mode):
+    """A side whose vacuum decoy category has no windows bounds nothing:
+    its yield is 0 and flagged ``clamped``, not the bound an unknown
+    vacuum yield of 0 would give.  Bob's side does not read ``XZ00``."""
+    cfg = get_preset(name)
+    full = _preset_table(name, "expected")
+    table = dataclasses.replace(full, windows={**full.windows, "XZ00": 0.0},
+                                heralds={**full.heralds, "XZ00": 0.0})
+    sec = dataclasses.replace(cfg.security, mode=mode)
+    b = decoy_bounds(table, cfg.party_a, cfg.party_b, sec)
+    ref = decoy_bounds(full, cfg.party_a, cfg.party_b, sec)
+    assert not ref.clamped
+    assert (b.y1a_lower, b.n1a, b.clamped) == (0.0, 0.0, True)
+    assert (b.y1b_lower, b.n1b) == (ref.y1b_lower, ref.n1b)
+    assert b.e1_upper == 0.5
+
+
+def test_decoy_bounds_clip_yields_to_one():
+    """A yield is a probability: a bound above 1 is clipped and flagged.
+
+    Every ``mu1`` decoy of Alice's heralds and no vacuum or ``mu2`` one
+    does, which the decoy formula reads as a yield of about 15.
+    """
+    cfg = get_preset("sym546")
+    full = _preset_table("sym546", "expected")
+    heralds = {**full.heralds, "XZ00": 0.0, "XZ20": 0.0,
+               "XZ10": full.windows["XZ10"]}
+    table = dataclasses.replace(full, heralds=heralds)
+    b = decoy_bounds(table, cfg.party_a, cfg.party_b, cfg.security)
+    ref = decoy_bounds(full, cfg.party_a, cfg.party_b, cfg.security)
+    assert (b.y1a_lower, b.clamped) == (1.0, True)
+    assert b.y1b_lower == ref.y1b_lower
+
+
 def _swap_users(table):
     """The same table with the users' roles exchanged: ``ABij`` -> ``BAji``."""
     def swap(counts):

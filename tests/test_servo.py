@@ -200,7 +200,7 @@ def test_run_stabilization_stages_read_one_sign(seed):
     read the modulator's correction after the 0.2 s warm-up, so they
     see the mean offset over samples ``[warm, n)``, f0 (warm + 1 + n) dt
     / 2, up to the lock's shot noise; over these seeds and stages that
-    was at most 0.16% off, against the 1% allowed.
+    was at most 0.18% off, against the 1% allowed.
     """
     noise = NoiseModel(free_drift_rate_std=0.0)
     n = round(1.0 / FAST_STEP_S)
@@ -451,9 +451,9 @@ def test_fast_lock_drift_pooled_over_seeds():
     Each seed runs 2 s of the fast lock against the clock-limited
     reference, the second run of criterion 6, which uses seed 1.  The
     pooled mean must lie within 4 SEM of the physics, not of a past
-    run: :func:`clock_limited_drift_rate` predicts 45.24 rad/s.  The
-    per-seed locked drift has mean 45.2 and SD 1.5 rad/s over seeds
-    0-499, so the 8-seed mean (45.6 here) has an SEM of about 0.53, and
+    run: :func:`clock_limited_drift_rate` predicts 45.21 rad/s.  The
+    per-seed locked drift has mean 45.16 and SD 1.48 rad/s over seeds
+    0-499, so the 8-seed mean (45.53 here) has an SEM of about 0.53, and
     the band is about +-2.1 rad/s.  Under a normal approximation of the
     seed mean a correct program fails with probability about 6.3e-5
     (two-sided 4 sigma); on these seeds a servo change that moves the
