@@ -259,8 +259,7 @@ def odd_parity_pairing(z: ZBasisStats, n1a: float, n1b: float) -> PairingResult:
     surviving = pairs * survival
     e_prime = z.e0 * z.e1 / survival if survival > 0 else 0.0
     big = max(z.group0, z.group1)
-    n1p = n1a * n1b / big if big else 0.0
-    n1p = min(n1p, surviving)
+    n1p = min(n1a * n1b / big, surviving)
     return PairingResult(pairs=pairs, surviving_pairs=surviving,
                          e_bit_prime=min(e_prime, 0.5), n1_prime=n1p)
 

@@ -14,6 +14,7 @@ import pytest
 
 import tfqkd
 
+from test_channel_truth import in_mode
 from tfqkd import bench, cli, engine
 from tfqkd.cli import main
 from tfqkd.config import (ConfigError, load_config, override_config,
@@ -274,8 +275,7 @@ def test_sweep_row_is_keyrate_of_equal_arm_losses(preset):
     att = cfg.link.attenuation_db_per_km
     distances = [0.0, 100.0, 452.0, 546.61, 650.0]
     for mode in ("asymptotic", "finite"):
-        cfg_m = dataclasses.replace(cfg, security=dataclasses.replace(
-            cfg.security, mode=mode))
+        cfg_m = in_mode(cfg, mode)
         for d, row in zip(distances, bench.sweep(cfg_m, distances)):
             link = dataclasses.replace(cfg.link, loss_a_db=d / 2.0 * att,
                                        loss_b_db=d / 2.0 * att)
@@ -355,18 +355,12 @@ def _reference_optimize(cfg, budget):
                                 evaluations=evals, budget_exhausted=exhausted)
 
 
-def _with_mode(preset, mode):
-    cfg = get_preset(preset)
-    return dataclasses.replace(
-        cfg, security=dataclasses.replace(cfg.security, mode=mode))
-
-
 @pytest.mark.parametrize("budget", [200, 25])
 @pytest.mark.parametrize("preset, mode", [("sym546", "finite"),
                                           ("sym603", "asymptotic"),
                                           ("asym452", "asymptotic")])
 def test_optimize_matches_reference_search(preset, mode, budget):
-    cfg = _with_mode(preset, mode)
+    cfg = in_mode(get_preset(preset), mode)
     assert bench.optimize(cfg, budget=budget) == _reference_optimize(cfg,
                                                                      budget)
 
@@ -376,7 +370,7 @@ def test_optimize_matches_reference_search(preset, mode, budget):
     ("asym452", "asymptotic", 251), ("sym546", "finite", 238),
     ("sym603", "finite", 72), ("asym452", "finite", 282)])
 def test_optimize_converges_inside_budget(preset, mode, evaluations):
-    cfg = _with_mode(preset, mode)
+    cfg = in_mode(get_preset(preset), mode)
     result = bench.optimize(cfg, budget=1000)
     assert result == _reference_optimize(cfg, 1000)
     assert result.evaluations == evaluations
@@ -399,7 +393,8 @@ def _spy(monkeypatch, module, name):
 
 def test_optimize_scores_each_candidate_once(monkeypatch):
     calls = _spy(monkeypatch, bench, "analytic_keyrate")
-    result = bench.optimize(_with_mode("sym546", "finite"), budget=200)
+    result = bench.optimize(in_mode(get_preset("sym546"), "finite"),
+                            budget=200)
     assert result.evaluations == 200 and result.budget_exhausted
     scored = [(c.party_a, c.party_b) for c in calls]
     assert 0 < len(set(scored)) == len(scored) < result.evaluations
@@ -418,7 +413,7 @@ def test_optimize_reuses_click_outcomes(monkeypatch, preset, mode, most):
     engine._click_outcomes.cache_clear()
     scored = _spy(monkeypatch, bench, "analytic_keyrate")
     clicks = _spy(monkeypatch, engine, "click_probability_arrays")
-    result = bench.optimize(_with_mode(preset, mode), budget=200)
+    result = bench.optimize(in_mode(get_preset(preset), mode), budget=200)
     assert result.evaluations == 200
     distinct = {(c.party_a.intensities, c.party_b.intensities) for c in scored}
     assert 0 < len(distinct) <= len(clicks) <= most
