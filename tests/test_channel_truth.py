@@ -37,24 +37,23 @@ def in_mode(cfg: ExperimentConfig, mode: str) -> ExperimentConfig:
     return replace(cfg, security=replace(cfg.security, mode=mode))
 
 
-def draw_channel(rng: np.random.Generator, *, mu0: float = 0.0,
+def draw_channel(rng: np.random.Generator, *,
                  asymmetric: bool = False) -> ExperimentConfig:
     """A random channel on sym546's remaining settings, 1e12 windows.
 
     At the defaults this is criterion 12's channel, drawn in its order:
-    one party on both sides and equal arm losses.  ``mu0`` is both
-    parties' weakest intensity and draws nothing, so it leaves the
-    random stream as it is.  ``asymmetric`` then draws party b's
-    ``mu_z`` and ``epsilon_send``, from ranges that also hold asym452's
-    party b, derives ``b.mu1`` from the intensity-balance condition and
-    redraws the two while that is not below ``mu2``, and last draws
-    0-10 dB of extra fiber loss on arm b.
+    one party on both sides, ``mu0 = 0`` and equal arm losses.
+    ``asymmetric`` then draws party b's ``mu_z`` and ``epsilon_send``,
+    from ranges that also hold asym452's party b, derives ``b.mu1``
+    from the intensity-balance condition and redraws the two while that
+    is not below ``mu2``, and last draws 0-10 dB of extra fiber loss on
+    arm b.
     """
     party = PartySettings(
         mu_z=float(rng.uniform(0.3, 0.6)),
         mu2=float(rng.uniform(0.2, 0.5)),
         mu1=float(rng.uniform(0.03, 0.15)),
-        mu0=mu0,
+        mu0=0.0,
         p_signal_window=float(rng.uniform(0.5, 0.8)),
         epsilon_send=float(rng.uniform(0.15, 0.4)),
         p_mu0=0.1, p_mu1=0.6)
@@ -165,7 +164,9 @@ def test_channel_truth_matches_criterion_12(monkeypatch):
     Criterion 12 runs with its ``expected_counts`` recording each
     ``(settings, n)``.  Each recorded config equals the generator's draw
     from seed 2024 in every field but ``run``, and ``n`` is that draw's
-    window count.  Two facts make the truths equal, not just close.  On
+    window count.  Criterion 12 asserts only after its loop, so its own
+    verdict is set aside here: this test fails only when the draws or
+    the truths differ.  Two facts make the truths equal, not just close.  On
     equal arms ``sqrt(x * x)`` is exactly ``x`` (the square root is
     correctly rounded), so the visibility factor is exactly 1.0.
     Criterion 12 squares the window probability as ``p ** 2`` and the
@@ -182,7 +183,10 @@ def test_channel_truth_matches_criterion_12(monkeypatch):
         return count(settings, n)
 
     monkeypatch.setattr(test_acceptance, "expected_counts", recording)
-    test_acceptance.test_criterion_12_decoy_bound_validity()
+    try:
+        test_acceptance.test_criterion_12_decoy_bound_validity()
+    except AssertionError:
+        pass
     assert len(seen) == 100
     rng = np.random.default_rng(2024)
     for trial, (settings, n) in enumerate(seen):
@@ -242,27 +246,38 @@ def test_criterion_12_channels_are_valid_in_finite_mode():
         assert check_valid(in_mode(draw_channel(rng), "finite")) == [], trial
 
 
+#: Draws of :func:`test_asymmetric_channel_bounds_are_valid` whose
+#: ``e1_upper`` sits at its cap of 0.5, measured at commit ``de91d76``.
+CAPPED_ASYMMETRIC_DRAWS = {"asymptotic": 77, "finite": 82}
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_asymmetric_channel_bounds_are_valid(mode):
     """200 asymmetric draws, seed 7.
 
     The bounds hold, but ``e1_upper`` is loose on unequal arms: it
     divides by ``min(y1a, y1b)``.  Its ratio to the true ``e1`` over
-    these draws, and the number of draws whose ``e1_upper`` reaches its
-    cap of 0.5, where its check cannot fail, measured at commit
-    ``de91d76``:
+    these draws, measured at commit ``de91d76``:
 
-    ==========  ======  =====  ======  =====  =====
-    mode        capped  min    median  p95    max
-    ==========  ======  =====  ======  =====  =====
-    asymptotic  77      1.100  1.958   3.248  4.509
-    finite      82      1.120  2.012   3.310  4.509
-    ==========  ======  =====  ======  =====  =====
+    ==========  =====  ======  =====  =====
+    mode        min    median  p95    max
+    ==========  =====  ======  =====  =====
+    asymptotic  1.100  1.958   3.248  4.509
+    finite      1.120  2.012   3.310  4.509
+    ==========  =====  ======  =====  =====
+
+    Many draws reach its cap of 0.5, where the ``e1`` check cannot
+    fail and ``clamped`` stays False; the test pins how many.
     """
     rng = np.random.default_rng(7)
+    capped = 0
     for trial in range(200):
         cfg = in_mode(draw_channel(rng, asymmetric=True), mode)
         assert check_valid(cfg) == [], trial
+        capped += analytic_keyrate(cfg)[1].decoy.e1_upper == 0.5
+    # A capped draw's e1 check cannot fail, so more of them would leave
+    # the check above covering less while it still passes.
+    assert capped <= CAPPED_ASYMMETRIC_DRAWS[mode]
 
 
 def _rate(cfg: ExperimentConfig) -> float:
