@@ -181,7 +181,8 @@ def decoy_bounds(table: CountsTable, pa: PartySettings, pb: PartySettings,
         if num < 0:
             num, clamped = 0.0, True
         e1 = num / (mu_sum * math.exp(-mu_sum) * y1_min)
-        e1 = min(e1, 0.5)
+        if e1 > 0.5:
+            e1, clamped = 0.5, True
     else:
         e1, clamped = 0.5, True
 

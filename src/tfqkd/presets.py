@@ -8,13 +8,17 @@ print settings start without it.
 ``sym546`` and ``sym603`` are symmetric links; ``asym452`` has unequal
 arms and per-party source settings.  The field trial's arms are
 273.48 + 273.13 km (sym546), 298.71 + 305.16 km (sym603) and
-248.24 + 204.22 km (asym452, a 44 km asymmetry); they enter the key
-rate only through their losses.  ``loss_a_db``/``loss_b_db`` hold each
-arm's measured fiber loss; ``extra_loss_{a,b}_db`` absorb the insertion
-loss of the measurement node, calibrated so the analytic pipeline
-reproduces the recorded detection statistics.  Each link's noise model
-carries an effective interference-phase spread, fitted to the measured
-decoy-basis error rates.
+248.24 + 204.22 km (asym452); they enter the key rate only through
+their losses.  Each preset's ``attenuation_db_per_km`` is its total
+fiber loss over its total arm length.  asym452's arms differ by
+44.02 km, but its fiber losses differ by 9.08 dB, which is 48.55 km at
+its coefficient: the two arms' losses imply 0.1887 and 0.1849 dB/km.
+``loss_a_db``/``loss_b_db`` hold each arm's measured fiber loss;
+``extra_loss_{a,b}_db`` absorb the insertion loss of the measurement
+node, calibrated so the analytic pipeline reproduces the recorded
+detection statistics.  Each link's noise model carries an effective
+interference-phase spread, fitted to the measured decoy-basis error
+rates.
 """
 import math
 from dataclasses import dataclass

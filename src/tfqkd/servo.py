@@ -1,26 +1,24 @@
 """Feedback loops holding the twin-field interferometer.
 
-A fast loop (100 kHz) locks the reference-band interference at
-mid-fringe through a phase modulator; the residual signal-band drift,
-already suppressed by the band ratio, is removed by a slow loop (1 kHz)
-driving a fiber stretcher.
+A fast loop locks the reference-band interference at mid-fringe
+through a phase modulator; the residual signal-band drift, already
+suppressed by the band ratio, is removed by a slow loop driving a fiber
+stretcher.
 
 The loop design is fixed by module constants:
 
-- ``FAST_STEP_S``: the fast-loop step, 10 us, in s;
+- ``FAST_STEP_S``: the fast-loop step, in s;
 - ``FAST_SETPOINT_COUNTS``: the mid-fringe mean reference-detector
-  counts per fast step (half the fringe maximum), a 6 MHz rate, about
-  60 counts;
+  counts per fast step (half the fringe maximum);
 - ``SLOW_SETPOINT_COUNTS``: the mid-fringe mean reference-slot counts
-  per slow step, a 100 kHz rate over 1 ms, 100 counts;
+  per slow step;
 - ``FAST_GAINS`` and ``SLOW_GAINS``: the (kp, ki) PI gains, in rad of
-  correction per rad of phase error, (0.8, 0.05) and (0.8, 0.3);
-- ``PM_RANGE_RAD``: the phase modulator's output wraps modulo 2*pi rad;
+  correction per rad of phase error;
+- ``PM_RANGE_RAD``: the phase modulator's output wraps modulo this range;
 - ``FS_RANGE_RAD``: the fiber stretcher is rewound toward center by
-  whole fringes once it passes +-60 rad;
+  whole fringes once it passes +- this range;
 - ``SLOW_LOOP_STEPS`` and ``BLANK_STEPS``: the fast steps per slow-loop
-  step (1 kHz) and the fast steps blanked after a rewind (1 ms), 100
-  each.
+  step and the fast steps blanked after a rewind.
 """
 from __future__ import annotations
 
@@ -296,8 +294,8 @@ def clock_limited_drift_rate(noise: NoiseModel) -> float:
     band's drift, whose 1 ms RMS rate is ``free_drift_rate_std``.  The
     fiber drift has zero mean rate, so the two add in quadrature.  The
     laser ramp's share and the fringe-quantized modulator chatter are
-    left out; on sym546 the prediction is 45.21 rad/s (floor 44.40,
-    scaled drift 8.52).
+    left out; on sym546 the prediction is 45.2151 rad/s (floor 44.4019,
+    scaled drift 8.5369).
     """
     return math.hypot(noise.clock_drift_floor(),
                       (1.0 - noise.band_ratio) * noise.free_drift_rate_std)

@@ -2,6 +2,7 @@
 import configparser
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import random
@@ -19,7 +20,7 @@ from tfqkd import bench, cli, engine
 from tfqkd.cli import main
 from tfqkd.config import (ConfigError, load_config, override_config,
                           serialize_config)
-from tfqkd.presets import ExperimentConfig, get_preset, preset_names
+from tfqkd.presets import STAGES, ExperimentConfig, get_preset, preset_names
 from tfqkd.ratecore import SecuritySettings, check_sns_constraint, plob_bound
 
 
@@ -32,9 +33,24 @@ def test_preset_names():
 
 
 def test_preset_total_loss():
-    cfg = get_preset("sym546")
-    link = cfg.link
-    assert link.loss_a_db + link.loss_b_db == pytest.approx(100.13, abs=0.01)
+    """Each preset's coefficient is its total fiber loss over the total
+    of the arm lengths in the ``presets`` docstring."""
+    for name, arms_km, loss_db, attenuation in [
+            ("sym546", (273.48, 273.13), 100.13, 0.18318),
+            ("sym603", (298.71, 305.16), 108.59, 0.17982),
+            ("asym452", (248.24, 204.22), 84.62, 0.18702)]:
+        link = get_preset(name).link
+        assert link.loss_a_db + link.loss_b_db == pytest.approx(loss_db,
+                                                                abs=1e-9)
+        assert link.attenuation_db_per_km == attenuation
+        assert round(loss_db / sum(arms_km), 5) == attenuation
+    # asym452's arms differ by 44.02 km, but its losses by 48.55 km at its
+    # coefficient, since each arm's loss implies its own coefficient.
+    link = get_preset("asym452").link
+    assert round(link.loss_a_db - link.loss_b_db, 2) == 9.08
+    assert round((link.loss_a_db - link.loss_b_db) / 0.18702, 2) == 48.55
+    assert (round(link.loss_a_db / 248.24, 4),
+            round(link.loss_b_db / 204.22, 4)) == (0.1887, 0.1849)
 
 
 def test_presets_satisfy_balance():
@@ -106,6 +122,10 @@ def test_config_decoy_probabilities_leave_the_strong_decoy_the_rest(tmp_path):
         base, party_a=dataclasses.replace(base.party_a, p_mu1=0.5),
         party_b=dataclasses.replace(base.party_b, p_mu1=0.5))
     assert "p_mu2" not in serialize_config(cfg)
+    # The asymptotic rates do not read the decoy-window split.
+    golden, out = "keyrate_sym546_asymptotic.tsv", tmp_path / "keyrate.tsv"
+    assert main(["keyrate", "--config", str(path), "--out", str(out)]) == 0
+    assert pinned(golden, out) == (GOLDEN / golden).read_text()
 
 
 # An arm is given by its loss alone: its length and the old measured-loss
@@ -575,85 +595,93 @@ def test_cli_series_out_matches_per_row_format(tmp_path):
 
 GOLDEN = Path(__file__).parent / "golden"
 
-
-@pytest.mark.parametrize("preset", ["sym546", "sym603", "asym452"])
-def test_cli_reports_match_golden_files(preset, capsys):
-    """``preset show`` and the formatted ``keyrate`` rates are pinned.
-
-    The golden files fix the INI schema (section and key order included)
-    and the ``%.6e`` rate lines in both modes.  The raw expected counts
-    are left out: they print with ``repr``, whose last digit can move
-    between numpy builds.
-    """
-    assert main(["preset", "show", preset]) == 0
-    assert capsys.readouterr().out == (
-        GOLDEN / f"preset_{preset}.ini").read_text()
-    for mode in ("asymptotic", "finite"):
-        assert main(["keyrate", "--preset", preset, "--mode", mode]) == 0
-        out = capsys.readouterr().out
-        rates = out[out.index("y1a_lower\t"):]
-        assert rates == (GOLDEN / f"keyrate_{preset}_{mode}.tsv").read_text()
-
-
+_PRESETS = ("sym546", "sym603", "asym452")
 _STABILIZE = ["stabilize", "--preset", "sym546", "--duration", "0.2",
               "--seed", "3", "--stages"]
 
-
-@pytest.mark.parametrize("golden, argv", [
-    ("verify.txt", ["verify"]),
-    ("preset_list.txt", ["preset", "list"]),
-    ("sweep_sym546.tsv", ["sweep", "--preset", "sym546",
-                          "--distances", "300,546.61,650"]),
-    *((f"simulate_{p}.tsv", ["simulate", "--preset", p, "--windows", "1e6",
-                             "--seed", "3"])
-      for p in ("sym546", "sym603", "asym452")),
-    *((f"stabilize_sym546_{s}.tsv", _STABILIZE + [s])
-      for s in ("none", "fastOnly", "full")),
-    ("optimize_sym546_finite_head.tsv", ["optimize", "--preset", "sym546",
-                                         "--mode", "finite", "--budget",
-                                         "200"]),
+#: Every pinned command: golden file name -> the argv whose output the
+#: file pins.  This is the one place to pair a command with its golden
+#: file.  :func:`pinned` says which part of the output a golden pins.
+#: Add rows at the end: a row's test id carries its index.
+PINNED = {
+    "verify.txt": ["verify"],
+    "preset_list.txt": ["preset", "list"],
+    "sweep_sym546.tsv": ["sweep", "--preset", "sym546",
+                         "--distances", "300,546.61,650"],
+    **{f"simulate_{p}.tsv": ["simulate", "--preset", p, "--windows", "1e6",
+                             "--seed", "3"]
+       for p in _PRESETS},
+    **{f"stabilize_sym546_{s}.tsv": _STABILIZE + [s] for s in STAGES},
+    "optimize_sym546_finite_head.tsv": ["optimize", "--preset", "sym546",
+                                        "--mode", "finite", "--budget",
+                                        "200"],
     # At the preset's own window count, so every category has heralds.
-    *((f"simulate_{p}_preset_windows_{m}.tsv",
-       ["simulate", "--preset", p, "--seed", "3", "--mode", m])
-      for p in ("sym546", "sym603", "asym452")
-      for m in ("asymptotic", "finite")),
-    *((f"stabilize_{p}_{s}.tsv",
-       ["stabilize", "--preset", p] + _STABILIZE[3:] + [s])
-      for p in ("sym603", "asym452")
-      for s in ("none", "fastOnly", "full")),
+    **{f"simulate_{p}_preset_windows_{m}.tsv":
+       ["simulate", "--preset", p, "--seed", "3", "--mode", m]
+       for p in _PRESETS for m in ("asymptotic", "finite")},
+    **{f"stabilize_{p}_{s}.tsv": ["stabilize", "--preset", p]
+       + _STABILIZE[3:] + [s]
+       for p in ("sym603", "asym452") for s in STAGES},
     # Asymmetric: the search moves party A alone and re-derives B's mu1.
-    ("optimize_asym452_head.tsv", ["optimize", "--preset", "asym452",
-                                   "--budget", "200"]),
+    "optimize_asym452_head.tsv": ["optimize", "--preset", "asym452",
+                                  "--budget", "200"],
     # The 2 s lock of criterion 6 and of the benchmark's ideal-clock run.
-    *((f"stabilize_sym546_2s_{s}.tsv",
+    **{f"stabilize_sym546_2s_{s}.tsv":
        ["stabilize", "--preset", "sym546", "--duration", "2", "--seed", "3",
-        "--stages", s])
-      for s in ("none", "fastOnly", "full")),
-], ids=lambda v: v if isinstance(v, str) else None)
-def test_cli_file_reports_match_golden_files(tmp_path, golden, argv):
-    """Every subcommand's ``--out`` report is pinned byte for byte.
+        "--stages", s]
+       for s in STAGES},
+    **{f"preset_{p}.ini": ["preset", "show", p] for p in _PRESETS},
+    **{f"keyrate_{p}_{m}.tsv": ["keyrate", "--preset", p, "--mode", m]
+       for p in _PRESETS for m in ("asymptotic", "finite")},
+    # Each stage's 0.2 s series, about 2 MB, written by --series-out.
+    **{f"stabilize_sym546_{s}_series.sha256": _STABILIZE + [s]
+       for s in STAGES},
+}
 
-    Only integer counts and ``%.6e`` values are pinned.  The optimized
-    INI (``repr`` floats) is left out of the ``optimize`` goldens, which
-    keep the three head lines.
+
+def _pinned_argv(golden, path):
+    """``golden``'s argv, writing what the golden pins to ``path``."""
+    flag = "--series-out" if golden.endswith(".sha256") else "--out"
+    return PINNED[golden] + [flag, str(path)]
+
+
+def pinned(golden, path):
+    """The part of the output at ``path`` that ``golden`` pins.
+
+    A golden pins the whole report, but not computed floats printed with
+    ``repr``, whose last digit can move between numpy builds: ``keyrate``
+    pins its rate lines, from ``y1a_lower`` on, and ``optimize`` its
+    three head lines, not the optimized INI.  A ``.sha256`` golden pins
+    a series by its digest.
     """
+    data = Path(path).read_bytes()
+    if golden.endswith(".sha256"):
+        return hashlib.sha256(data).hexdigest() + "\n"
+    text = data.decode()
+    if golden.startswith("keyrate"):
+        return text[text.index("y1a_lower\t"):]
+    if golden.startswith("optimize"):
+        return "".join(text.splitlines(True)[:3])
+    return text
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [row for row in PINNED.items() if not row[0].endswith(".sha256")],
+    ids=lambda v: v if isinstance(v, str) else None)
+def test_cli_file_reports_match_golden_files(tmp_path, golden, argv):
+    """Every subcommand's ``--out`` report is pinned."""
     out = tmp_path / "report"
     assert main(argv + ["--out", str(out)]) == 0
-    text = out.read_text()
-    if golden.startswith("optimize"):
-        text = "".join(text.splitlines(True)[:3])
-    assert text == (GOLDEN / golden).read_text()
+    assert pinned(golden, out) == (GOLDEN / golden).read_text()
 
 
-@pytest.mark.parametrize("stages", ["none", "fastOnly", "full"])
+@pytest.mark.parametrize("stages", STAGES)
 def test_cli_series_matches_golden_hash(tmp_path, stages):
-    """Each stage's 0.2 s series (about 2 MB) is pinned by its sha256."""
+    golden = f"stabilize_sym546_{stages}_series.sha256"
     series = tmp_path / "series.tsv"
-    assert main(_STABILIZE + [stages, "--out", str(tmp_path / "report"),
-                              "--series-out", str(series)]) == 0
-    digest = hashlib.sha256(series.read_bytes()).hexdigest()
-    assert digest + "\n" == (
-        GOLDEN / f"stabilize_sym546_{stages}_series.sha256").read_text()
+    assert main(_pinned_argv(golden, series)) == 0
+    assert pinned(golden, series) == (GOLDEN / golden).read_text()
 
 
 def test_cli_sweep(tmp_path, capsys):
@@ -942,129 +970,83 @@ def test_cli_main_reuses_parser_across_calls(tmp_path, capsys):
     assert results[5][2] and results[6][2] is None
 
 
-_WITHOUT_SCIPY = """
-import sys
-sys.modules["scipy"] = None  # any scipy import now raises ImportError
-sys.modules["numpy.polynomial"] = None
-from tfqkd.cli import main
-runs = [
-    ["verify"],
-    ["keyrate", "--preset", "sym546"],
-    ["keyrate", "--preset", "sym546", "--mode", "finite"],
-    ["simulate", "--preset", "sym546", "--windows", "1e6"],
-    *(["stabilize", "--preset", "sym546", "--duration", "0.2",
-       "--stages", stages, "--series-out", f"{stages}.tsv"]
-      for stages in ("none", "fastOnly", "full")),
-    ["sweep", "--preset", "sym546", "--distances", "400,500"],
-    ["optimize", "--preset", "sym546", "--budget", "20", "--out", "opt.ini"],
-    ["preset", "show", "sym546"],
-]
-for argv in runs:
-    code = main(argv)
-    if code:
-        sys.exit(f"{argv} exited {code}")
-"""
-
-
-def test_cli_subcommands_run_without_scipy(tmp_path):
-    # scipy is a test dependency only: every subcommand must run in an
-    # interpreter where importing it fails.  numpy.polynomial is blocked
-    # too, because loading it costs every process about 2 MB of RSS.
+def _fresh(args, cwd):
+    """Run ``python args`` in a fresh interpreter that imports this tfqkd."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(tfqkd.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], env=env,
-                          cwd=tmp_path, capture_output=True, text=True,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    for stages in ("none", "fastOnly", "full"):
-        assert (tmp_path / f"{stages}.tsv").stat().st_size > 0
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=300)
 
 
-_BLOCKED = """
-import sys
+#: Modules blocked in a fresh interpreter -> the pinned commands that run
+#: there all the same.  ``--help`` runs in every set.
+_BLOCKED = {
+    "numpy": ["preset_list.txt", *(f"preset_{p}.ini" for p in _PRESETS)],
+    "tfqkd.engine,tfqkd.postproc,tfqkd.bench": [
+        f"stabilize_sym546_{s}.tsv" for s in STAGES],
+    "tfqkd.servo": ["keyrate_sym546_finite.tsv", "simulate_sym546.tsv",
+                    "sweep_sym546.tsv", "optimize_sym546_finite_head.tsv",
+                    "verify.txt"],
+    "configparser": ["preset_list.txt", "keyrate_sym546_finite.tsv",
+                     "simulate_sym546.tsv", "stabilize_sym546_full.tsv"],
+    "scipy,numpy.polynomial": [
+        "verify.txt", "keyrate_sym546_asymptotic.tsv",
+        "keyrate_sym546_finite.tsv", "simulate_sym546.tsv",
+        *(f"stabilize_sym546_{s}_series.sha256" for s in STAGES),
+        "sweep_sym546.tsv", "optimize_sym546_finite_head.tsv",
+        "preset_sym546.ini"],
+    "typing": ["preset_list.txt", "preset_sym546.ini"],
+}
+
+_RUN_BLOCKED = """
+import json, sys
 for name in sys.argv[1].split(","):
     sys.modules[name] = None  # importing it now raises ImportError
 from tfqkd.cli import main
-golden = sys.argv[2]
-runs = {
-    "numpy": [
-        ("preset_list.txt", ["preset", "list"]),
-        *((f"preset_{p}.ini", ["preset", "show", p])
-          for p in ("sym546", "sym603", "asym452")),
-        (None, ["--help"]),
-    ],
-    "tfqkd.engine,tfqkd.postproc,tfqkd.bench": [
-        (f"stabilize_sym546_{s}.tsv",
-         ["stabilize", "--duration", "0.2", "--seed", "3", "--stages", s])
-        for s in ("none", "fastOnly", "full")
-    ],
-    "tfqkd.servo": [
-        ("keyrate_sym546_finite.tsv", ["keyrate", "--mode", "finite"]),
-        ("simulate_sym546.tsv", ["simulate", "--windows", "1e6", "--seed", "3"]),
-        ("sweep_sym546.tsv", ["sweep", "--distances", "300,546.61,650"]),
-        ("optimize_sym546_finite_head.tsv",
-         ["optimize", "--mode", "finite", "--budget", "200"]),
-        ("verify.txt", ["verify"]),
-    ],
-    "configparser": [
-        ("preset_list.txt", ["preset", "list"]),
-        ("keyrate_sym546_finite.tsv", ["keyrate", "--mode", "finite"]),
-        ("simulate_sym546.tsv", ["simulate", "--windows", "1e6", "--seed", "3"]),
-        ("stabilize_sym546_full.tsv",
-         ["stabilize", "--duration", "0.2", "--seed", "3", "--stages", "full"]),
-    ],
-}[sys.argv[1]]
-for name, argv in runs:
+for argv in json.loads(sys.argv[2]):
     try:
-        code = main(argv + ["--out", "report"] if name else argv)
-    except SystemExit as exc:
+        code = main(argv)
+    except SystemExit as exc:  # --help
         code = exc.code
     if code:
         sys.exit(f"{argv} exited {code}")
-    if name:
-        with open("report") as fh:
-            text = fh.read()
-        if name.startswith("keyrate"):
-            text = text[text.index("y1a_lower\\t"):]
-        elif name.startswith("optimize"):
-            text = "".join(text.splitlines(True)[:3])
-        with open(f"{golden}/{name}") as fh:
-            if text != fh.read():
-                sys.exit(f"{argv} does not match {name}")
 """
 
 
-@pytest.mark.parametrize("blocked", [
-    "numpy",
-    "tfqkd.engine,tfqkd.postproc,tfqkd.bench",
-    "tfqkd.servo",
-    "configparser",
-])
+@pytest.mark.parametrize("blocked", list(_BLOCKED))
 def test_cli_subcommands_load_only_their_layers(tmp_path, blocked):
     """Each subcommand imports only the layers it runs.
 
-    With the named modules blocked in a fresh interpreter: ``preset
-    list``, ``preset show`` and ``--help`` run without numpy;
-    ``stabilize`` without the engine, post-processing and bench layers;
-    ``keyrate``, ``simulate``, ``sweep``, ``optimize`` and ``verify``
-    without the servo; ``preset list``, ``keyrate``, ``simulate`` and
-    ``stabilize`` without ``--config`` read no INI, so they run without
-    ``configparser``.  Each report still matches its golden file.
+    With the named modules blocked in a fresh interpreter, ``--help``
+    runs, and so do these: ``preset list`` and ``preset show`` without
+    numpy or ``typing``; ``stabilize`` without the engine,
+    post-processing and bench layers; ``keyrate``, ``simulate``,
+    ``sweep``, ``optimize`` and ``verify`` without the servo; ``preset
+    list``, ``keyrate``, ``simulate`` and ``stabilize`` without
+    ``--config`` read no INI, so they run without ``configparser``.
+    scipy is a test dependency only, so every subcommand runs without
+    it, and without numpy.polynomial, which would cost every process
+    about 2 MB of RSS.  The fresh interpreter only writes the reports;
+    each still matches its golden file.
     """
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(tfqkd.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", _BLOCKED, blocked,
-                           str(GOLDEN)], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=300)
+    goldens = _BLOCKED[blocked]
+    argvs = [["--help"], *(_pinned_argv(g, g) for g in goldens)]
+    proc = _fresh(["-c", _RUN_BLOCKED, blocked, json.dumps(argvs)], tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert [g for g in goldens
+            if pinned(g, tmp_path / g) != (GOLDEN / g).read_text()] == []
 
 
+#: Pinned commands that evaluate a click setting.  The sweep's rows share
+#: sym546's intensities but not its link, and each search starts from its
+#: preset's intensities, so a tensor kept under too small a key would be
+#: read by the wrong command.
 _COLD_WARM = [
-    *(["keyrate", "--preset", p, "--mode", m]
-      for p in ("sym546", "sym603", "asym452")
-      for m in ("asymptotic", "finite")),
-    *(["simulate", "--preset", p, "--windows", "1e6", "--seed", "3"]
-      for p in ("sym546", "sym603", "asym452")),
+    *(f"keyrate_{p}_{m}.tsv"
+      for p in _PRESETS for m in ("asymptotic", "finite")),
+    *(f"simulate_{p}.tsv" for p in _PRESETS),
+    "sweep_sym546.tsv", "optimize_sym546_finite_head.tsv",
+    "optimize_asym452_head.tsv",
 ]
 
 
@@ -1073,22 +1055,28 @@ def test_cli_reports_same_cold_and_warm(tmp_path, capsys):
     evaluated the click setting before or not.
 
     Cold: each command runs in a fresh interpreter, whose engine keeps
-    no click-outcome tensor yet.  Warm: all of them run twice in this
-    process, in shuffled order, so every run after the first per preset
-    reads a kept tensor.  Raw counts are compared too.
+    no click-outcome tensor yet.  Warm: from cleared kept tensors, all of
+    them run twice in this process, in shuffled order, so a run can read
+    a tensor an earlier one kept.  Raw counts and the optimized INI are
+    compared too.
     """
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(tfqkd.__file__).resolve().parents[1]))
-    cold = [subprocess.run([sys.executable, "-m", "tfqkd.cli", *argv],
-                           env=env, cwd=tmp_path, capture_output=True,
-                           text=True, timeout=300, check=True).stdout
-            for argv in _COLD_WARM]
+    cold = []
+    for golden in _COLD_WARM:
+        proc = _fresh(["-m", "tfqkd.cli", *PINNED[golden]], tmp_path)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        cold.append(proc.stdout)
     order = 2 * list(range(len(_COLD_WARM)))
     random.Random(0).shuffle(order)
-    before = engine._click_outcomes.cache_info()
+    engine._click_outcomes.cache_clear()
     for i in order:
-        assert main(_COLD_WARM[i]) == 0
+        assert main(PINNED[_COLD_WARM[i]]) == 0
         assert capsys.readouterr().out == cold[i], _COLD_WARM[i]
-    after = engine._click_outcomes.cache_info()
-    assert after.misses - before.misses <= 3
-    assert after.hits - before.hits >= len(order) - 3
+    # 682 lookups: 2 x (9 keyrate and simulate runs, 3 sweep rows and the
+    # searches' 161 and 168 scored candidates).  In this order 485 miss:
+    # 100 and 135 per search run, the 6 sweep rows, whose links no other
+    # command shares, and 9 of the 18 keyrate and simulate runs: the
+    # first run of each preset, and 6 whose tensor a search or the sweep
+    # had evicted.
+    info = engine._click_outcomes.cache_info()
+    assert info.misses <= 485
+    assert info.hits >= 197

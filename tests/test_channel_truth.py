@@ -267,14 +267,17 @@ def test_asymmetric_channel_bounds_are_valid(mode):
     ==========  =====  ======  =====  =====
 
     Many draws reach its cap of 0.5, where the ``e1`` check cannot
-    fail and ``clamped`` stays False; the test pins how many.
+    fail; each is flagged ``clamped``, and the test pins how many.
     """
     rng = np.random.default_rng(7)
     capped = 0
     for trial in range(200):
         cfg = in_mode(draw_channel(rng, asymmetric=True), mode)
         assert check_valid(cfg) == [], trial
-        capped += analytic_keyrate(cfg)[1].decoy.e1_upper == 0.5
+        decoy = analytic_keyrate(cfg)[1].decoy
+        if decoy.e1_upper == 0.5:
+            assert decoy.clamped, trial
+            capped += 1
     # A capped draw's e1 check cannot fail, so more of them would leave
     # the check above covering less while it still passes.
     assert capped <= CAPPED_ASYMMETRIC_DRAWS[mode]

@@ -10,6 +10,7 @@ from scipy.signal import lfilter
 from tfqkd.optics import (click_probability_arrays, fiber_phase, ramp_phases,
                           signal_band_phase, velocity_step_coeffs)
 from tfqkd.presets import PRESETS, DetectorModel, LinkConfig, NoiseModel
+from tfqkd.servo import clock_limited_drift_rate
 
 
 # --------------------------------------------------------- transmittance
@@ -194,6 +195,13 @@ def test_equal_wavelengths_rejected():
 
 def test_clock_drift_floor():
     assert NoiseModel().clock_drift_floor() == pytest.approx(44.40, abs=0.05)
+    # The figures clock_limited_drift_rate's docstring quotes for sym546.
+    noise = PRESETS["sym546"].noise
+    assert noise.clock_drift_floor() == pytest.approx(44.4019, abs=5e-5)
+    assert (1.0 - noise.band_ratio) * noise.free_drift_rate_std == (
+        pytest.approx(8.5369, abs=5e-5))
+    assert clock_limited_drift_rate(noise) == pytest.approx(45.2151,
+                                                            abs=5e-5)
 
 
 def test_clock_drift_floor_follows_the_band_gap():
