@@ -6,12 +6,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .counts import CountsTable
 from .engine import expected_counts
 from .postproc import ProcessedRun, aopp_phase_error, process
 from .presets import ExperimentConfig, NoiseModel, get_preset
 from .ratecore import (MAX_BALANCE_DEVIATION, PartySettings,
-                       check_sns_constraint, key_rate, phase_misalignment_qber,
+                       check_sns_constraint, phase_misalignment_qber,
                        plob_bound, rate_per_second, sns_balance_rhs)
 
 SWEEP_COLUMNS = ("distance_km", "total_loss_db", "skr_bit_per_signal",
@@ -24,16 +23,9 @@ def engine_settings(cfg: ExperimentConfig) -> ExperimentConfig:
     return cfg
 
 
-def keyrate_from_counts(cfg: ExperimentConfig, table: CountsTable
-                        ) -> tuple[float, ProcessedRun]:
-    """Key rate (bit/signal) and post-processing output of a counts table."""
-    run = process(table, cfg.party_a, cfg.party_b, cfg.security)
-    return key_rate(run.inputs, cfg.security), run
-
-
-def analytic_keyrate(cfg: ExperimentConfig) -> tuple[float, ProcessedRun]:
-    """Key rate (bit/signal) from the expected-counts pipeline."""
-    return keyrate_from_counts(cfg, expected_counts(cfg, cfg.run.n_windows))
+def analytic_keyrate(cfg: ExperimentConfig) -> ProcessedRun:
+    """The processed expected counts of ``cfg``, with their key rate."""
+    return process(expected_counts(cfg, cfg.run.n_windows), cfg)
 
 
 def sweep(cfg: ExperimentConfig, distances_km: list[float]
@@ -53,7 +45,7 @@ def sweep(cfg: ExperimentConfig, distances_km: list[float]
         arm_loss = d / 2.0 * cfg.link.attenuation_db_per_km
         link = replace(cfg.link, loss_a_db=arm_loss, loss_b_db=arm_loss)
         cfg_d = replace(cfg, link=link)
-        skr, _ = analytic_keyrate(cfg_d)
+        skr = analytic_keyrate(cfg_d).skr
         fiber_loss = d * cfg.link.attenuation_db_per_km
         skc0 = plob_bound(fiber_loss)
         rows.append({
@@ -139,7 +131,7 @@ def optimize(cfg: ExperimentConfig, budget: int = 200) -> OptimizeResult:
     def score(c: ExperimentConfig) -> float:
         key = (c.party_a, c.party_b)
         if key not in scored:
-            scored[key], _ = analytic_keyrate(c)
+            scored[key] = analytic_keyrate(c).skr
         return scored[key]
 
     symmetric = cfg.party_a == cfg.party_b

@@ -23,9 +23,10 @@ At import this module loads only numpy-free layers: ``config``,
 settings and the whole ``ExperimentConfig``) and ``ratecore`` (which
 holds the party and security settings).  Each ``_cmd_*`` imports the
 layers it runs in its own body, so ``preset list|show`` and ``--help``
-load no numpy, ``stabilize`` adds ``servo`` and ``optics`` only, and
-``verify``, ``keyrate``, ``simulate``, ``sweep`` and ``optimize`` add
-``bench``, ``engine``, ``optics`` and ``postproc`` but no ``servo``.
+load no numpy, ``stabilize`` adds ``servo`` and ``optics`` only,
+``simulate`` adds ``engine``, ``optics`` and ``postproc``, and
+``verify``, ``keyrate``, ``sweep`` and ``optimize`` add ``bench`` too,
+but none of them ``servo``.
 The first command of each kind in a process pays that import; README's
 Cold start section gives the wall times.
 """
@@ -69,8 +70,8 @@ def _resolve_config(args) -> ExperimentConfig:
     return override_config(cfg, raw)
 
 
-def format_run_report(cfg: ExperimentConfig, run, skr: float) -> str:
-    """The report of a :class:`postproc.ProcessedRun` and its key rate."""
+def _format_run_report(cfg: ExperimentConfig, run) -> str:
+    """The report of a :class:`postproc.ProcessedRun`."""
     table = run.table
     lines = [
         f"n_windows\t{table.n_windows}",
@@ -89,13 +90,13 @@ def format_run_report(cfg: ExperimentConfig, run, skr: float) -> str:
         f"n1\t{run.decoy.n1:.6e}",
         f"e1_upper\t{run.decoy.e1_upper:.6e}",
         f"z_qber\t{run.z_stats.qber:.6e}",
-        f"pairs\t{run.pairing.pairs:.6e}",
-        f"nt_prime\t{run.pairing.surviving_pairs:.6e}",
-        f"n1_prime\t{run.pairing.n1_prime:.6e}",
-        f"e_bit_prime\t{run.pairing.e_bit_prime:.6e}",
+        f"pairs\t{run.z_stats.pairs:.6e}",
+        f"nt_prime\t{run.inputs.nt_prime:.6e}",
+        f"n1_prime\t{run.inputs.n1_prime:.6e}",
+        f"e_bit_prime\t{run.inputs.e_bit_prime:.6e}",
         f"e1_ph_prime\t{run.inputs.e1_ph_prime:.6e}",
-        f"skr_bit_per_signal\t{skr:.6e}",
-        f"skr_bit_per_s\t{rate_per_second(skr):.6e}",
+        f"skr_bit_per_signal\t{run.skr:.6e}",
+        f"skr_bit_per_s\t{rate_per_second(run.skr):.6e}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -109,29 +110,29 @@ def _cmd_verify(args) -> tuple[int, dict[str, list[str]]]:
 def _cmd_keyrate(args) -> tuple[int, dict[str, list[str]]]:
     from . import bench
     cfg = _resolve_config(args)
-    skr, run = bench.analytic_keyrate(cfg)
-    return 0, {"out": [format_run_report(cfg, run, skr)]}
+    return 0, {"out": [_format_run_report(cfg, bench.analytic_keyrate(cfg))]}
 
 
 def _cmd_simulate(args) -> tuple[int, dict[str, list[str]]]:
-    from . import bench
     from .engine import simulate
+    from .postproc import process
     cfg = _resolve_config(args)
     table = simulate(cfg, int(cfg.run.n_windows), seed=cfg.run.seed)
-    skr, run = bench.keyrate_from_counts(cfg, table)
-    return 0, {"out": [format_run_report(cfg, run, skr)]}
+    return 0, {"out": [_format_run_report(cfg, process(table, cfg))]}
 
 
 def _cmd_stabilize(args) -> tuple[int, dict[str, list[str]]]:
-    from .servo import run_stabilization
+    from .servo import fast_steps, run_stabilization
     cfg = _resolve_config(args)
+    try:
+        fast_steps(args.duration)
+    except ValueError as exc:  # the config is checked; --duration is not
+        raise ConfigError(f"--duration: {exc}") from exc
     try:
         summary, series = run_stabilization(args.duration, cfg.noise,
                                             stages=args.stages,
                                             seed=cfg.run.seed,
                                             series=bool(args.series_out))
-    except ValueError as exc:  # the config is checked; --duration is not
-        raise ConfigError(f"--duration: {exc}") from exc
     except MemoryError as exc:  # the run's arrays grow with --duration
         raise ConfigError(f"--duration {args.duration} s is too long: "
                           f"{exc}") from exc

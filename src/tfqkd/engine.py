@@ -94,8 +94,8 @@ def _class_probs(p: PartySettings) -> np.ndarray:
 
 
 #: Click-outcome tensors (8 KB each) :func:`click_outcomes` keeps: the
-#: three presets fit, and so do the intensity pairs an optimize pass
-#: steps between.
+#: three presets fit, or the intensity pairs an optimize pass steps
+#: between, but a search or a 3-row sweep evicts the presets' tensors.
 _OUTCOMES_KEPT = 4
 
 

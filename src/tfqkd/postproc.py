@@ -1,4 +1,4 @@
-"""From raw counts to key-rate inputs.
+"""From raw counts to the key rate.
 
 Pipeline: decoy-state bounds on the single-photon yield and phase error,
 Z-basis sifting statistics, odd-parity pairing of the sifted bits, and
@@ -10,7 +10,8 @@ import math
 from dataclasses import dataclass
 
 from .counts import MATCHED_SLICE_DIFFS, N_SLICES, CountsTable
-from .ratecore import KeyRateInputs, PartySettings, SecuritySettings
+from .presets import ExperimentConfig
+from .ratecore import KeyRateInputs, PartySettings, SecuritySettings, key_rate
 
 
 def aopp_phase_error(e1_ph: float) -> float:
@@ -172,7 +173,7 @@ def decoy_bounds(table: CountsTable, pa: PartySettings, pb: PartySettings,
 
     mu_sum = pa.mu1 + pb.mu1
     y1_min = min(y1a, y1b)
-    if x11_errors and y1_min > 0 and mu_sum > 0:
+    if x11_errors and y1_min > 0:
         # Phase-matched decoy-1 windows: total and error yields.  The slice
         # difference is uniform, so one XX11 window in N_SLICES / 2 matches.
         per_matched = N_SLICES / len(MATCHED_SLICE_DIFFS)
@@ -210,6 +211,11 @@ class ZBasisStats:
     @property
     def qber(self) -> float:
         return self.errors / self.nt if self.nt else 0.0
+
+    @property
+    def pairs(self) -> int:
+        """Bob's pairs: one bit of each group, as many as the smaller has."""
+        return min(self.group0, self.group1)
 
 
 def z_basis_stats(table: CountsTable) -> ZBasisStats:
@@ -253,7 +259,7 @@ def odd_parity_pairing(z: ZBasisStats, n1a: float, n1b: float) -> PairingResult:
     member of the pair is untagged and the partner bit is correct;
     counting over the smaller group gives n1a*n1b / max(group sizes).
     """
-    pairs = min(z.group0, z.group1)
+    pairs = z.pairs
     if pairs == 0:
         return PairingResult(0, 0.0, 0.0, 0.0)
     survival = z.e0 * z.e1 + (1.0 - z.e0) * (1.0 - z.e1)
@@ -267,32 +273,23 @@ def odd_parity_pairing(z: ZBasisStats, n1a: float, n1b: float) -> PairingResult:
 
 @dataclass(frozen=True)
 class ProcessedRun:
-    """A counts table and its complete post-processing output."""
+    """A counts table, its post-processing and its key rate (bit/signal)."""
 
     table: CountsTable
     decoy: DecoyBounds
     z_stats: ZBasisStats
-    pairing: PairingResult
     inputs: KeyRateInputs
+    skr: float
 
 
-def process(table: CountsTable, pa: PartySettings, pb: PartySettings,
-            sec: SecuritySettings) -> ProcessedRun:
-    """Run the full post-processing chain on a counts table.
-
-    The pairing step amplifies the phase error of the untagged bits to
-    2 e (1 - e) because a surviving pair carries the parity of two
-    single-photon phases.
-    """
-    decoy = decoy_bounds(table, pa, pb, sec)
+def process(table: CountsTable, cfg: ExperimentConfig) -> ProcessedRun:
+    """Run the full post-processing chain on a counts table of ``cfg``."""
+    decoy = decoy_bounds(table, cfg.party_a, cfg.party_b, cfg.security)
     z = z_basis_stats(table)
     pairing = odd_parity_pairing(z, decoy.n1a, decoy.n1b)
     inputs = KeyRateInputs(
-        n_windows=table.n_windows,
-        n1_prime=pairing.n1_prime,
+        n_windows=table.n_windows, n1_prime=pairing.n1_prime,
         e1_ph_prime=aopp_phase_error(decoy.e1_upper),
-        nt_prime=pairing.surviving_pairs,
-        e_bit_prime=pairing.e_bit_prime,
-    )
-    return ProcessedRun(table=table, decoy=decoy, z_stats=z, pairing=pairing,
-                        inputs=inputs)
+        nt_prime=pairing.surviving_pairs, e_bit_prime=pairing.e_bit_prime)
+    return ProcessedRun(table=table, decoy=decoy, z_stats=z, inputs=inputs,
+                        skr=key_rate(inputs, cfg.security))

@@ -137,6 +137,8 @@ class NoiseModel:
             raise ValueError("reference and signal wavelengths must differ")
         if self.residual_phase_std_rad < 0:
             raise ValueError("residual phase std must be nonnegative")
+        if not math.isfinite(self.clock_drift_floor()):
+            raise ValueError("clock_drift_floor() must be finite")
 
     @property
     def band_ratio(self) -> float:

@@ -94,6 +94,8 @@ class SecuritySettings:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
+        if math.sqrt(2.0) * self.eps_pa * self.eps_hat == 0.0:
+            raise ValueError("eps_pa * eps_hat underflows to 0 in key_rate")
         if self.mode not in ("asymptotic", "finite"):
             raise ValueError("mode must be 'asymptotic' or 'finite'")
 

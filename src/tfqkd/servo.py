@@ -301,6 +301,15 @@ def clock_limited_drift_rate(noise: NoiseModel) -> float:
                       (1.0 - noise.band_ratio) * noise.free_drift_rate_std)
 
 
+def fast_steps(duration_s: float) -> int:
+    """Fast-loop cycles in ``duration_s``; ValueError unless at least 1e4."""
+    steps = duration_s / FAST_STEP_S
+    if not (math.isfinite(steps) and round(steps) >= 10_000):
+        raise ValueError("duration must be finite and cover at least 1e4 "
+                         f"fast-loop cycles, got {duration_s!r} s")
+    return round(steps)
+
+
 def run_stabilization(duration_s: float, noise: NoiseModel,
                       stages: str = "full", seed: int = 0, series: bool = True
                       ) -> tuple[StabilizationSummary,
@@ -338,11 +347,7 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
     if stages not in STAGES:
         raise ValueError(f"stages must be one of {STAGES}")
     dt = FAST_STEP_S
-    steps = duration_s / dt
-    if not (math.isfinite(steps) and round(steps) >= 10_000):
-        raise ValueError("duration must be finite and cover at least 1e4 "
-                         f"fast-loop cycles, got {duration_s!r} s")
-    n = round(steps)
+    n = fast_steps(duration_s)
     rng = np.random.default_rng(seed)
     # The fiber phase, which becomes the reference band below.
     phi_c = fiber_phase(noise, dt, n, rng)

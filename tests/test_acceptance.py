@@ -173,15 +173,15 @@ def test_criterion_09_end_to_end_rates():
     cfg603 = get_preset("sym603")
     cfg603 = dc.replace(cfg603, security=dc.replace(cfg603.security,
                                                     mode="asymptotic"))
-    skr603, _ = bench.analytic_keyrate(cfg603)
+    skr603 = bench.analytic_keyrate(cfg603).skr
     cfg546 = get_preset("sym546")
-    skr546, _ = bench.analytic_keyrate(cfg546)
+    skr546 = bench.analytic_keyrate(cfg546).skr
     skc546 = plob_bound(cfg546.link.arm_loss_db("a")
                         - cfg546.link.extra_loss_a_db
                         + cfg546.link.arm_loss_db("b")
                         - cfg546.link.extra_loss_b_db)
     cfg452 = get_preset("asym452")
-    skr452, _ = bench.analytic_keyrate(cfg452)
+    skr452 = bench.analytic_keyrate(cfg452).skr
     ok603 = 2.455e-10 / 3.0 <= skr603 <= 2.455e-10 * 3.0
     ok546 = skr546 > skc546
     ok452 = skr452 > 0.0
@@ -205,10 +205,10 @@ def test_criterion_10_aopp_suppression_monte_carlo():
     """
     cfg = get_preset("sym546")
     table = simulate(cfg, 10**9, seed=0)
-    run = process(table, cfg.party_a, cfg.party_b, cfg.security)
+    run = process(table, cfg)
     pre = run.z_stats.qber
-    post = run.pairing.e_bit_prime
-    ratio = run.pairing.n1_prime / run.decoy.n1 if run.decoy.n1 else 0.0
+    post = run.inputs.e_bit_prime
+    ratio = run.inputs.n1_prime / run.decoy.n1 if run.decoy.n1 else 0.0
     _report(10, "pairing cuts the Z error 10x and keeps 10-30% of the "
             "untagged bits",
             post <= pre / 10.0 and 0.10 <= ratio <= 0.30,

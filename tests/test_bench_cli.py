@@ -230,10 +230,17 @@ def test_config_residual_field_and_balance_rule(tmp_path):
     ("keyrate", "[protocol]\na_p_signal_window = 1.5\n"),
     ("keyrate", "[security]\nf = 0.9\n"),
     ("keyrate", "[security]\neps_pa = 1\n"),
+    # Finite mode divides by sqrt(2) * eps_pa * eps_hat, which is 0 here.
+    ("keyrate", "[security]\nmode = finite\neps_pa = 1e-200\n"
+     "eps_hat = 1e-200\n"),
+    # Each makes the clock drift floor inf.
+    ("stabilize", "[noise]\nclock_accuracy = 1e300\n"),
+    ("stabilize", "[noise]\nlambda_q_nm = 1e-300\n"),
 ], ids=["arm-loss", "attenuation", "extra-loss", "clock-accuracy",
         "efficiency", "dark-rate", "gate-window", "drift-std",
         "drift-corr-time", "visibility", "wavelength", "mu-z",
-        "signal-window", "ec-efficiency", "eps-pa"])
+        "signal-window", "ec-efficiency", "eps-pa", "eps-product-underflow",
+        "clock-floor-accuracy", "clock-floor-wavelength"])
 def test_cli_negative_loss_or_clock_setting_exit(tmp_path, capsys, command,
                                                  body):
     path = tmp_path / "bad.ini"
@@ -299,8 +306,8 @@ def test_sweep_row_is_keyrate_of_equal_arm_losses(preset):
         for d, row in zip(distances, bench.sweep(cfg_m, distances)):
             link = dataclasses.replace(cfg.link, loss_a_db=d / 2.0 * att,
                                        loss_b_db=d / 2.0 * att)
-            skr, _ = bench.analytic_keyrate(
-                dataclasses.replace(cfg_m, link=link))
+            skr = bench.analytic_keyrate(
+                dataclasses.replace(cfg_m, link=link)).skr
             assert row["skr_bit_per_signal"] == skr
             assert row["total_loss_db"] == d * att
 
@@ -323,7 +330,7 @@ def test_optimize_budget_zero():
 
 def test_optimize_never_worse():
     cfg = get_preset("sym546")
-    base, _ = bench.analytic_keyrate(cfg)
+    base = bench.analytic_keyrate(cfg).skr
     result = bench.optimize(cfg, budget=30)
     assert result.skr >= base
     assert check_sns_constraint(result.config.party_a,
@@ -332,7 +339,7 @@ def test_optimize_never_worse():
 
 def test_optimize_recovers_perturbed_mu_z():
     cfg = get_preset("sym546")
-    base, _ = bench.analytic_keyrate(cfg)
+    base = bench.analytic_keyrate(cfg).skr
     bad_party = dataclasses.replace(cfg.party_a, mu_z=cfg.party_a.mu_z * 1.5)
     bad = dataclasses.replace(cfg, party_a=bad_party, party_b=bad_party)
     result = bench.optimize(bad, budget=60)
@@ -344,7 +351,7 @@ def _reference_optimize(cfg, budget):
     ``bench.optimize`` over all free parameters."""
     symmetric = cfg.party_a == cfg.party_b
     best_cfg = bench._apply(cfg, "mu_z", cfg.party_a.mu_z, symmetric) or cfg
-    best_skr, _ = bench.analytic_keyrate(best_cfg)
+    best_skr = bench.analytic_keyrate(best_cfg).skr
     evals = 1
     step = 1.3
     exhausted = False
@@ -360,7 +367,7 @@ def _reference_optimize(cfg, budget):
                                     symmetric)
                 if cand is None:
                     continue
-                skr, _ = bench.analytic_keyrate(cand)
+                skr = bench.analytic_keyrate(cand).skr
                 evals += 1
                 if skr > best_skr:
                     best_cfg, best_skr = cand, skr
@@ -748,6 +755,24 @@ def test_cli_flag_not_read_is_rejected(argv):
 def test_cli_bad_argument_exit(argv, capsys):
     assert main(argv) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_stabilize_names_duration_only_for_its_check(tmp_path, monkeypatch,
+                                                        capsys):
+    """An infinite clock floor fails at the config on every stage, and an
+    error from the run itself is not reported as a bad ``--duration``."""
+    ini = tmp_path / "clock.ini"
+    ini.write_text("[noise]\nclock_accuracy = 1e300\n")
+    assert main(["stabilize", "--stages", "fastOnly", "--duration", "0.1",
+                 "--config", str(ini)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: noise: ")
+
+    def fail(*args, **kwargs):
+        raise ValueError("math domain error")
+
+    monkeypatch.setattr("tfqkd.servo.run_stabilization", fail)
+    with pytest.raises(ValueError, match="math domain error"):
+        main(["stabilize", "--duration", "0.1"])
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -134,7 +134,7 @@ def check_valid(cfg: ExperimentConfig) -> list[str]:
     below, its value in :func:`channel_truth`, to criterion 12's
     relative slack.
     """
-    bounds = analytic_keyrate(cfg)[1].decoy
+    bounds = analytic_keyrate(cfg).decoy
     truth = channel_truth(cfg)
     problems = [f"{name} {bound:.6e} > true {true:.6e}"
                 for name, bound, true in (
@@ -274,7 +274,7 @@ def test_asymmetric_channel_bounds_are_valid(mode):
     for trial in range(200):
         cfg = in_mode(draw_channel(rng, asymmetric=True), mode)
         assert check_valid(cfg) == [], trial
-        decoy = analytic_keyrate(cfg)[1].decoy
+        decoy = analytic_keyrate(cfg).decoy
         if decoy.e1_upper == 0.5:
             assert decoy.clamped, trial
             capped += 1
@@ -284,7 +284,7 @@ def test_asymmetric_channel_bounds_are_valid(mode):
 
 
 def _rate(cfg: ExperimentConfig) -> float:
-    return analytic_keyrate(cfg)[0]
+    return analytic_keyrate(cfg).skr
 
 
 def _assert_nonincreasing(rates, label):

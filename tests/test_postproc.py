@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from test_channel_truth import in_mode
+from tfqkd.bench import analytic_keyrate
 from tfqkd.counts import CountsTable
 from tfqkd.engine import expected_counts, simulate
 from tfqkd.postproc import (PairingResult, ZBasisStats, aopp_phase_error,
                             chernoff_lower, chernoff_upper, decoy_bounds,
                             odd_parity_pairing, process, z_basis_stats)
 from tfqkd.presets import get_preset
-from tfqkd.ratecore import PartySettings, SecuritySettings
+from tfqkd.ratecore import PartySettings, SecuritySettings, key_rate
 
 
 # ------------------------------------------------------ phase-error map
@@ -476,12 +478,27 @@ def test_process_outputs_consistent():
     from tfqkd.presets import get_preset
     cfg = get_preset("sym546")
     table = expected_counts(cfg, 1e12)
-    run = process(table, cfg.party_a, cfg.party_b, cfg.security)
+    run = process(table, cfg)
     assert run.inputs.n1_prime <= run.inputs.nt_prime
     assert 0.0 <= run.inputs.e_bit_prime <= 0.5
     assert run.inputs.e1_ph_prime == pytest.approx(
         aopp_phase_error(min(0.5, run.decoy.e1_upper)), abs=1e-12)
     assert run.z_stats.qber == pytest.approx(0.2732, abs=0.03)
+
+
+@pytest.mark.parametrize("mode", ["asymptotic", "finite"])
+@pytest.mark.parametrize("name", ["sym546", "sym603", "asym452"])
+def test_analytic_run_carries_its_key_rate(name, mode):
+    cfg = in_mode(get_preset(name), mode)
+    run = analytic_keyrate(cfg)
+    assert run.skr == key_rate(run.inputs, cfg.security)
+
+
+def test_simulated_run_carries_its_key_rate():
+    """One full-size sym546 session, whose asymptotic rate is positive."""
+    cfg = get_preset("sym546")
+    run = process(simulate(cfg, int(cfg.run.n_windows), seed=1), cfg)
+    assert run.skr == key_rate(run.inputs, cfg.security) > 0
 
 
 def test_pairing_suppression_pooled_over_seeds():
@@ -499,9 +516,8 @@ def test_pairing_suppression_pooled_over_seeds():
     cfg = get_preset("sym546")
     ratios, cuts = [], []
     for seed in range(200):
-        run = process(simulate(cfg, 10**9, seed=seed), cfg.party_a,
-                      cfg.party_b, cfg.security)
-        ratios.append(run.pairing.n1_prime / run.decoy.n1)
-        cuts.append(run.pairing.e_bit_prime / run.z_stats.qber)
+        run = process(simulate(cfg, 10**9, seed=seed), cfg)
+        ratios.append(run.inputs.n1_prime / run.decoy.n1)
+        cuts.append(run.inputs.e_bit_prime / run.z_stats.qber)
     assert 0.10 <= np.mean(ratios) <= 0.30
     assert np.mean(cuts) <= 0.10
