@@ -5,8 +5,8 @@ Sections: ``[link]``, ``[detectors]``, ``[protocol]``, ``[noise]``,
 corresponding types; ``[protocol]`` keys carry an ``a_``/``b_`` prefix
 per party.  A file overrides a base configuration (the run's preset) key
 by key; an empty file therefore yields the base unchanged.  Each value
-is parsed by its field's type and numbers must be finite; no field is
-optional, so ``none`` is not a value.  ``[link]`` gives each arm by its
+is converted by its field's type, and its settings type checks it; no
+field is optional, so ``none`` is not a value.  ``[link]`` gives each arm by its
 loss in dB (``loss_a_db``, ``loss_b_db``), not by a length.  Unknown
 keys are rejected.
 :func:`override_config` applies these rules to keys given another way,
@@ -14,7 +14,6 @@ such as the CLI's ``--windows``, ``--seed`` and ``--mode``.
 """
 import dataclasses
 import io
-import math
 
 from .presets import ExperimentConfig
 
@@ -36,10 +35,7 @@ def _parse(text: str, typ):
     text = text.strip()
     if typ is str:
         return text
-    val = int(text) if typ is int else float(text)
-    if not math.isfinite(val):
-        raise ValueError(f"{text!r} is not a finite number")
-    return val
+    return int(text) if typ is int else float(text)
 
 
 def _build(section: str, raw: dict, defaults, prefix: str = ""):

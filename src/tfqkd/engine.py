@@ -180,8 +180,6 @@ def simulate(cfg: ExperimentConfig, n_windows: int,
 
     Results depend only on ``(cfg, n_windows, seed)``, not on ``cfg.run``.
     """
-    if n_windows < 0:
-        raise ValueError("n_windows must be nonnegative")
     p = cell_probabilities(cfg)
     counts = np.random.default_rng(seed).multinomial(n_windows,
                                                      p.ravel() / p.sum())

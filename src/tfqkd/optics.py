@@ -34,10 +34,7 @@ def velocity_step_coeffs(noise: NoiseModel, dt: float) -> tuple[float, float]:
     tau = noise.drift_corr_time_s
     a = math.exp(-dt / tau)
     m = max(1, round(RATE_WINDOW_S / dt))
-    if a < 1.0:
-        cross = 2.0 * a * (m - 1 - m * a + a ** m) / (1.0 - a) ** 2
-    else:
-        cross = float(m * (m - 1))
+    cross = 2.0 * a * (m - 1 - m * a + a ** m) / (1.0 - a) ** 2
     var_shape = (m + cross) * dt * dt / (RATE_WINDOW_S * RATE_WINDOW_S)
     sigma_v = noise.free_drift_rate_std / math.sqrt(var_shape)
     s = sigma_v * math.sqrt(1.0 - a * a)

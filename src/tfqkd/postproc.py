@@ -42,8 +42,8 @@ def _chernoff_root(m: float, lam: float, x: float) -> float:
 
 def _chernoff_lambda(observed: float, eps: float) -> float:
     """Check a Chernoff bound's arguments and return ln(1/eps)."""
-    if observed < 0:
-        raise ValueError("observed count must be nonnegative")
+    if not 0.0 <= observed < math.inf:  # NaN or inf never converges
+        raise ValueError("observed count must be nonnegative and finite")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     return -math.log(eps)

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .ratecore import (MAX_BALANCE_DEVIATION, PartySettings, SecuritySettings,
-                       check_sns_constraint)
+                       check_domains, check_sns_constraint, domains)
 
 #: Servo stages of a stabilization run, as ``stabilize --stages`` takes them.
 STAGES = ("none", "fastOnly", "full")
@@ -48,11 +48,10 @@ class LinkConfig:
     extra_loss_a_db: float = 0.0
     extra_loss_b_db: float = 0.0
 
-    def __post_init__(self) -> None:
-        for name in ("loss_a_db", "loss_b_db", "attenuation_db_per_km",
-                     "extra_loss_a_db", "extra_loss_b_db"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+    _DOMAINS = domains(loss_a_db="[0, inf)", loss_b_db="[0, inf)",
+                       attenuation_db_per_km="[0, inf)",
+                       extra_loss_a_db="[0, inf)", extra_loss_b_db="[0, inf)")
+    __post_init__ = check_domains
 
     def arm_loss_db(self, arm: str) -> float:
         """Total loss (dB) of one arm, source to detectors."""
@@ -77,15 +76,12 @@ class DetectorModel:
     dark_rate_d1_hz: float
     window_s: float = 2.0e-9
 
+    _DOMAINS = domains(efficiency_d0="[0, 1]", efficiency_d1="[0, 1]",
+                       dark_rate_d0_hz="[0, inf)", dark_rate_d1_hz="[0, inf)",
+                       window_s="(0, inf)")
+
     def __post_init__(self) -> None:
-        for name in ("efficiency_d0", "efficiency_d1"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if self.dark_rate_d0_hz < 0 or self.dark_rate_d1_hz < 0:
-            raise ValueError("dark rates must be nonnegative")
-        if self.window_s <= 0:
-            raise ValueError("gate window must be positive")
+        check_domains(self)
         if max(self.dark_rate_d0_hz, self.dark_rate_d1_hz) * self.window_s >= 1e-3:
             raise ValueError("dark probability per window must stay below 1e-3")
 
@@ -109,8 +105,10 @@ class NoiseModel:
     correlated; together they fix the velocity-process parameters.
     ``residual_phase_std_rad`` is an effective phase spread fitted to the
     decoy-basis error rates; ``stabilize`` neither reads nor computes it.
-    The wavelengths fix the band gap of :meth:`clock_drift_floor`, so a
-    ``comb_span_hz`` INI key is unknown (exit 2).
+    ``clock_accuracy`` is each user's clock's fractional frequency error
+    |df|/f, below 1; it sets the signal band's :meth:`clock_drift_floor`.
+    The wavelengths fix the band gap of the floor, so a ``comb_span_hz``
+    INI key is unknown (exit 2).
     """
 
     free_drift_rate_std: float = 1.65e4
@@ -122,23 +120,17 @@ class NoiseModel:
     visibility: float = 0.9795
     residual_phase_std_rad: float = 0.0
 
+    # README's Command line section gives the reason for each bound.
+    _DOMAINS = domains(
+        free_drift_rate_std="[0, 1e150]", drift_corr_time_s="(0, 1]",
+        laser_drift_hz_per_hour="[-1e150, 1e150]", clock_accuracy="[0, 1)",
+        lambda_q_nm="[1260, 1675]", lambda_c_nm="[1260, 1675]",
+        visibility="[0, 1]", residual_phase_std_rad="[0, 3]")
+
     def __post_init__(self) -> None:
-        if self.free_drift_rate_std < 0:
-            raise ValueError("drift rate std must be nonnegative")
-        if self.drift_corr_time_s <= 0:
-            raise ValueError("drift correlation time must be positive")
-        if self.clock_accuracy < 0:
-            raise ValueError("clock accuracy must be nonnegative")
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError("visibility must lie in [0, 1]")
-        if self.lambda_q_nm <= 0 or self.lambda_c_nm <= 0:
-            raise ValueError("wavelengths must be positive")
+        check_domains(self)
         if self.lambda_q_nm == self.lambda_c_nm:
             raise ValueError("reference and signal wavelengths must differ")
-        if self.residual_phase_std_rad < 0:
-            raise ValueError("residual phase std must be nonnegative")
-        if not math.isfinite(self.clock_drift_floor()):
-            raise ValueError("clock_drift_floor() must be finite")
 
     @property
     def band_ratio(self) -> float:
@@ -159,15 +151,14 @@ class RunSettings:
     n_windows: float = 1e8
     seed: int = 0
 
+    # A float so that 2.772e13-style counts parse; it must still be a
+    # whole number of windows below numpy's multinomial limit of 2**63.
+    _DOMAINS = domains(n_windows="[1, 2**63)", seed="[0, 2**64)")
+
     def __post_init__(self) -> None:
-        # A float so that 2.772e13-style counts parse; it must still be a
-        # whole number of windows below numpy's multinomial limit of 2**63.
-        n = self.n_windows
-        if not (math.isfinite(n) and float(n).is_integer() and 0 < n < 2**63):
-            raise ValueError(f"n_windows must be a whole number in "
-                             f"[1, 2**63), got {n!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        check_domains(self)
+        if not float(self.n_windows).is_integer():
+            raise ValueError(f"n_windows must be whole, got {self.n_windows!r}")
 
 
 @dataclass(frozen=True)

@@ -316,15 +316,14 @@ def test_free_running_phase_matches_lfilter(noise, dt):
             assert strided.tobytes() == want[1][::100].tobytes(), (n, seed)
 
 
-def test_drift_rate_calibration_closed_form():
-    # Monte Carlo check of the AR(1) window-variance inversion: the RMS
-    # of the 1 ms drift rate must equal free_drift_rate_std.
-    noise = NoiseModel()
+def _calibration_mean_square(noise, seed):
+    """Mean square 1 ms drift rate of 3000 stationary 60 ms replicas of
+    the AR(1) velocity that :func:`velocity_step_coeffs` calibrates."""
     dt = 1e-4
     m = round(1e-3 / dt)
     a, s = velocity_step_coeffs(noise, dt)
     sig_v = s / math.sqrt(1.0 - a * a)
-    rng = np.random.default_rng(7)
+    rng = np.random.default_rng(seed)
     n_rep, n_steps = 3000, 60 * m
     v = lfilter([s], [1.0, -a], rng.standard_normal((n_rep, n_steps)), axis=1)
     # Start each replica from the stationary velocity distribution by
@@ -333,8 +332,33 @@ def test_drift_rate_calibration_closed_form():
     v += np.outer(v0, a ** np.arange(1, n_steps + 1))
     phase = np.cumsum(v, axis=1) * dt
     rates = np.diff(phase[:, ::m], axis=1) / 1e-3
-    rms = float(np.sqrt(np.mean(rates ** 2)))
+    return float(np.mean(rates ** 2))
+
+
+def test_drift_rate_calibration_closed_form():
+    """Monte Carlo check of the AR(1) window-variance inversion: the RMS
+    of the 1 ms drift rate must equal free_drift_rate_std.
+
+    False-alarm rate: over seeds 0-999 at commit 496eefe, 14 of 1000
+    seeds (1.4%) leave the +-2% band; the RMS over 3000 replicas
+    scatters by 0.82% between seeds (mean 1.0005 times the target), and
+    seed 7 gives 0.9939.  The pooled test below holds the calibration
+    with a false-alarm rate below 1e-8.
+    """
+    noise = NoiseModel()
+    rms = math.sqrt(_calibration_mean_square(noise, 7))
     assert rms == pytest.approx(noise.free_drift_rate_std, rel=0.02)
+
+
+def test_drift_rate_calibration_closed_form_pooled():
+    """The same check pooled over seeds 0-5: the pooled RMS scatters by
+    about 0.34% (0.82% / sqrt(6)), so each edge of the +-2% band lies at
+    least 5.8 sigma from the mean, a false-alarm rate of about 4e-9."""
+    noise = NoiseModel()
+    mean_square = np.mean([_calibration_mean_square(noise, seed)
+                           for seed in range(6)])
+    assert math.sqrt(mean_square) == pytest.approx(
+        noise.free_drift_rate_std, rel=0.02)
 
 
 def test_drift_rate_calibration_step_size_invariant():

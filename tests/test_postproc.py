@@ -82,6 +82,9 @@ def test_chernoff_tightens_with_eps():
 @pytest.mark.parametrize("bound", [chernoff_upper, chernoff_lower])
 @pytest.mark.parametrize("observed, eps, error", [
     (-1.0, 1e-3, "observed count must be nonnegative"),
+    # The root search would never settle on either.
+    (math.nan, 1e-3, "observed count must be nonnegative and finite"),
+    (math.inf, 1e-3, "observed count must be nonnegative and finite"),
     (5.0, 0.0, r"eps must lie in \(0, 1\)"),
     (5.0, 1.0, r"eps must lie in \(0, 1\)"),
 ])

@@ -5,10 +5,26 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from tfqkd.presets import DetectorModel, LinkConfig, NoiseModel, RunSettings
 from tfqkd.ratecore import (KeyRateInputs, PartySettings, SecuritySettings,
                             binary_entropy, check_sns_constraint, key_rate,
                             phase_misalignment_qber, plob_bound,
                             rate_per_second, sns_balance_rhs)
+
+
+# ---------------------------------------------------------------- domains
+
+@pytest.mark.parametrize("settings", [LinkConfig, DetectorModel, NoiseModel,
+                                      RunSettings, PartySettings,
+                                      SecuritySettings, KeyRateInputs])
+def test_every_numeric_field_has_one_interval(settings):
+    """Each settings type declares one interval per numeric field, in
+    field order, with finite ends, so nan and +-inf fail its one check."""
+    numeric = [f.name for f in dataclasses.fields(settings)
+               if f.type in (float, int)]
+    assert [name for name, *_ in settings._DOMAINS] == numeric
+    for _, lo, hi, _ in settings._DOMAINS:
+        assert -math.inf < lo <= hi < math.inf
 
 
 # ---------------------------------------------------------------- entropy
