@@ -123,7 +123,8 @@ def optimize(cfg: ExperimentConfig, budget: int = 200) -> OptimizeResult:
     still counts toward the budget, so the search path and evaluation
     count are those of a search that recomputes it.  Most steps leave
     the intensities as they are, and then :func:`engine.click_outcomes`
-    returns the tensor it kept for them.
+    returns the tensor it kept for them; a step that moves one has only
+    the rows it changes recomputed.
     """
     # Candidates differ only in their parties.
     scored: dict[tuple[PartySettings, PartySettings], float] = {}

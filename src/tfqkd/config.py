@@ -79,7 +79,9 @@ def override_config(cfg: ExperimentConfig,
 def load_config(path: str, base: ExperimentConfig) -> ExperimentConfig:
     """Read an INI config file, filling gaps from ``base``."""
     import configparser  # only INI input and output load it (cold start)
-    parser = configparser.ConfigParser()
+    # No interpolation: a value is read as written, so a ``%`` in it
+    # reaches its field's parser and fails there, naming the key.
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)

@@ -527,24 +527,38 @@ def test_optimize_scores_each_candidate_once(monkeypatch):
     assert 0 < len(set(scored)) == len(scored) < result.evaluations
 
 
-@pytest.mark.parametrize("preset, mode, runs", [("sym546", "finite", 100),
-                                                ("asym452", "asymptotic", 135)])
-def test_optimize_reuses_click_outcomes(monkeypatch, preset, mode, runs):
-    """The two searches of the design-scan benchmark (budget 200) run the
-    click model 100 and 135 times, the figures README's
-    Analytic-evaluation cost quotes.  Scoring each candidate afresh runs
-    it 161 and 168 times; once per distinct pair of intensity tuples
-    would be 88 and 115.  That distinct count is also checked as a lower
-    bound, so the check cannot pass by skipping the click model; the
-    engine's kept tensors are cleared first, so tensors that earlier
-    tests left there cannot satisfy it."""
-    engine._click_outcomes.cache_clear()
-    scored = _spy(monkeypatch, bench, "analytic_keyrate")
-    clicks = _spy(monkeypatch, engine, "click_probability_arrays")
+@pytest.mark.parametrize("preset, mode, scored, misses, rows",
+                         [("sym546", "finite", 161, 88, 635),
+                          ("asym452", "asymptotic", 168, 116, 641)])
+def test_optimize_reuses_click_outcomes(monkeypatch, preset, mode, scored,
+                                        misses, rows):
+    """The two searches of the design-scan benchmark (budget 200) score
+    161 and 168 candidates, miss the engine's kept tensors 88 and 116
+    times and compute 635 and 641 intensity-pair rows, 272 click-model
+    elements each (16 slice differences x 17 quadrature nodes): the
+    figures README's Analytic-evaluation cost quotes.  The distinct
+    pairs of intensity tuples, 88 and 115, are checked as a lower bound
+    on the misses, so the check cannot pass by skipping the click model;
+    the kept tensors are cleared first, so tensors that earlier tests
+    left there cannot satisfy it."""
+    engine._KEPT.clear()
+    candidates = _spy(monkeypatch, bench, "analytic_keyrate")
+    elements = []
+    clicks = engine.click_probability_arrays
+
+    def counting(*args):
+        p0, p1 = clicks(*args)
+        elements.append(p0.size)
+        return p0, p1
+
+    monkeypatch.setattr(engine, "click_probability_arrays", counting)
     result = bench.optimize(in_mode(get_preset(preset), mode), budget=200)
-    assert result.evaluations == 200
-    distinct = {(c.party_a.intensities, c.party_b.intensities) for c in scored}
-    assert 0 < len(distinct) <= len(clicks) == runs
+    assert result.evaluations == 200 and len(candidates) == scored
+    distinct = {(c.party_a.intensities, c.party_b.intensities)
+                for c in candidates}
+    assert 0 < len(distinct) <= len(elements) == engine._KEPT.misses == misses
+    assert engine._KEPT.rows == rows
+    assert sum(elements) == 16 * 17 * rows
 
 
 # ------------------------------------------------------------------ verify
@@ -602,6 +616,17 @@ def test_cli_bad_config_exit(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[protocol]\na_p_mu0 = 0.9\n")
     assert main(["keyrate", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("value", ["5%", "%(x)s", "%%"])
+def test_cli_config_percent_value_exit(tmp_path, capsys, value):
+    """A ``%`` in a value is no interpolation syntax: the value reaches
+    its field's parser, and the command exits 2 naming the key."""
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[run]\nseed = {value}\n")
+    assert main(["keyrate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: run.seed: ")
 
 
 def _parse_run(*argv):
@@ -1193,16 +1218,18 @@ def test_cli_reports_same_cold_and_warm(tmp_path, capsys):
         cold.append(proc.stdout)
     order = 2 * list(range(len(_COLD_WARM)))
     random.Random(0).shuffle(order)
-    engine._click_outcomes.cache_clear()
+    engine._KEPT.clear()
     for i in order:
         assert main(PINNED[_COLD_WARM[i]]) == 0
         assert capsys.readouterr().out == cold[i], _COLD_WARM[i]
     # 682 lookups: 2 x (9 keyrate and simulate runs, 3 sweep rows and the
-    # searches' 161 and 168 scored candidates).  In this order 485 miss:
-    # 100 and 135 per search run, the 6 sweep rows, whose links no other
+    # searches' 161 and 168 scored candidates).  In this order 423 miss:
+    # 88 and 116 per search run, the 6 sweep rows, whose links no other
     # command shares, and 9 of the 18 keyrate and simulate runs: the
     # first run of each preset, and 6 whose tensor a search or the sweep
-    # had evicted.
-    info = engine._click_outcomes.cache_info()
-    assert info.misses <= 485
-    assert info.hits >= 197
+    # had evicted.  Patching keeps the rows computed to 2763 of the
+    # 6768 that building each miss afresh would take.
+    kept = engine._KEPT
+    assert kept.misses <= 423
+    assert kept.hits >= 259
+    assert kept.rows <= 2763

@@ -1,6 +1,7 @@
 """Session-count engine: determinism, cell probabilities, a per-window
 oracle, a per-category oracle, and analytic checks."""
 import dataclasses
+import itertools
 import math
 from typing import NamedTuple
 
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 from scipy.stats import norm, poisson
 
+from test_channel_truth import in_mode
+from tfqkd import bench, engine
 from tfqkd.counts import CATEGORIES, CountsTable
-from tfqkd.engine import (_GH_NODES, _GH_WEIGHTS, N_SLICES, _click_outcomes,
-                          cell_probabilities, click_outcomes, expected_counts,
-                          simulate)
+from tfqkd.engine import (_GH_NODES, _GH_WEIGHTS, N_SLICES, cell_probabilities,
+                          click_outcomes, expected_counts, simulate)
 from tfqkd.optics import click_probability_arrays
 from tfqkd.presets import PRESETS, DetectorModel, ExperimentConfig, get_preset
 from tfqkd.ratecore import PartySettings
@@ -412,12 +414,14 @@ def test_cell_probabilities_match_per_category_oracle(mu0, sigma):
         _assert_same_cells(_random_config(rng, mu0, sigma))
 
 
+#: The eight intensities the click model reads, as (party, field).
+_INTENSITIES = tuple((party, mu) for party in ("party_a", "party_b")
+                     for mu in ("mu0", "mu1", "mu2", "mu_z"))
 #: Every input the click model reads, as (settings attribute, field):
 #: the eight intensities, the four arm losses, each detector field, and
 #: the two noise fields of the interference.
 _CLICK_INPUTS = (
-    *((party, mu) for party in ("party_a", "party_b")
-      for mu in ("mu0", "mu1", "mu2", "mu_z")),
+    *_INTENSITIES,
     *(("link", f) for f in ("loss_a_db", "loss_b_db", "extra_loss_a_db",
                             "extra_loss_b_db")),
     *(("detectors", f.name)
@@ -425,11 +429,19 @@ _CLICK_INPUTS = (
     ("noise", "visibility"), ("noise", "residual_phase_std_rad"))
 
 
+def _fresh_outcomes(cfg) -> np.ndarray:
+    """All 16 intensity-pair rows of ``cfg``'s click-outcome tensor,
+    built afresh, with no kept tensor read."""
+    return engine._outcome_rows(cfg.party_a.intensities,
+                                cfg.party_b.intensities, np.arange(16),
+                                cfg.link, cfg.detectors, cfg.noise)
+
+
 def test_click_outcomes_cached_by_click_inputs():
     """The kept tensor is shared by configs that differ only outside the
     click model, is read-only, and is never served for another input:
     a 1% change of any one click input gives a new tensor, equal byte
-    for byte to the uncached computation."""
+    for byte to a fresh build."""
     cfg = get_preset("asym452")
     base = click_outcomes(cfg)
     party = dataclasses.replace(cfg.party_a, p_signal_window=0.5, p_mu1=0.5)
@@ -444,11 +456,63 @@ def test_click_outcomes_cached_by_click_inputs():
             cfg, **{attr: dataclasses.replace(
                 part, **{name: getattr(part, name) * 1.01})})
         got = click_outcomes(changed)
-        want = _click_outcomes.__wrapped__(
-            changed.party_a.intensities, changed.party_b.intensities,
-            changed.link, changed.detectors, changed.noise)
         assert got.tobytes() != base.tobytes(), (attr, name)
-        assert got.tobytes() == want.tobytes(), (attr, name)
+        assert got.tobytes() == _fresh_outcomes(changed).tobytes(), (attr, name)
+
+
+def _engine_parts(cfg: ExperimentConfig) -> _EngineParts:
+    return _EngineParts(link=cfg.link, detectors=cfg.detectors,
+                        party_a=cfg.party_a, party_b=cfg.party_b,
+                        noise=cfg.noise)
+
+
+@pytest.mark.parametrize("case", [*sorted(PRESETS), "sym546_sigma0"])
+def test_patched_click_outcomes_match_fresh_build(case):
+    """A tensor patched from a kept one equals a fresh build byte for
+    byte, for every change of one or two of the eight intensities over
+    both parties (7% each; no balance rule applies), with and without
+    the residual-phase average.  Only the changed rows are computed:
+    ``16 - (4 - a)(4 - b)`` of them for ``a`` changed user A and ``b``
+    changed user B intensities."""
+    preset = get_preset(case.split("_")[0])
+    if case.endswith("sigma0"):
+        preset = dataclasses.replace(preset, noise=dataclasses.replace(
+            preset.noise, residual_phase_std_rad=0.0))
+    base = _engine_parts(preset)
+    for k in (1, 2):
+        for changes in itertools.combinations(_INTENSITIES, k):
+            engine._KEPT.clear()
+            click_outcomes(base)
+            cfg = base
+            for attr, name in changes:
+                part = getattr(cfg, attr)
+                cfg = cfg._replace(**{attr: dataclasses.replace(
+                    part, **{name: getattr(part, name) * 1.07})})
+            got = click_outcomes(cfg)
+            n_a = sum(attr == "party_a" for attr, _ in changes)
+            assert engine._KEPT.rows == 16 + 16 - (4 - n_a) * (4 - k + n_a)
+            assert got.tobytes() == _fresh_outcomes(cfg).tobytes(), changes
+
+
+def test_search_replay_serves_only_fresh_builds(monkeypatch):
+    """Both searches of the design-scan benchmark (budget 200), run from
+    a cleared table, are served no tensor that differs from a fresh
+    build, and most of their misses are patched, not built afresh."""
+    served = []
+
+    def recording(cfg):
+        outcomes = click_outcomes(cfg)
+        served.append((cfg, outcomes))
+        return outcomes
+
+    monkeypatch.setattr(engine, "click_outcomes", recording)
+    engine._KEPT.clear()
+    for cfg in (in_mode(get_preset("sym546"), "finite"),
+                get_preset("asym452")):
+        bench.optimize(cfg, budget=200)
+    assert served and 2 * engine._KEPT.rows < 16 * engine._KEPT.misses
+    for cfg, outcomes in served:
+        assert outcomes.tobytes() == _fresh_outcomes(cfg).tobytes()
 
 
 @pytest.mark.parametrize("shape, delta_shape",
