@@ -121,24 +121,12 @@ def click_probability_arrays(mu_a: np.ndarray, mu_b: np.ndarray,
     the two-mode beamsplitter expression n = (ma+mb)/2 +- V sqrt(ma mb)
     cos(delta), scaled by the port's detection efficiency.  Threshold
     detectors with dark probability pd click with 1 - (1-pd) exp(-n).
-
-    Each port's array is built in place from one broadcast-shape array.
-    The sign of ``-n`` rides on the efficiency: ``(-eta) * x`` is
-    bitwise ``-(eta * x)``, so the result equals the plain expression
-    bit for bit with one pass fewer per port.
     """
     ma = np.asarray(mu_a, dtype=float) * link.arm_transmittance("a")
     mb = np.asarray(mu_b, dtype=float) * link.arm_transmittance("b")
-    # The cross term has the full broadcast shape; asarray keeps a 0-d
-    # result an array, so the in-place steps below also take scalars.
-    p1 = np.asarray(noise.visibility * np.sqrt(ma * mb) * np.cos(delta_phi))
+    cross = noise.visibility * np.sqrt(ma * mb) * np.cos(delta_phi)
     mean = 0.5 * (ma + mb)
-    p0 = np.add(mean, p1, out=np.empty_like(p1))
-    np.subtract(mean, p1, out=p1)
-    for p, eta, dark in ((p0, det.efficiency_d0, det.dark_prob_d0),
-                         (p1, det.efficiency_d1, det.dark_prob_d1)):
-        p *= -eta
-        np.exp(p, out=p)
-        p *= 1.0 - dark
-        np.subtract(1.0, p, out=p)
+    pd0, pd1 = det.dark_prob_d0, det.dark_prob_d1
+    p0 = 1.0 - (1.0 - pd0) * np.exp(-det.efficiency_d0 * (mean + cross))
+    p1 = 1.0 - (1.0 - pd1) * np.exp(-det.efficiency_d1 * (mean - cross))
     return p0, p1

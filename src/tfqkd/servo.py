@@ -286,21 +286,6 @@ def _stretcher_levels(levels: np.ndarray, start: int, stop: int
     return run[start - head:stop - head]
 
 
-def clock_limited_drift_rate(noise: NoiseModel) -> float:
-    """Predicted signal-band drift rate (rad/s) under the fast lock.
-
-    A perfect reference lock leaves the signal band the clock-accuracy
-    floor, a constant rate, plus ``1 - band_ratio`` times the reference
-    band's drift, whose 1 ms RMS rate is ``free_drift_rate_std``.  The
-    fiber drift has zero mean rate, so the two add in quadrature.  The
-    laser ramp's share and the fringe-quantized modulator chatter are
-    left out; on sym546 the prediction is 45.2151 rad/s (floor 44.4019,
-    scaled drift 8.5369).
-    """
-    return math.hypot(noise.clock_drift_floor(),
-                      (1.0 - noise.band_ratio) * noise.free_drift_rate_std)
-
-
 def fast_steps(duration_s: float) -> int:
     """Fast-loop cycles in ``duration_s``; ValueError unless at least 1e4."""
     steps = duration_s / FAST_STEP_S

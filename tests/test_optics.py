@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.signal import lfilter
 
+from test_servo import clock_limited_drift_rate
 from tfqkd.optics import (click_probability_arrays, fiber_phase, ramp_phases,
                           signal_band_phase, velocity_step_coeffs)
 from tfqkd.presets import PRESETS, DetectorModel, LinkConfig, NoiseModel
-from tfqkd.servo import clock_limited_drift_rate
 
 
 # --------------------------------------------------------- transmittance

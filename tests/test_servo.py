@@ -12,9 +12,8 @@ from tfqkd.presets import PRESETS, NoiseModel
 from tfqkd.servo import (_ERROR_TABLE, FAST_GAINS, FAST_SETPOINT_COUNTS,
                          FAST_STEP_S, FS_RANGE_RAD, SLOW_SETPOINT_COUNTS, STAGES, PIDState,
                          StabilizationSummary, _std_in_place, _wrap_fringe,
-                         clock_limited_drift_rate, drift_rate_rms,
-                         fast_loop_span, frequency_readout, run_stabilization,
-                         slow_loop_step)
+                         drift_rate_rms, fast_loop_span, frequency_readout,
+                         run_stabilization, slow_loop_step)
 
 TWO_PI = 2.0 * math.pi
 
@@ -443,6 +442,22 @@ def test_std_in_place_matches_np_std(size, offset):
               rng.uniform(-math.pi, math.pi, size) + offset):
         want = np.std(x)
         assert float.hex(_std_in_place(x)) == float.hex(float(want))
+
+
+def clock_limited_drift_rate(noise: NoiseModel) -> float:
+    """Predicted signal-band drift rate (rad/s) under the fast lock.
+
+    A perfect reference lock leaves the signal band the clock-accuracy
+    floor, a constant rate, plus ``1 - band_ratio`` times the reference
+    band's drift, whose 1 ms RMS rate is ``free_drift_rate_std``.  The
+    fiber drift has zero mean rate, so the two add in quadrature.  The
+    laser ramp's share and the fringe-quantized modulator chatter are
+    left out; on sym546 the prediction is 45.2151 rad/s (floor 44.4019,
+    scaled drift 8.5369).  The physics oracle of the fast lock's drift,
+    here and in ``test_optics.py``.
+    """
+    return math.hypot(noise.clock_drift_floor(),
+                      (1.0 - noise.band_ratio) * noise.free_drift_rate_std)
 
 
 def test_fast_lock_drift_pooled_over_seeds():
