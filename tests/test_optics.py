@@ -186,6 +186,25 @@ def test_click_arrays_match_scalar():
             assert got == pytest.approx(want, rel=1e-9)
 
 
+def test_click_probability_keeps_precision_at_small_means():
+    """Each port equals pd - (1 - pd) expm1(-eta n) to 1e-14 relative for
+    detected means eta n from 2.4e-13 to 4.2e-6, which covers the 1e-12
+    to 1e-6 of the links' 85-109 dB, with dark probabilities of 1.6e-8
+    and 3.5e-9.  ``1 - (1 - pd) exp(-eta n)`` misses it there by up to
+    1.8e-8 relative: the subtraction cancels, and a one-ulp difference
+    in ``exp`` between numpy's CPU dispatch paths moved reports."""
+    det = DetectorModel(0.83, 0.49, 7.8, 1.77, window_s=2e-9)
+    # With mu_b = 0 the cross term vanishes and each port sees mu_a / 2.
+    mu_a = np.logspace(-12.0, -5.0, 29)
+    p0, p1 = click_probability_arrays(mu_a, np.zeros_like(mu_a), 0.0,
+                                      _LOSSLESS, det, NoiseModel())
+    for got, eta, pd in ((p0, det.efficiency_d0, det.dark_prob_d0),
+                         (p1, det.efficiency_d1, det.dark_prob_d1)):
+        for g, mu in zip(got.tolist(), mu_a.tolist()):
+            want = pd - (1.0 - pd) * math.expm1(-eta * (0.5 * mu))
+            assert g == pytest.approx(want, rel=1e-14, abs=0.0), (eta, mu)
+
+
 # -------------------------------------------------------- noise model
 
 def test_equal_wavelengths_rejected():
