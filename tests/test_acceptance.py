@@ -195,13 +195,15 @@ def test_criterion_09_end_to_end_rates():
 # ---------------------------------------------- 10: pairing suppression
 
 def test_criterion_10_aopp_suppression_monte_carlo():
-    """One seeded 1e9-window session; about a 5% false alarm per seed.
+    """One seeded 1e9-window session; a 4.6% false alarm per seed.
 
     Under the exact session distribution (one multinomial draw), 23 of
-    seeds 0-499 fail this check, 22 on ``n1'/n1 < 0.10`` and one on the
-    10x error cut, so a correct program fails it for about 4.6% of
-    seeds.  Seed 0 passes.  Any change to the cell layout or to the
-    draw re-rolls the outcome for this seed.
+    seeds 0-499 fail this check at ``b57c8dd``, as before it: 22 on
+    ``n1'/n1 < 0.10`` and seed 423 on the 10x error cut.  So a correct
+    program fails it for about 4.6% of seeds (Wilson 95% interval
+    3.1-6.8%).  Seed 0 passes (E_z 0.2762 -> 0.0136, n1'/n1 0.148).  Any
+    change to the cell layout or to the draw re-rolls the outcome for
+    this seed.
     """
     cfg = get_preset("sym546")
     table = simulate(cfg, 10**9, seed=0)

@@ -561,18 +561,6 @@ def test_optimize_reuses_click_outcomes(monkeypatch, preset, mode, scored,
     assert sum(elements) == 16 * 17 * rows
 
 
-# ------------------------------------------------------------------ verify
-
-def test_verify_passes():
-    ok, report = bench.verify()
-    assert ok
-    assert "pass" in report
-
-
-def test_verify_deterministic():
-    assert bench.verify() == bench.verify()
-
-
 # --------------------------------------------------------------------- CLI
 
 def test_cli_preset_list(capsys):
@@ -597,11 +585,6 @@ def test_cli_unknown_preset_message(capsys):
     assert capsys.readouterr().err == (
         "configuration error: unknown preset 'nope'; choose from "
         "['asym452', 'sym546', 'sym603']\n")
-
-
-def test_cli_verify_exit_code(capsys):
-    assert main(["verify"]) == 0
-    assert "pass" in capsys.readouterr().out
 
 
 def test_cli_keyrate_report(tmp_path):

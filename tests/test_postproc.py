@@ -21,14 +21,6 @@ from tfqkd.ratecore import PartySettings, SecuritySettings, key_rate
 
 # ------------------------------------------------------ phase-error map
 
-def test_aopp_phase_error_paper_values():
-    # Agreement to one unit in the fourth significant digit; the source
-    # figures were themselves rounded to four digits before the map.
-    assert aopp_phase_error(0.1128) == pytest.approx(0.2001, abs=1e-4)
-    assert aopp_phase_error(0.0790) == pytest.approx(0.1455, abs=1e-4)
-    assert aopp_phase_error(0.0994) == pytest.approx(0.1790, abs=1e-4)
-
-
 def test_aopp_phase_error_edges():
     assert aopp_phase_error(0.0) == 0.0
     assert aopp_phase_error(0.5) == 0.5
