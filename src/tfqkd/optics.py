@@ -54,17 +54,21 @@ def fiber_phase(noise: NoiseModel, dt: float, n: int,
     The velocity recurrence ``v = s*x + a*v`` is a Python loop, not
     ``scipy.signal.lfilter([s], [1, -a], x)``: it gives the same array
     bit for bit, and loading ``scipy.signal`` costs a cold ``stabilize``
-    more than the loop does.
+    more than the loop does.  The products ``s*x`` are taken in one
+    numpy pass first; each rounds as the scalar product does, so the
+    loop is left with ``v = sx + a*v``.
     """
     a, s = velocity_step_coeffs(noise, dt)
-    # The velocity overwrites the normals that drive it, then the phase
-    # overwrites the velocity.  The recurrence keeps lfilter's order of
-    # operations, so the result is bit-identical.
+    # The driving terms s*x overwrite the normals, the velocity
+    # overwrites the driving terms, then the phase overwrites the
+    # velocity.  The recurrence keeps lfilter's order of operations, so
+    # the result is bit-identical.
     phase = rng.standard_normal(n)
+    phase *= s
     buf = memoryview(phase)
     v = 0.0
-    for i, x in enumerate(buf):
-        v = s * x + a * v
+    for i, sx in enumerate(buf):
+        v = sx + a * v
         buf[i] = v
     np.cumsum(phase, out=phase)
     phase *= dt

@@ -78,38 +78,36 @@ _ERROR_TABLE = tuple(_fringe_error(c, FAST_SETPOINT_COUNTS)
 
 
 def fast_loop_span(start: int, stop: int, phi_c: np.ndarray,
-                   pm: np.ndarray, dc_counts: np.ndarray, visibility: float,
-                   state: PIDState, draw) -> None:
+                   pm: np.ndarray, visibility: float, state: PIDState,
+                   draw) -> None:
     """Run the fast loop over steps ``[start, stop)``.
 
     Step ``i`` draws the reference-detector bin count as
     ``draw(mean)``, with the mean on the fringe at ``phi_c[i]`` plus the
-    current modulator value, and writes it to ``dc_counts[i]``.  The
-    count is inverted to a phase error against the mid-fringe set point
-    and fed to the PI controller.  The unwrapped correction goes to
-    ``pm[i]`` and keeps accumulating for frequency readout; the physical
-    output wraps modulo the actuator range.  ``state`` holds the
-    controller between spans.  ``run_stabilization`` passes
-    ``rng.poisson`` as ``draw``.
+    current modulator value.  The count is inverted to a phase error
+    against the mid-fringe set point and fed to the PI controller.  The
+    unwrapped correction goes to ``pm[i]`` and keeps accumulating for
+    frequency readout; the physical output wraps modulo the actuator
+    range.  ``state`` holds the controller between spans.
+    ``run_stabilization`` passes ``rng.poisson`` as ``draw``, or a
+    wrapper of it that records each count when it builds the series.
 
     The loop body runs 1e5 times per simulated second, so the PI update
-    is written inline and the float64 arrays are read and written
-    through memoryviews.  The fringe inversion of a count is looked up
-    in ``_ERROR_TABLE``; a count past the table's end, or one that is
-    not an integer (a ``draw`` other than Poisson), falls back to
-    :func:`_fringe_error`.  Counts must be nonnegative.
+    is written inline, and the span of the float64 arrays is read and
+    written through memoryview slices.  The fringe inversion of a count
+    is looked up in ``_ERROR_TABLE``; a count past the table's end, or
+    one that is not an integer (a ``draw`` other than Poisson), falls
+    back to :func:`_fringe_error`.  Counts must be nonnegative.
     """
-    phi_mv = memoryview(phi_c)
-    pm_mv, dc_mv = memoryview(pm), memoryview(dc_counts)
+    pm_mv = memoryview(pm)[start:stop]
     setpoint = FAST_SETPOINT_COUNTS
     kp, ki = FAST_GAINS
     pm_range = PM_RANGE_RAD
     sin, remainder = math.sin, math.remainder
     errs = _ERROR_TABLE
     output, unwrapped, integral = state.output, state.unwrapped, state.integral
-    for i in range(start, stop):
-        counts = draw(setpoint * (1.0 + visibility * sin(phi_mv[i] + output)))
-        dc_mv[i] = counts
+    for i, phi in enumerate(memoryview(phi_c)[start:stop]):
+        counts = draw(setpoint * (1.0 + visibility * sin(phi + output)))
         try:
             err = errs[counts]
         except (IndexError, TypeError):
@@ -119,6 +117,19 @@ def fast_loop_span(start: int, stop: int, phi_c: np.ndarray,
         output = remainder(unwrapped, pm_range)
         pm_mv[i] = unwrapped
     state.output, state.unwrapped, state.integral = output, unwrapped, integral
+
+
+def _recording_draw(draw, out: np.ndarray):
+    """``draw`` that also writes each count it returns to the next
+    element of ``out``, in place, so no list of counts is built."""
+    out_mv = memoryview(out)
+    steps = iter(range(len(out)))
+
+    def recording(mean):
+        counts = draw(mean)
+        out_mv[next(steps)] = counts
+        return counts
+    return recording
 
 
 def slow_loop_step(counts: float, state: PIDState) -> bool:
@@ -326,8 +337,11 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
     The laser ramp and the clock floor have closed forms, so they are
     built a block at a time, or at the strided samples the drift rates
     and the slow loop read.  The stretcher keeps one level per slow
-    step.  The fast loop writes its counts to one zero-stride element,
-    which is also ``none``'s modulator history, and no ``t_s`` is built.
+    step.  ``none``'s zero modulator history is a zero-stride view, and
+    no ``dc_counts`` or ``t_s`` is built.  With series, the fast loop
+    draws through a wrapper of ``rng.poisson`` that writes each count to
+    ``dc_counts``; the slow loop calls ``rng.poisson`` itself, so the
+    draws come in the same order either way.
     """
     if stages not in STAGES:
         raise ValueError(f"stages must be one of {STAGES}")
@@ -354,19 +368,21 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
         phi_c[b:e] += laser
     del laser, clock
 
-    # Only the fast loop writes the modulator history.  Without series,
-    # every count lands in one zero-stride element, which is also
-    # ``none``'s modulator history.
-    dc_counts = (np.zeros(n) if series else np.lib.stride_tricks.as_strided(
-        np.zeros(1), shape=(n,), strides=(0,)))
-    pm = np.zeros(n) if series or stages != "none" else dc_counts
+    # Only the fast loop writes the modulator history and the counts.
+    poisson = rng.poisson
+    if series:
+        dc_counts = np.zeros(n)
+        draw = _recording_draw(poisson, dc_counts)
+    else:
+        dc_counts, draw = None, poisson
+    pm = (np.zeros(n) if series or stages != "none"
+          else np.broadcast_to(0.0, (n,)))
     valid = np.ones(n, dtype=bool)
     # The series in column order; ``t_s`` and ``fs_rad`` are built last.
     traces = dict(t_s=None, phiC_rad=phi_c, phiQ_rad=phi_q, pm_rad=pm,
                   fs_rad=None, dc_counts=dc_counts) if series else None
 
     vis = noise.visibility
-    draw = rng.poisson
     # The stretcher output after each slow step, from its initial zero.
     levels = np.zeros(n // SLOW_LOOP_STEPS + 1)
     if stages != "none":
@@ -377,12 +393,12 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
             drift = _lock_drift(noise, SLOW_LOOP_STEPS - 1, n, SLOW_LOOP_STEPS)
         for start in range(0, n, span):
             stop = min(start + span, n)
-            fast_loop_span(start, stop, phi_c, pm, dc_counts, vis, fast, draw)
+            fast_loop_span(start, stop, phi_c, pm, vis, fast, draw)
             if stages == "full" and stop % SLOW_LOOP_STEPS == 0:
                 fringe = round(fast.unwrapped / math.tau)
                 resid = (drift[start // SLOW_LOOP_STEPS]
                          - delta * math.tau * fringe)
-                counts = draw(SLOW_SETPOINT_COUNTS
+                counts = poisson(SLOW_SETPOINT_COUNTS
                               * (1.0 + vis * math.sin(resid + slow.output)))
                 if slow_loop_step(counts, slow):
                     valid[stop - 1:stop + BLANK_STEPS] = False
