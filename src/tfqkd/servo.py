@@ -399,7 +399,7 @@ def run_stabilization(duration_s: float, noise: NoiseModel,
                 resid = (drift[start // SLOW_LOOP_STEPS]
                          - delta * math.tau * fringe)
                 counts = poisson(SLOW_SETPOINT_COUNTS
-                              * (1.0 + vis * math.sin(resid + slow.output)))
+                                 * (1.0 + vis * math.sin(resid + slow.output)))
                 if slow_loop_step(counts, slow):
                     valid[stop - 1:stop + BLANK_STEPS] = False
                 levels[stop // SLOW_LOOP_STEPS] = slow.output
